@@ -5,6 +5,21 @@ approximation. The empirical distribution of a configuration counts pullback
 patterns over all vertices; a configuration is an (F, eps)-good model when
 that empirical F-marginal is within TV distance strictly less than eps of the
 process marginal.
+
+Exact enumeration is a depth-first branch and bound over X^V. Vertices are
+assigned one at a time; the pattern of a vertex is final once its whole window
+image is assigned. With c_p the counts of the final patterns, t = mu_F and r
+the number of vertices whose pattern is still open, the final TV is at least
+
+    LB - |1 - sum(t)| / 2,   LB = A + max(0, r/n - D),
+    A = sum_p max(0, c_p/n - t_p),   D = sum_p max(0, t_p - c_p/n),
+
+since the open vertices add r/n of mass that can cancel at most D of deficit
+before it adds to the excess. A partial configuration is pruned when
+LB >= eps + |1 - sum(t)| / 2 + PRUNE_SLACK, where PRUNE_SLACK covers the float
+rounding of LB and of the exact test; every configuration that reaches full
+depth goes through the strict float test ``TV < eps`` of the flat scan, so the
+decisions at float ties are those of the flat scan.
 """
 
 from __future__ import annotations
@@ -27,13 +42,14 @@ from .randomness import stream
 from .sofic import SoficMap
 
 ENUM_BUDGET = 1 << 26
-ENUM_BLOCK = 1 << 14
+ENUM_ROWS = 1 << 13  # frontier slice cap of the branch and bound
+PRUNE_SLACK = 1e-9
 
 
 class BudgetExceededError(RuntimeError):
     def __init__(self, required: int, budget: int):
         super().__init__(
-            f"exhaustive scan needs {required} configurations, over the budget of {budget}; "
+            f"exact enumeration spans {required} configurations, over the budget of {budget}; "
             "raise the budget or use count_good_models_mc"
         )
         self.required = required
@@ -156,14 +172,6 @@ class GoodModelCount:
         return out
 
 
-def _scan_blocks(n: int, base: int) -> Iterator[Tuple[int, np.ndarray]]:
-    total = base**n
-    powers = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, ENUM_BLOCK):
-        idx = np.arange(start, min(start + ENUM_BLOCK, total), dtype=np.int64)
-        yield start, (idx[:, None] // powers[None, :]) % base
-
-
 def _good_mask(
     block: np.ndarray,
     perms: np.ndarray,
@@ -191,6 +199,34 @@ def _good_mask(
     return good
 
 
+def _vertex_order(perms: np.ndarray) -> Tuple[List[int], List[List[int]]]:
+    """Greedy assignment order for the branch and bound.
+
+    Each step assigns the vertex that completes the most window images (ties
+    to the smallest index). Returns the order and, per step, the vertices
+    whose pattern becomes final at that step.
+    """
+    n = perms.shape[1]
+    images = [set(perms[:, v].tolist()) for v in range(n)]
+    assigned: set = set()
+    open_ = list(range(n))
+    order: List[int] = []
+    closing: List[List[int]] = []
+    for _ in range(n):
+        best, best_done = -1, []
+        for u in range(n):
+            if u in assigned:
+                continue
+            done = [v for v in open_ if images[v] <= assigned | {u}]
+            if best < 0 or len(done) > len(best_done):
+                best, best_done = u, done
+        assigned.add(best)
+        order.append(best)
+        closing.append(best_done)
+        open_ = [v for v in open_ if v not in best_done]
+    return order, closing
+
+
 def enumerate_good_models(
     sigma: SoficMap,
     mu: MarginalOracle,
@@ -199,7 +235,14 @@ def enumerate_good_models(
     budget: int = ENUM_BUDGET,
     keep_configs: bool = True,
 ) -> GoodModelCount:
-    """Exhaustive scan of X^V in lexicographic order (vertex 0 most significant)."""
+    """Exact |Omega(F, eps, sigma)| by branch and bound over X^V.
+
+    Partial configurations are pruned by the TV lower bound of the module
+    docstring; complete ones get the strict TV test of the flat scan, so the
+    count and the kept configurations (lexicographic order, vertex 0 most
+    significant) are those of testing every point of X^V. The budget is
+    checked against |X|^|V| before any work.
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
     base = mu.alphabet.size
@@ -210,16 +253,64 @@ def enumerate_good_models(
     perms = sigma.window_perms(window)
     npat = pattern_count(base, len(window))
     n = sigma.n
+    order, closing = _vertex_order(perms)
+    cut = eps + 0.5 * abs(1.0 - float(target.sum())) + PRUNE_SLACK
+    code_type = np.min_scalar_type(npat - 1)
+    letters = np.arange(base, dtype=np.uint8)
     count = 0
     kept: List[np.ndarray] = []
-    for _, block in _scan_blocks(n, base):
-        good = _good_mask(block, perms, base, npat, target, n, eps)
-        count += int(good.sum())
-        if keep_configs and good.any():
-            kept.append(block[good].astype(np.uint8))
-    configs = np.concatenate(kept, axis=0) if kept else np.zeros((0, n), dtype=np.uint8)
+
+    def grow(depth: int, rows: np.ndarray, codes: np.ndarray, excess: np.ndarray, deficit: np.ndarray, closed: int) -> None:
+        # rows: (b, n) uint8 with order[:depth] assigned; codes[:, :closed]
+        # holds the final pattern codes, excess/deficit the running A and D
+        nonlocal count
+        b = rows.shape[0]
+        rows = np.repeat(rows, base, axis=0)
+        rows[:, order[depth]] = np.tile(letters, b)
+        codes = np.repeat(codes, base, axis=0)
+        excess = np.repeat(excess, base)
+        deficit = np.repeat(deficit, base)
+        for v in closing[depth]:
+            code = np.zeros(rows.shape[0], dtype=np.int64)
+            for i in range(perms.shape[0]):
+                code = code * base + rows[:, perms[i, v]]
+            code = code.astype(code_type)
+            seen = (codes[:, :closed] == code[:, None]).sum(axis=1)
+            t = target[code]
+            before, after = seen / float(n), (seen + 1) / float(n)
+            excess += np.maximum(0.0, after - t) - np.maximum(0.0, before - t)
+            deficit += np.maximum(0.0, t - after) - np.maximum(0.0, t - before)
+            codes[:, closed] = code
+            closed += 1
+        live = excess + np.maximum(0.0, (n - closed) / float(n) - deficit) < cut
+        rows, codes, excess, deficit = rows[live], codes[live], excess[live], deficit[live]
+        if not rows.shape[0]:
+            return
+        if depth == n - 1:
+            good = _good_mask(rows, perms, base, npat, target, n, eps)
+            count += int(good.sum())
+            if keep_configs:
+                kept.append(rows[good])
+            return
+        for lo in range(0, rows.shape[0], ENUM_ROWS):
+            hi = lo + ENUM_ROWS
+            grow(depth + 1, rows[lo:hi], codes[lo:hi], excess[lo:hi], deficit[lo:hi], closed)
+
+    grow(
+        0,
+        np.zeros((1, n), dtype=np.uint8),
+        np.zeros((1, n), dtype=code_type),
+        np.zeros(1),
+        np.full(1, float(np.maximum(target, 0.0).sum())),
+        0,
+    )
+    configs = None
+    if keep_configs:
+        configs = np.concatenate(kept, axis=0) if kept else np.zeros((0, n), dtype=np.uint8)
+        if order != list(range(n)):
+            configs = configs[np.lexsort(configs.T[::-1])]
     log = math.log(count) if count > 0 else float("-inf")
-    return GoodModelCount(count, log, configs if keep_configs else None)
+    return GoodModelCount(count, log, configs)
 
 
 MC_CHUNK = 1 << 14

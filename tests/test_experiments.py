@@ -13,6 +13,7 @@ from soficlab.experiments import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+RESULTS_DIR = CONFIG_DIR.parent / "results"
 
 
 def _e8_cfg(tmp_path: Path, **over) -> dict:
@@ -155,3 +156,16 @@ def test_cli_report_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "E8" in out and "pass" in out
     assert main(["report", str(tmp_path / "nowhere")]) == 1
+
+
+# E4 (about 28 s) is left to the benchmark's seed-0 pass, which byte-compares all nine
+@pytest.mark.parametrize("exp", ["e1", "e2", "e3", "e5", "e6", "e7", "e8", "e9"])
+def test_config_regenerates_results(exp, tmp_path):
+    golden = RESULTS_DIR / exp
+    out = tmp_path / exp
+    code = main(["run", str(CONFIG_DIR / f"{exp}.json"), "--out", str(out)])
+    passed = json.loads((golden / "summary.json").read_text())["passed"]
+    assert code == (0 if passed else 2)
+    assert sorted(f.name for f in out.iterdir()) == sorted(f.name for f in golden.iterdir())
+    for f in golden.iterdir():
+        assert (out / f.name).read_bytes() == f.read_bytes(), f"{exp}/{f.name} differs from results/"

@@ -17,11 +17,13 @@ from soficlab.models import (
     enumerate_good_models,
     is_good_model,
     letter_frequency_count,
+    pattern_codes,
     pullback_name,
     shift_invariance_bound,
     shift_invariance_tv,
+    _good_mask,
 )
-from soficlab.processes import Alphabet, bernoulli
+from soficlab.processes import Alphabet, bernoulli, product_process, tree_markov
 from soficlab.sofic import product, quotient_map, random_uniform
 
 Z = GroupSpec.integers()
@@ -118,6 +120,74 @@ def test_enumerate_can_drop_configs():
     got = enumerate_good_models(sigma, mu, Window(Z, [()]), 0.3, keep_configs=False)
     assert got.count == 14
     assert got.configs is None
+
+
+class _ScaledOracle:
+    """A process marginal times a constant: its target mass is not 1, which
+    the pruning bound must absorb through its |1 - sum(t)| / 2 slack."""
+
+    def __init__(self, mu, scale):
+        self.alphabet = mu.alphabet
+        self._mu = mu
+        self._scale = scale
+
+    def marginal_elems(self, elements):
+        return self._mu.marginal_elems(elements) * self._scale
+
+
+def _flat_scan(sigma, mu, window, eps):
+    """Reference: every point of X^V, in lexicographic order, through the strict TV test."""
+    base = mu.alphabet.size
+    rows = np.array(list(itertools.product(range(base), repeat=sigma.n)), dtype=np.uint8)
+    target = mu.marginal_elems(window.elements)
+    good = _good_mask(rows, sigma.window_perms(window), base, base ** len(window), target, sigma.n, eps)
+    return rows[good]
+
+
+def _float_tv(sigma, mu, window, x):
+    """TV of one configuration by the float expression of the exact test."""
+    base = mu.alphabet.size
+    codes = pattern_codes(sigma, x, window, base)
+    counts = np.bincount(codes, minlength=base ** len(window))[None, :]
+    target = mu.marginal_elems(window.elements)
+    return float(0.5 * np.abs(counts / float(sigma.n) - target[None, :]).sum(axis=1)[0])
+
+
+@given(
+    st.sampled_from(["Z-r1", "F2-r0", "F2-r1"]),
+    st.integers(2, 4),
+    st.integers(3, 8),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 0.93, 1.07]),
+)
+@settings(max_examples=60, deadline=None)
+def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
+    n = min(n, {2: 8, 3: 7, 4: 6}[base])  # at most 4096 rows for the flat reference
+    gen = np.random.default_rng(seed)
+    if shape == "Z-r1":
+        group, sigma, radius = Z, quotient_map(Z, n), 1
+    else:
+        group, sigma, radius = F2, random_uniform(F2, n, seed), int(shape[-1])
+    window = Window(group, group.ball(radius))
+    if base == 4 and gen.random() < 0.5:
+        p, q = 0.15 + 0.7 * gen.random(2)
+        chain = tree_markov([[1 - p, p], [q, 1 - q]], [q / (p + q), p / (p + q)], group)
+        mu = product_process(chain, bernoulli(gen.dirichlet(np.ones(2)), group))
+    else:
+        mu = bernoulli(gen.dirichlet(np.ones(base)), group)
+    if scale != 1.0:
+        mu = _ScaledOracle(mu, scale)
+    # ties: the float TV of drawn configurations, and the next float above it
+    tvs = [_float_tv(sigma, mu, window, gen.integers(0, base, size=n)) for _ in range(3)]
+    for eps in sorted({*tvs, *(np.nextafter(t, 2.0) for t in tvs), 0.35}):
+        if eps <= 0:
+            continue
+        expect = _flat_scan(sigma, mu, window, eps)
+        got = enumerate_good_models(sigma, mu, window, eps)
+        assert got.count == expect.shape[0]
+        assert got.configs.dtype == np.uint8
+        np.testing.assert_array_equal(got.configs, expect)
+        assert enumerate_good_models(sigma, mu, window, eps, keep_configs=False).count == expect.shape[0]
 
 
 def test_letter_frequency_matches_enumeration():
