@@ -17,7 +17,7 @@ import numpy as np
 
 from .covering import ModelMeasure, pair_configs
 from .groups import Element, Window
-from .models import _good_mask, adjoint_shift, counts_over_elements
+from .models import _block_counts, _good_mask, _window_codes, adjoint_shift
 from .processes import MarginalOracle, pattern_count, product_process, tv_distance
 from .randomness import stream
 from .sofic import SoficMap
@@ -37,16 +37,6 @@ def _atoms_of(nu: ModelMeasure, samples: int, seed: int, label: str) -> Tuple[np
         raise ValueError("sampler-backed measure needs a positive sample count")
     block = nu.sample(stream(seed, label), samples)
     return block, np.full(samples, 1.0 / samples)
-
-
-def _vertex_code_matrix(sigma: SoficMap, configs: np.ndarray, window: Window, base: int) -> np.ndarray:
-    """Pattern code of every (atom, vertex) pair; shape (k, |V|)."""
-    perms = sigma.window_perms(window)
-    vals = np.ascontiguousarray(configs, dtype=np.int64)
-    codes = np.zeros(vals.shape, dtype=np.int64)
-    for i in range(perms.shape[0]):
-        codes = codes * base + vals[:, perms[i]]
-    return codes
 
 
 def _iid_vertex_laws(perms: np.ndarray, site_weights: np.ndarray, base: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -101,9 +91,9 @@ def lw_defect(
     else:
         npat = pattern_count(base, len(window))
         configs, weights = _atoms_of(nu, samples, seed, "lw")
-        codes = _vertex_code_matrix(sigma, configs, window, base)
-        flat = (np.arange(n, dtype=np.int64)[None, :] * npat + codes).ravel()
-        hist = np.bincount(flat, weights=np.repeat(weights, n), minlength=n * npat).reshape(n, npat)
+        codes = _window_codes(np.ascontiguousarray(configs.T), sigma.window_perms(window), base)
+        flat = (np.arange(0, n * npat, npat)[:, None] + codes).ravel()
+        hist = np.bincount(flat, weights=np.tile(weights, n), minlength=n * npat).reshape(n, npat)
         tvs = 0.5 * np.abs(hist - target[None, :]).sum(axis=1)
     return float((tvs >= eps).mean())
 
@@ -126,7 +116,7 @@ def quenched_defect(
     npat = pattern_count(base, len(window))
     perms = sigma.window_perms(window)
     configs, weights = _atoms_of(nu, samples, seed, "q")
-    good = _good_mask(np.ascontiguousarray(configs, dtype=np.int64), perms, base, npat, target, sigma.n, eps)
+    good = _good_mask(configs, perms, base, npat, target, sigma.n, eps)
     return float(weights[~good].sum())
 
 
@@ -156,14 +146,14 @@ def dq_defect(
         k = nu.support.shape[0]
         left = np.repeat(np.arange(k), k)
         right = np.tile(np.arange(k), k)
-        block = pair_configs(nu.support[left], nu.support[right], mu.alphabet.size).astype(np.int64)
+        block = pair_configs(nu.support[left], nu.support[right], mu.alphabet.size)
         weights = (nu.weights[left] * nu.weights[right])
     else:
         if samples < 1:
             raise ValueError("need a positive sample count for the pair draw")
         xs = nu.sample(stream(seed, "dq-left"), samples)
         ys = nu.sample(stream(seed, "dq-right"), samples)
-        block = pair_configs(xs, ys, mu.alphabet.size).astype(np.int64)
+        block = pair_configs(xs, ys, mu.alphabet.size)
         weights = np.full(samples, 1.0 / samples)
     good = _good_mask(block, perms, base, npat, target, sigma.n, eps)
     return float(weights[~good].sum())
@@ -214,10 +204,8 @@ def dispersion(
     configs, weights = _atoms_of(nu, samples, seed, "dispersion")
     k = configs.shape[0]
     npat = pattern_count(base, len(window))
-    marginals = np.empty((k, npat))
-    for i in range(k):
-        counts = counts_over_elements(sigma, configs[i], window.elements, base)
-        marginals[i] = counts / float(sigma.n)
+    counts = _block_counts(configs, sigma.window_perms(window), base, npat)
+    marginals = np.concatenate(list(counts)) / float(sigma.n)
     # single linkage: connected components of the TV < threshold graph
     parent = list(range(k))
 
@@ -228,9 +216,9 @@ def dispersion(
         return a
 
     for i in range(k):
-        for j in range(i + 1, k):
-            if 0.5 * float(np.abs(marginals[i] - marginals[j]).sum()) < threshold:
-                parent[find(i)] = find(j)
+        close = 0.5 * np.abs(marginals[i + 1 :] - marginals[i]).sum(axis=1) < threshold
+        for j in (np.flatnonzero(close) + i + 1).tolist():
+            parent[find(i)] = find(j)
     groups: dict = {}
     for i in range(k):
         groups.setdefault(find(i), []).append(i)
@@ -270,13 +258,13 @@ def pair_vertex_stat(
     joint_target = np.outer(mu_f, mu_f).ravel()
     npat = mu_f.size
     configs, weights = _atoms_of(nu, samples, seed, "pair-vertex")
-    codes = _vertex_code_matrix(sigma, configs, window, base)
+    codes = _window_codes(configs.T, sigma.window_perms(window), base).astype(np.int64)
     gen = stream(seed, "pair-vertex-choice")
     vs = gen.integers(0, sigma.n, size=vertex_pairs)
     ws = gen.integers(0, sigma.n, size=vertex_pairs)
     bad = 0
     for v, w in zip(vs, ws):
-        joint_codes = codes[:, v] * npat + codes[:, w]
+        joint_codes = codes[v] * npat + codes[w]
         joint = np.bincount(joint_codes, weights=weights, minlength=npat * npat)
         if 0.5 * float(np.abs(joint - joint_target).sum()) >= eps:
             bad += 1

@@ -320,32 +320,24 @@ def _partial_cover_exact(cover: np.ndarray, weights: np.ndarray, need: float) ->
     Iterative deepening over cover size with a union-bound prune.
     """
     c, k = cover.shape
-    masses = cover @ weights
-    order = np.argsort(-masses, kind="stable")
-    masks = []
-    seen = set()
-    for i in order:
-        m = 0
-        for j in range(k):
-            if cover[i, j]:
-                m |= 1 << j
-        if m not in seen:
-            seen.add(m)
-            masks.append(m)
+    order = np.argsort(-(cover @ weights), kind="stable")
+    # bit j of a mask is atom j; equal masks keep their first (heaviest) row
+    packed = np.packbits(cover[order], axis=1, bitorder="little")
+    _, first = np.unique(packed, axis=0, return_index=True)
+    masks = [int.from_bytes(packed[i].tobytes(), "little") for i in np.sort(first)]
     # dominated removal: keep only masks not contained in an earlier (heavier) one
     kept: List[int] = []
     for m in masks:
         if not any(m | other == other for other in kept):
             kept.append(m)
     masks = kept
-    mass_of = {m: sum(weights[j] for j in range(k) if m >> j & 1) for m in masks}
-    tops = sorted((mass_of[m] for m in masks), reverse=True)
     if not masks:
         raise ValueError("no candidate center covers any atom")
 
     def covered_mass(m: int) -> float:
         return sum(weights[j] for j in range(k) if m >> j & 1)
 
+    tops = sorted((covered_mass(m) for m in masks), reverse=True)
     for size in range(1, len(masks) + 1):
 
         def dfs(start: int, chosen: int, depth: int) -> bool:
@@ -602,8 +594,9 @@ def largest_small_ball_delta(eta: float, vertices: int, base: int) -> float:
 
 def pair_configs(xs: np.ndarray, ys: np.ndarray, base_y: int) -> np.ndarray:
     """Combine configuration blocks into pair-alphabet configurations
-    (row-major symbol order, matching product_process)."""
-    return (np.asarray(xs, dtype=np.int64) * base_y + np.asarray(ys, dtype=np.int64)).astype(np.uint8)
+    (row-major symbol order, matching product_process), in uint8: a pair
+    alphabet has at most 256 letters, and base_y = 256 only when every x is 0."""
+    return np.asarray(xs, dtype=np.uint8) * (base_y % 256) + np.asarray(ys, dtype=np.uint8)
 
 
 def random_coupling(seed: int, mu_weights: np.ndarray, nu_weights: np.ndarray, label: str = "coupling") -> np.ndarray:

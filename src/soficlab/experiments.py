@@ -301,8 +301,8 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
         violations = 0
         if got.count:
             ny = nu.alphabet.size
-            xs = (got.configs // ny).astype(np.int64)
-            ys = (got.configs % ny).astype(np.int64)
+            xs = got.configs // ny
+            ys = got.configs % ny
             perms = sigma.window_perms(window)
             npx = mu.alphabet.size ** len(window)
             npy = ny ** len(window)
@@ -444,17 +444,14 @@ def run_e6(cfg: dict, ctx: RunContext) -> ExperimentResult:
         pair = product_process(nu, nu)
         target_e = pair.marginal_elems((sigma.group.identity(),))
         n = sigma.n
-        configs = got.configs.astype(np.int64)
+        configs = got.configs
         k = configs.shape[0]
         pair_good = 0
         max_f10 = 0.0
         min_tv = 1.0
         for a in range(k):
-            codes = configs[a][None, :] * 2 + configs  # (k, n) pair symbols vs atom a
-            counts = np.zeros((k, 4))
-            for sym in range(4):
-                counts[:, sym] = (codes == sym).sum(axis=1)
-            freqs = counts / n
+            pairs = pair_configs(configs[a][None, :], configs, 2)  # (k, n) pair symbols vs atom a
+            freqs = np.concatenate(list(mod._block_counts(pairs, np.arange(n)[None, :], 4, 4))) / n
             tvs = 0.5 * np.abs(freqs - target_e[None, :]).sum(axis=1)
             pair_good += int((tvs < pair_eps).sum())
             max_f10 = max(max_f10, float(freqs[:, 2].max()))

@@ -38,12 +38,13 @@ from .processes import (
     pattern_count,
     tv_distance,
 )
-from .randomness import stream
+from .randomness import categorical, stream
 from .sofic import SoficMap
 
 ENUM_BUDGET = 1 << 26
 ENUM_ROWS = 1 << 13  # frontier slice cap of the branch and bound
 PRUNE_SLACK = 1e-9
+KERNEL_CELLS = 1 << 19  # rows x max(npat, |V|) of one `_block_counts` sub-slice
 
 
 class BudgetExceededError(RuntimeError):
@@ -80,15 +81,9 @@ def pattern_codes(sigma: SoficMap, x, window: Window, base: int) -> np.ndarray:
     """Per-vertex pattern code of the F-restricted pullback name.
 
     Code of vertex v is sum_i x[sigma^{f_i}(v)] * base^(m-1-i), matching the
-    pattern indexing of PatternDistribution.
+    pattern indexing of PatternDistribution, in the narrowest unsigned dtype.
     """
-    vals = _as_values(x)
-    perms = sigma.window_perms(window)
-    m = perms.shape[0]
-    codes = np.zeros(sigma.n, dtype=np.int64)
-    for i in range(m):
-        codes = codes * base + vals[perms[i]]
-    return codes
+    return _window_codes(_as_values(x), sigma.window_perms(window), base)
 
 
 def pullback_name(sigma: SoficMap, x, v: int, window: Window) -> Tuple[int, ...]:
@@ -125,11 +120,8 @@ def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: 
     behind empirical distributions and the shifted empiricals in the
     approximate-invariance bound.
     """
-    vals = _as_values(x)
     total = pattern_count(base, len(elements))
-    codes = np.zeros(sigma.n, dtype=np.int64)
-    for g in elements:
-        codes = codes * base + vals[sigma.perm_of(g)]
+    codes = _window_codes(_as_values(x), [sigma.perm_of(g) for g in elements], base)
     return np.bincount(codes, minlength=total)
 
 
@@ -172,6 +164,37 @@ class GoodModelCount:
         return out
 
 
+def _window_codes(vals: np.ndarray, perms, base: int) -> np.ndarray:
+    """The pattern-code kernel: sum_i vals[perms[i]] * base^(m-1-i).
+
+    `vals` is vertex-major: (|V|,) for one configuration or (|V|, b) for a
+    block of b configurations, so with index-array rows in `perms` every
+    gather copies whole contiguous rows. Codes are built in place in the
+    narrowest unsigned dtype that holds base^m - 1; no partial code exceeds
+    it, and a letter array already in that dtype is not widened.
+    """
+    codes = vals[perms[0]].astype(np.min_scalar_type(base ** len(perms) - 1), copy=False)
+    for p in perms[1:]:
+        codes *= base
+        codes += vals[p]
+    return codes
+
+
+def _block_counts(block: np.ndarray, perms: np.ndarray, base: int, npat: int) -> Iterator[np.ndarray]:
+    """Pattern counts of the rows of a (rows, |V|) letter block, one
+    C-contiguous (b, npat) int64 array per sub-slice of KERNEL_CELLS cells,
+    which keeps the code and histogram arrays in cache. Each sub-slice is
+    transposed to vertex-major in the code dtype, coded by `_window_codes` and
+    histogrammed by one bincount with a row offset of npat; any integer letter
+    dtype is accepted."""
+    n = block.shape[1]
+    step = max(1, KERNEL_CELLS // max(npat, n))
+    for lo in range(0, block.shape[0], step):
+        sub = np.ascontiguousarray(block[lo : lo + step].T, dtype=np.min_scalar_type(npat - 1))
+        codes = _window_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
+        yield np.bincount(codes.ravel(), minlength=sub.shape[1] * npat).reshape(-1, npat)
+
+
 def _good_mask(
     block: np.ndarray,
     perms: np.ndarray,
@@ -181,22 +204,15 @@ def _good_mask(
     n: int,
     eps: float,
 ) -> np.ndarray:
-    """Strict TV test per row, sub-sliced to bound the histogram and code
-    matrix footprints."""
-    rows = block.shape[0]
-    step = max(1, (1 << 22) // max(npat, n))
-    good = np.empty(rows, dtype=bool)
-    for lo in range(0, rows, step):
-        sub = block[lo : lo + step]
-        b = sub.shape[0]
-        codes = np.zeros((b, n), dtype=np.int64)
-        for i in range(perms.shape[0]):
-            codes = codes * base + sub[:, perms[i]]
-        flat = (np.arange(b, dtype=np.int64)[:, None] * npat + codes).ravel()
-        counts = np.bincount(flat, minlength=b * npat).reshape(b, npat)
-        tvs = 0.5 * np.abs(counts / float(n) - target[None, :]).sum(axis=1)
-        good[lo : lo + b] = tvs < eps
-    return good
+    """Strict TV test per row. TV is `0.5 * |counts / n - target|` summed
+    along each row of the C-contiguous counts, the expression and summation
+    order of every exact decision in this package, so the decisions at float
+    ties (the E5/E6 epsilons) do not depend on the code layout or dtype."""
+    good = [
+        0.5 * np.abs(counts / float(n) - target[None, :]).sum(axis=1) < eps
+        for counts in _block_counts(block, perms, base, npat)
+    ]
+    return np.concatenate(good) if good else np.zeros(0, dtype=bool)
 
 
 def _vertex_order(perms: np.ndarray) -> Tuple[List[int], List[List[int]]]:
@@ -271,10 +287,7 @@ def enumerate_good_models(
         excess = np.repeat(excess, base)
         deficit = np.repeat(deficit, base)
         for v in closing[depth]:
-            code = np.zeros(rows.shape[0], dtype=np.int64)
-            for i in range(perms.shape[0]):
-                code = code * base + rows[:, perms[i, v]]
-            code = code.astype(code_type)
+            code = _window_codes(rows.T, perms[:, v, None], base)[0]
             seen = (codes[:, :closed] == code[:, None]).sum(axis=1)
             t = target[code]
             before, after = seen / float(n), (seen + 1) / float(n)
@@ -346,13 +359,9 @@ def count_good_models_mc(
     npat = pattern_count(base, len(window))
     n = sigma.n
     log_q = np.log(q)
-    cdf = np.cumsum(q)
-    cdf[-1] = 1.0
 
     def run_chunk(chunk_index: int, count: int) -> Tuple[np.ndarray, int]:
-        gen = stream(seed, "mc", chunk_index)
-        u = gen.random((count, n))
-        block = np.searchsorted(cdf, u, side="right").astype(np.int64)
+        block = categorical(stream(seed, "mc", chunk_index), q, (count, n))
         good = _good_mask(block, perms, base, npat, target, n, eps)
         log_w = -log_q[block].sum(axis=1)
         return log_w[good], int(good.sum())

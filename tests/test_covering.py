@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from soficlab.covering import (
     ModelMeasure,
+    _partial_cover_exact,
     bernoulli_cov_eps,
     cov_delta,
     cov_eps,
@@ -202,3 +203,72 @@ def test_cov_result_reports_method_and_checksum():
     assert isinstance(res.checksum, str) and len(res.checksum) > 0
     again = cov_delta(CUBE2, 0.5, method="exact")
     assert res.checksum == again.checksum
+
+
+
+def _partial_cover_loop(cover, weights, need):
+    """Reference: `_partial_cover_exact` as it was with its masks built by a
+    Python double loop."""
+    c, k = cover.shape
+    masses = cover @ weights
+    order = np.argsort(-masses, kind="stable")
+    masks = []
+    seen = set()
+    for i in order:
+        m = 0
+        for j in range(k):
+            if cover[i, j]:
+                m |= 1 << j
+        if m not in seen:
+            seen.add(m)
+            masks.append(m)
+    kept = []
+    for m in masks:
+        if not any(m | other == other for other in kept):
+            kept.append(m)
+    masks = kept
+    mass_of = {m: sum(weights[j] for j in range(k) if m >> j & 1) for m in masks}
+    tops = sorted((mass_of[m] for m in masks), reverse=True)
+    if not masks:
+        raise ValueError("no candidate center covers any atom")
+
+    def covered_mass(m):
+        return sum(weights[j] for j in range(k) if m >> j & 1)
+
+    for size in range(1, len(masks) + 1):
+
+        def dfs(start, chosen, depth):
+            got = covered_mass(chosen)
+            if got > need:
+                return True
+            slots = size - depth
+            if slots == 0:
+                return False
+            if got + sum(tops[:slots]) <= need:
+                return False
+            for i in range(start, len(masks)):
+                if dfs(i + 1, chosen | masks[i], depth + 1):
+                    return True
+            return False
+
+        if dfs(0, 0, 0):
+            return size
+    raise ValueError("mass target unreachable: total covered mass <= 1 - eps")
+
+
+@given(st.integers(1, 9), st.integers(1, 20), st.floats(0.0, 0.6), st.floats(0.0, 0.99), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_partial_cover_exact_matches_mask_loop(centres, atoms, density, need, seed):
+    gen = np.random.default_rng(seed)
+    cover = gen.random((centres, atoms)) < density
+    cover[gen.integers(0, centres), gen.integers(0, atoms)] = True
+    if gen.random() < 0.3:
+        cover[gen.integers(0, centres)] = cover[0]  # a duplicate centre
+    weights = gen.dirichlet(np.ones(atoms))
+    try:
+        expect = _partial_cover_loop(cover, weights, need)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _partial_cover_exact(cover, weights, need)
+        return
+    assert _partial_cover_exact(cover, weights, need) == expect

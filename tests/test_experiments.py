@@ -158,8 +158,7 @@ def test_cli_report_table(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nowhere")]) == 1
 
 
-# E4 (about 28 s) is left to the benchmark's seed-0 pass, which byte-compares all nine
-@pytest.mark.parametrize("exp", ["e1", "e2", "e3", "e5", "e6", "e7", "e8", "e9"])
+@pytest.mark.parametrize("exp", ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"])
 def test_config_regenerates_results(exp, tmp_path):
     golden = RESULTS_DIR / exp
     out = tmp_path / exp

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from soficlab.groups import GroupSpec, Window
 from soficlab.models import (
+    KERNEL_CELLS,
     BlockMap,
     BudgetExceededError,
     Configuration,
@@ -22,6 +23,7 @@ from soficlab.models import (
     shift_invariance_bound,
     shift_invariance_tv,
     _good_mask,
+    _window_codes,
 )
 from soficlab.processes import Alphabet, bernoulli, product_process, tree_markov
 from soficlab.sofic import product, quotient_map, random_uniform
@@ -188,6 +190,59 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
         assert got.configs.dtype == np.uint8
         np.testing.assert_array_equal(got.configs, expect)
         assert enumerate_good_models(sigma, mu, window, eps, keep_configs=False).count == expect.shape[0]
+
+
+def _good_mask_int64(block, perms, base, npat, target, n, eps):
+    """Reference: the int64 row-major kernel that the vertex-major one replaced."""
+    rows = block.shape[0]
+    step = max(1, (1 << 22) // max(npat, n))
+    good = np.empty(rows, dtype=bool)
+    for lo in range(0, rows, step):
+        sub = block[lo : lo + step]
+        b = sub.shape[0]
+        codes = np.zeros((b, n), dtype=np.int64)
+        for i in range(perms.shape[0]):
+            codes = codes * base + sub[:, perms[i]]
+        flat = (np.arange(b, dtype=np.int64)[:, None] * npat + codes).ravel()
+        counts = np.bincount(flat, minlength=b * npat).reshape(b, npat)
+        tvs = 0.5 * np.abs(counts / float(n) - target[None, :]).sum(axis=1)
+        good[lo : lo + b] = tvs < eps
+    return good
+
+
+@given(
+    st.integers(1, 5),
+    st.integers(2, 4),
+    st.integers(2, 12),
+    st.integers(-1, 2),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_int64_row_major(m, base, n, extra, uniform, seed):
+    npat = base**m  # up to 4^5 = 1024
+    gen = np.random.default_rng(seed)
+    perms = np.stack([gen.permutation(n) for _ in range(m)])
+    rows = KERNEL_CELLS // max(npat, n) + extra  # one sub-slice, or just past its boundary
+    block = gen.integers(0, base, size=(rows, n))
+    target = np.full(npat, 1.0 / npat) if uniform else gen.dirichlet(np.ones(npat))
+
+    def codes_and_tv(row):
+        codes = np.zeros(n, dtype=np.int64)
+        for i in range(m):
+            codes = codes * base + row[perms[i]]
+        counts = np.bincount(codes, minlength=npat)[None, :]
+        return codes, float(0.5 * np.abs(counts / float(n) - target[None, :]).sum(axis=1)[0])
+
+    codes, _ = codes_and_tv(block[0])
+    np.testing.assert_array_equal(_window_codes(block[0].astype(np.uint8), perms, base), codes)
+    # ties: the float TV of drawn rows, and the next float above it
+    drawn = [codes_and_tv(block[r])[1] for r in gen.integers(0, rows, size=3)]
+    for eps in sorted({*drawn, *(float(np.nextafter(t, 2.0)) for t in drawn)}):
+        expect = _good_mask_int64(block, perms, base, npat, target, n, eps)
+        for dtype in (np.uint8, np.int64):
+            got = _good_mask(block.astype(dtype), perms, base, npat, target, n, eps)
+            np.testing.assert_array_equal(got, expect)
 
 
 def test_letter_frequency_matches_enumeration():

@@ -73,3 +73,35 @@ def test_categorical_frequencies_and_range():
     np.testing.assert_allclose(freq, [0.5, 0.3, 0.2], atol=0.02)
     point = categorical(stream(11, "cat2"), np.array([1.0, 0.0]), 100)
     assert np.all(point == 0)
+
+
+@given(
+    st.lists(st.sampled_from([0.0, 0.1, 0.2, 1.0 / 3.0, 0.7, 1.0]), min_size=1, max_size=12),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_categorical_equals_searchsorted(weights, seed):
+    w = np.asarray(weights)
+    if w.sum() > 0:
+        w = w / w.sum()  # cumsums that round below (or above) 1 before the last bin
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    expect = np.searchsorted(cdf, stream(seed, "cat-eq").random((50, 40)), side="right").astype(np.uint8)
+    np.testing.assert_array_equal(categorical(stream(seed, "cat-eq"), w, (50, 40)), expect)
+
+
+def test_categorical_on_rounding_and_zero_weights():
+    tenths = np.full(10, 0.1)
+    assert np.cumsum(tenths)[-1] < 1.0
+    for w in (tenths, np.array([0.0, 0.5, 0.0, 0.5, 0.0])):
+        cdf = np.cumsum(w)
+        cdf[-1] = 1.0
+        expect = np.searchsorted(cdf, stream(3, "cat-round").random(5000), side="right")
+        np.testing.assert_array_equal(categorical(stream(3, "cat-round"), w, 5000), expect)
+    assert set(np.unique(categorical(stream(3, "cat-zero"), [0.0, 0.5, 0.0, 0.5, 0.0], 5000))) == {1, 3}
+
+
+def test_categorical_rejects_more_than_256_weights():
+    categorical(stream(4, "cat-cap"), np.full(256, 1 / 256), 10)
+    with pytest.raises(ValueError):
+        categorical(stream(4, "cat-cap"), np.full(257, 1 / 257), 10)
