@@ -6,10 +6,10 @@ Library layout:
   randomness   seeded Philox streams and hand-rolled permutation draws
   sofic        sofic approximations sigma: G -> Sym(V), defects, spectra
   processes    shift-invariant processes via exact finite-window marginals
-  models       pullback names, empirical distributions, good-model counting
-  covering     Hamming metrics, covering/packing numbers, measure covers
+  models       empirical distributions, good-model counting, adjoint shifts
+  covering     Hamming distances, covering/packing numbers of sets and measures
   convergence  local weak*/quenched/doubly-quenched defects and dispersion
-  entropy      entropy curves from counts and covering numbers
+  entropy      entropy curves from good-model counts
   experiments  the E1..E9 batch experiments behind the CLI
 """
 

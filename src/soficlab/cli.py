@@ -27,7 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", type=Path, help="path to an experiment JSON config")
     p_run.add_argument("--seed", type=int, default=None, help="override the config's seed field")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads for MC counting")
     p_run.add_argument("--budget", type=int, default=None, help="override the enumeration budget")
     p_run.add_argument("--plot", action="store_true", help="also emit SVG plots")
     p_run.add_argument("--out", type=Path, default=None, help="override the output directory")
@@ -63,7 +62,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.seed is not None:
         cfg["seed"] = args.seed
     ctx = RunContext(
-        threads=args.threads,
         budget=args.budget if args.budget is not None else ENUM_BUDGET,
         plot=args.plot,
         out_dir=args.out,

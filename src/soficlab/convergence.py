@@ -3,14 +3,13 @@ convergence of measures on model spaces, plus the distribution-on-measures
 statistics (dispersion, barycentre) and the vertex-pair statistic.
 
 All "with high probability" statements are reported as exact fractions; the
-experiment layer applies pass thresholds. Sampling is chunk-free and fully
-determined by the seed, so results are independent of thread count.
+experiment layer applies pass thresholds. Sampling is fully determined by the
+seed.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -298,71 +297,8 @@ def h_average(st: SoficMap, theta: ModelMeasure, elements: Sequence[Element]) ->
     return ModelMeasure(st.n, support=uniq, weights=merged)
 
 
-@dataclass
-class ConvergenceReport:
-    window_radius: int
-    eps: float
-    lw: float
-    quenched: float
-    dq: float
-    dispersion_clusters: int
-    dispersion_report: Optional[DispersionReport] = field(default=None, repr=False)
-
-    def to_json(self) -> dict:
-        out = {
-            "F_radius": self.window_radius,
-            "epsilon": self.eps,
-            "lw_defect": self.lw,
-            "q_defect": self.quenched,
-            "dq_defect": self.dq,
-            "dispersion_clusters": self.dispersion_clusters,
-        }
-        if self.dispersion_report is not None:
-            out["dispersion"] = self.dispersion_report.to_json()
-        return out
-
-
-def convergence_report(
-    sigma: SoficMap,
-    nu: ModelMeasure,
-    mu: MarginalOracle,
-    radius: int,
-    eps: float,
-    samples: int = 0,
-    seed: int = 0,
-    threshold: float = 0.05,
-    with_dispersion: bool = True,
-) -> ConvergenceReport:
-    window = Window(sigma.group, sigma.group.ball(radius))
-    lw = lw_defect(sigma, nu, mu, window, eps, samples, seed)
-    q = quenched_defect(sigma, nu, mu, window, eps, samples, seed)
-    dq = dq_defect(sigma, nu, mu, window, eps, samples, seed)
-    disp = None
-    if with_dispersion:
-        disp = dispersion(
-            sigma,
-            nu,
-            window,
-            mu.alphabet.size,
-            samples,
-            seed,
-            threshold,
-            target=mu.marginal_elems(window.elements),
-        )
-    return ConvergenceReport(
-        window_radius=radius,
-        eps=eps,
-        lw=lw,
-        quenched=q,
-        dq=dq,
-        dispersion_clusters=disp.cluster_count if disp is not None else 0,
-        dispersion_report=disp,
-    )
-
-
 __all__ = [
     "DispersionReport",
-    "ConvergenceReport",
     "lw_defect",
     "quenched_defect",
     "dq_defect",
@@ -370,6 +306,5 @@ __all__ = [
     "pair_vertex_stat",
     "models_to_measure",
     "h_average",
-    "convergence_report",
     "EXACT_SUPPORT_CAP",
 ]

@@ -16,7 +16,6 @@ distances first.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -28,14 +27,6 @@ COV_EXACT_BUDGET = 4096
 PACK_EXACT_BUDGET = 512
 COV_EPS_EXACT_BUDGET = 24
 PACK_EPS_EXACT_BUDGET = 16
-
-
-def hamming_distance(x, y) -> float:
-    a = np.asarray(x)
-    b = np.asarray(y)
-    if a.shape != b.shape:
-        raise ValueError("configurations must have equal length")
-    return float((a != b).mean())
 
 
 def pairwise_hamming(a: np.ndarray, b: Optional[np.ndarray] = None, block: int = 256) -> np.ndarray:
@@ -251,19 +242,19 @@ def _mis_branch(adj: List[int], pool: int, current: int, best: List[int]) -> Non
     _mis_branch(adj, pool & ~(1 << v), current, best)
 
 
+def _conflict_masks(dist: np.ndarray, delta: float) -> List[int]:
+    """Adjacency bitmasks of the <=delta graph on the rows of a square
+    distance matrix: bit j of mask i is set when i != j and dist[i, j] <= delta."""
+    conflict = dist <= delta
+    np.fill_diagonal(conflict, False)
+    packed = np.packbits(conflict, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _max_separated_exact(dist: np.ndarray, delta: float) -> int:
     """Maximum strictly delta-separated subset = MIS of the <=delta graph."""
-    k = dist.shape[0]
-    conflict = dist <= delta
-    adj = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if j != i and conflict[i, j]:
-                row |= 1 << j
-        adj.append(row)
     best = [0]
-    _mis_branch(adj, (1 << k) - 1, 0, best)
+    _mis_branch(_conflict_masks(dist, delta), (1 << dist.shape[0]) - 1, 0, best)
     return best[0]
 
 
@@ -430,14 +421,7 @@ def pack_eps_delta_matrix(
     if k > exact_budget:
         raise ValueError(f"pack_eps_delta is exact-only and capped at {exact_budget} atoms")
     tag = _checksum(np.round(dist, 12), np.round(w, 15), eps, delta)
-    conflict = dist <= delta
-    adj = []
-    for i in range(k):
-        row = 0
-        for j in range(k):
-            if j != i and conflict[i, j]:
-                row |= 1 << j
-        adj.append(row)
+    adj = _conflict_masks(dist, delta)
     size = 1 << k
     mis = np.zeros(size, dtype=np.int32)
     for m in range(1, size):
@@ -459,134 +443,6 @@ def pack_eps_delta_matrix(
 def pack_eps_delta(nu: ModelMeasure, eps: float, delta: float, exact_budget: int = PACK_EPS_EXACT_BUDGET) -> CovResult:
     support, weights = nu.require_explicit("pack_eps_delta")
     return pack_eps_delta_matrix(pairwise_hamming(support), weights, eps, delta, exact_budget)
-
-
-def cov_eps(nu: ModelMeasure, eps: float) -> CovResult:
-    """min |F| with nu(F) > 1 - eps: shortest prefix of atoms by weight."""
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    support, weights = nu.require_explicit("cov_eps")
-    order = np.argsort(-weights, kind="stable")
-    tag = _checksum(support, np.round(weights, 15), eps)
-    total = 0.0
-    for count, i in enumerate(order, start=1):
-        total += float(weights[i])
-        if total > 1.0 - eps:
-            return CovResult(count, "exact", tag)
-    raise ValueError("weights sum below the 1 - eps target")
-
-
-def bernoulli_cov_eps(weights: Sequence[float], vertices: int, eps: float) -> Tuple[Optional[int], float]:
-    """cov_eps of the product measure weights^V, exactly, by letter type.
-
-    Atoms of equal letter counts share a probability, so the minimal set of
-    mass > 1 - eps is a run of whole types in decreasing atom-probability
-    order plus part of one deciding type. Returns (count, log_count_nats);
-    count is None when it exceeds exact integer range (the log is always
-    finite and computed in log space).
-    """
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie in (0,1)")
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or np.any(w <= 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be strictly positive and sum to 1")
-    log_w = np.log(w)
-    lg = math.lgamma
-
-    def comps(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in comps(total - head, parts - 1):
-                yield (head,) + rest
-
-    types = []
-    for comp in comps(vertices, w.size):
-        log_p = float(np.dot(comp, log_w))
-        log_size = lg(vertices + 1) - sum(lg(c + 1) for c in comp)
-        types.append((log_p, log_size, comp))
-    types.sort(key=lambda t: (-t[0], t[2]))
-
-    need = 1.0 - eps
-    cum = 0.0
-    log_counts: List[float] = []
-    exact: Optional[int] = 0
-    for log_p, log_size, comp in types:
-        mass = math.exp(log_p + log_size)
-        size_exact = None
-        if exact is not None:
-            size_exact = 1
-            rem = vertices
-            for c in comp[:-1]:
-                size_exact *= math.comb(rem, c)
-                rem -= c
-        if cum + mass > need:
-            remainder = need - cum
-            if log_p > -700:
-                m = int(math.floor(remainder / math.exp(log_p))) + 1
-                if size_exact is not None:
-                    m = min(m, size_exact)
-                log_counts.append(math.log(m))
-                if exact is not None:
-                    exact += m
-            else:
-                # counts too large for exact integers; log-space only
-                log_counts.append(max(math.log(remainder) - log_p, 0.0))
-                exact = None
-            return exact, _logsumexp(log_counts)
-        cum += mass
-        log_counts.append(log_size)
-        if exact is not None and size_exact is not None:
-            exact += size_exact
-    raise ValueError("total mass failed to reach 1 - eps")
-
-
-# -- ball volumes ------------------------------------------------------------------
-
-
-def _logsumexp(terms: Sequence[float]) -> float:
-    top = max(terms)
-    return top + math.log(sum(math.exp(t - top) for t in terms))
-
-
-def hamming_ball_volume(vertices: int, delta: float, base: int) -> float:
-    """log |B_delta(x)| in X^V under normalized Hamming, in nats."""
-    if not 0 <= delta <= 1:
-        raise ValueError("delta must lie in [0,1]")
-    if base < 2:
-        raise ValueError("alphabet must have at least 2 symbols")
-    j_max = int(math.floor(delta * vertices + 1e-12))
-    if j_max >= vertices:
-        return vertices * math.log(base)
-    lg = math.lgamma
-    terms = [
-        lg(vertices + 1) - lg(j + 1) - lg(vertices - j + 1) + j * math.log(base - 1)
-        for j in range(j_max + 1)
-    ]
-    return _logsumexp(terms)
-
-
-def largest_small_ball_delta(eta: float, vertices: int, base: int) -> float:
-    """Largest delta = j/|V| with log-ball-volume <= eta |V|.
-
-    The volume is a step function of delta, so the cumulative scan is exact
-    (sharper than bisection between grid points).
-    """
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    lg = math.lgamma
-    log_sum = 0.0  # j = 0 term: log C(n,0) = 0
-    best = 0
-    for j in range(1, vertices + 1):
-        term = lg(vertices + 1) - lg(j + 1) - lg(vertices - j + 1) + j * math.log(base - 1)
-        top = max(log_sum, term)
-        log_sum = top + math.log(math.exp(log_sum - top) + math.exp(term - top))
-        if log_sum <= eta * vertices:
-            best = j
-        else:
-            break
-    return best / vertices
 
 
 # -- couplings ---------------------------------------------------------------------
@@ -626,7 +482,6 @@ def random_coupling(seed: int, mu_weights: np.ndarray, nu_weights: np.ndarray, l
 __all__ = [
     "CovResult",
     "ModelMeasure",
-    "hamming_distance",
     "pairwise_hamming",
     "cov_delta",
     "cov_delta_matrix",
@@ -636,10 +491,6 @@ __all__ = [
     "cov_eps_delta_matrix",
     "pack_eps_delta",
     "pack_eps_delta_matrix",
-    "cov_eps",
-    "bernoulli_cov_eps",
-    "hamming_ball_volume",
-    "largest_small_ball_delta",
     "pair_configs",
     "random_coupling",
 ]

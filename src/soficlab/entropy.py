@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .covering import ModelMeasure, cov_eps
 from .groups import Window
 from .models import (
     ENUM_BUDGET,
@@ -21,7 +20,7 @@ from .models import (
     enumerate_good_models,
     letter_frequency_count,
 )
-from .processes import MarginalOracle, power_process
+from .processes import MarginalOracle
 from .sofic import SoficMap
 
 METHODS = ("exhaustive", "mc", "letter-exact")
@@ -103,13 +102,12 @@ def _count_for(
     samples: int,
     seed: int,
     proposal: Optional[Sequence[float]],
-    threads: int,
 ) -> GoodModelCount:
     if method == "exhaustive":
         return enumerate_good_models(sigma, mu, window, eps, budget=budget, keep_configs=False)
     if method == "mc":
         prop = proposal if proposal is not None else np.full(mu.alphabet.size, 1.0 / mu.alphabet.size)
-        return count_good_models_mc(sigma, mu, window, eps, prop, samples, seed, threads)
+        return count_good_models_mc(sigma, mu, window, eps, prop, samples, seed)
     if method == "letter-exact":
         if len(window) != 1:
             raise ValueError("letter-exact counting requires F = {e}")
@@ -128,76 +126,17 @@ def entropy_curve(
     samples: int = 20000,
     seed: int = 0,
     proposal: Optional[Sequence[float]] = None,
-    threads: int = 1,
 ) -> EntropyCurve:
     """Normalized log |Omega(F, eps, sigma_n)| for each n, F the radius ball."""
     curve = EntropyCurve(mu.alphabet.size)
     for n in sizes:
         sigma = approx_family(n)
         window = Window(sigma.group, sigma.group.ball(radius))
-        got = _count_for(sigma, mu, window, eps, method, budget, samples, seed, proposal, threads)
+        got = _count_for(sigma, mu, window, eps, method, budget, samples, seed, proposal)
         value = got.log_count_nats / sigma.n if math.isfinite(got.log_count_nats) else float("-inf")
         se = None if got.standard_error is None else got.standard_error
         curve.append(EntropyRow(n, sigma.n, radius, eps, got.log_count_nats, value, method, se))
     return curve
-
-
-def hq_lower_curve(
-    approx_family: Callable[[int], SoficMap],
-    model_measures: Callable[[int], ModelMeasure],
-    eps: float,
-    sizes: Sequence[int],
-    alphabet_size: int,
-) -> EntropyCurve:
-    """(1/|V_n|) log cov_eps of the model measures (discrete-metric form).
-
-    Rows witness an h^q/h^dq lower bound only alongside a ConvergenceReport
-    whose defects pass the experiment thresholds; the curve itself does not
-    gate on convergence.
-    """
-    curve = EntropyCurve(alphabet_size)
-    for n in sizes:
-        sigma = approx_family(n)
-        nu = model_measures(n)
-        res = cov_eps(nu, eps)
-        log = math.log(res.value)
-        curve.append(EntropyRow(n, sigma.n, 0, eps, log, log / sigma.n, res.method, None))
-    return curve
-
-
-def hps_curve(
-    approx_family: Callable[[int], SoficMap],
-    mu: MarginalOracle,
-    radius: int,
-    eps: float,
-    k_max: int,
-    sizes: Sequence[int],
-    method: str = "exhaustive",
-    budget: int = ENUM_BUDGET,
-    samples: int = 20000,
-    seed: int = 0,
-    threads: int = 1,
-) -> Dict[int, EntropyCurve]:
-    """Per-k entropy curves of mu^{x k}, values divided by k.
-
-    The k-th curve's rows hold (1/k) (1/|V_n|) log |Omega_{mu^{x k}}|, the
-    finite-n power-stabilized quantity.
-    """
-    out: Dict[int, EntropyCurve] = {}
-    for k in range(1, k_max + 1):
-        muk = power_process(mu, k)
-        curve = entropy_curve(
-            approx_family, muk, radius, eps, sizes, method, budget, samples, seed, None, threads
-        )
-        scaled = EntropyCurve(muk.alphabet.size)
-        for row in curve.rows:
-            value = row.value / k if math.isfinite(row.value) else float("-inf")
-            log = row.log_count  # unscaled evidence, kept verbatim
-            scaled.append(
-                EntropyRow(row.n, row.vertices, row.window_radius, row.eps, log, value, row.method, row.standard_error)
-            )
-        out[k] = scaled
-    return out
 
 
 __all__ = [
@@ -205,7 +144,5 @@ __all__ = [
     "EntropyCurve",
     "shannon_entropy",
     "entropy_curve",
-    "hq_lower_curve",
-    "hps_curve",
     "METHODS",
 ]

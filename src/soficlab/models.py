@@ -1,4 +1,4 @@
-"""Pullback names, empirical distributions, and good-model combinatorics.
+"""Empirical distributions, good-model combinatorics, and the adjoint shift.
 
 Configurations are arrays of alphabet indices over the vertex set of a sofic
 approximation. The empirical distribution of a configuration counts pullback
@@ -77,22 +77,6 @@ def _as_values(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.uint8)
 
 
-def pattern_codes(sigma: SoficMap, x, window: Window, base: int) -> np.ndarray:
-    """Per-vertex pattern code of the F-restricted pullback name.
-
-    Code of vertex v is sum_i x[sigma^{f_i}(v)] * base^(m-1-i), matching the
-    pattern indexing of PatternDistribution, in the narrowest unsigned dtype.
-    """
-    return _window_codes(_as_values(x), sigma.window_perms(window), base)
-
-
-def pullback_name(sigma: SoficMap, x, v: int, window: Window) -> Tuple[int, ...]:
-    vals = _as_values(x)
-    if not (0 <= v < sigma.n):
-        raise ValueError(f"vertex {v} out of range for |V| = {sigma.n}")
-    return tuple(int(vals[sigma.evaluate(g, v)]) for g in window)
-
-
 @dataclass
 class EmpiricalDistribution:
     """Exact pattern counts of a configuration over a window."""
@@ -117,8 +101,7 @@ def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: 
     """Pattern counts of ((x at sigma^g(v)) for g in elements) over all v.
 
     The element tuple need not contain the identity; this is the workhorse
-    behind empirical distributions and the shifted empiricals in the
-    approximate-invariance bound.
+    behind empirical distributions.
     """
     total = pattern_count(base, len(elements))
     codes = _window_codes(_as_values(x), [sigma.perm_of(g) for g in elements], base)
@@ -337,13 +320,12 @@ def count_good_models_mc(
     proposal: Sequence[float],
     samples: int,
     seed: int,
-    threads: int = 1,
 ) -> GoodModelCount:
     """Importance-sampling estimate of |Omega(F, eps, sigma)|.
 
-    Draws x ~ proposal^V and averages 1{good}/q(x); accumulation is in log
-    space per fixed-size chunk with one named substream per chunk, so the
-    result is identical for any thread count.
+    Draws x ~ proposal^V and averages 1{good}/q(x); draws come in fixed-size
+    chunks with one named substream per chunk, and accumulation is in log
+    space.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -367,13 +349,7 @@ def count_good_models_mc(
         return log_w[good], int(good.sum())
 
     chunks = [(ci, min(MC_CHUNK, samples - ci * MC_CHUNK)) for ci in range((samples + MC_CHUNK - 1) // MC_CHUNK)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda a: run_chunk(*a), chunks))
-    else:
-        results = [run_chunk(*a) for a in chunks]
+    results = [run_chunk(*a) for a in chunks]
 
     good_logs = np.concatenate([r[0] for r in results]) if results else np.zeros(0)
     hits = sum(r[1] for r in results)
@@ -429,37 +405,6 @@ def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) 
     return GoodModelCount(count, log)
 
 
-@dataclass(frozen=True)
-class BlockMap:
-    """A D-local code X^D -> Y given by a full lookup table."""
-
-    window: Window
-    source: Alphabet
-    target: Alphabet
-    table: np.ndarray
-
-    def __post_init__(self) -> None:
-        tab = np.ascontiguousarray(self.table, dtype=np.uint8)
-        expected = pattern_count(self.source.size, len(self.window))
-        if tab.shape != (expected,):
-            raise ValueError("table must cover X^D")
-        if tab.size and int(tab.max()) >= self.target.size:
-            raise ValueError("table value outside the target alphabet")
-        object.__setattr__(self, "table", tab)
-
-    def apply_pattern(self, pattern: Sequence[int]) -> int:
-        code = 0
-        for s in pattern:
-            code = code * self.source.size + int(s)
-        return int(self.table[code])
-
-
-def apply_block_map(psi: BlockMap, sigma: SoficMap, x) -> np.ndarray:
-    """psi^sigma: y_v = psi(pullback name of x at v restricted to D)."""
-    codes = pattern_codes(sigma, x, psi.window, psi.source.size)
-    return psi.table[codes]
-
-
 def adjoint_shift(st: SoficMap, h: Element, x) -> np.ndarray:
     """rho^h on configurations over V x W: permute columns by tau^{h^{-1}}."""
     if st.product_of is None:
@@ -473,43 +418,17 @@ def adjoint_shift(st: SoficMap, h: Element, x) -> np.ndarray:
     return np.ascontiguousarray(grid[:, tw]).ravel()
 
 
-def shift_invariance_tv(sigma: SoficMap, x, window: Window, g: Element, base: int) -> float:
-    """TV between the empirical F-marginal and its g-shifted pushforward."""
-    plain = counts_over_elements(sigma, x, window.elements, base)
-    shifted = counts_over_elements(sigma, x, window.translate(g), base)
-    return tv_distance(plain / float(sigma.n), shifted / float(sigma.n))
-
-
-def shift_invariance_bound(sigma: SoficMap, window: Window, g: Element) -> float:
-    """2 x fraction of vertices where the g-shift of the pullback name differs
-    from the pullback name at sigma^g(v), restricted to F. Zero for exact
-    quotients; bounded by accumulated defect in general."""
-    pg = sigma.perm_of(g)
-    bad = np.zeros(sigma.n, dtype=bool)
-    for f in window:
-        lhs = sigma.perm_of(f)[pg]
-        rhs = sigma.perm_of(sigma.group.multiply(f, g))
-        bad |= lhs != rhs
-    return 2.0 * float(bad.mean())
-
-
 __all__ = [
     "Configuration",
     "EmpiricalDistribution",
     "GoodModelCount",
-    "BlockMap",
     "BudgetExceededError",
-    "pattern_codes",
-    "pullback_name",
     "counts_over_elements",
     "empirical_distribution",
     "is_good_model",
     "enumerate_good_models",
     "count_good_models_mc",
     "letter_frequency_count",
-    "apply_block_map",
     "adjoint_shift",
-    "shift_invariance_tv",
-    "shift_invariance_bound",
     "ENUM_BUDGET",
 ]

@@ -8,9 +8,8 @@ most significant: pattern (x_0, ..., x_{m-1}) has index sum x_i |X|^(m-1-i).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -389,45 +388,6 @@ def product_process(mu: MarginalOracle, nu: MarginalOracle) -> ProductOracle:
     return ProductOracle(mu, nu)
 
 
-def power_process(mu: MarginalOracle, k: int) -> MarginalOracle:
-    if k < 1:
-        raise ValueError("power must be >= 1")
-    if mu.alphabet.size**k > 256:
-        raise ValueError(f"alphabet overflow: {mu.alphabet.size}^{k} > 256")
-    out = mu
-    for _ in range(k - 1):
-        out = ProductOracle(out, mu)
-    return out
-
-
-def process_from_json(obj: Dict[str, Any], group: GroupSpec) -> MarginalOracle:
-    kind = obj.get("process")
-    if kind == "bernoulli":
-        return bernoulli(obj["weights"], group)
-    if kind == "tree_markov":
-        return tree_markov(obj["transition"], obj["initial"], group)
-    if kind == "coset_iid":
-        return coset_iid(obj["mu0"], group, int(obj.get("factor", 0)))
-    if kind == "periodic_orbit":
-        return periodic_orbit(obj["pattern"], group)
-    if kind == "product":
-        factors = [process_from_json(f, group) for f in obj["factors"]]
-        if len(factors) != 2:
-            raise ValueError("product takes exactly two factor processes")
-        return product_process(*factors)
-    if kind == "power":
-        return power_process(process_from_json(obj["base"], group), int(obj["k"]))
-    raise ValueError(f"unknown process kind {kind!r}")
-
-
-def shift_invariance_gap(mu: MarginalOracle, window: Window, g: Element) -> float:
-    """TV between the F-marginal and the g-translated Fg-marginal (0 exactly
-    for shift-invariant oracles, up to float round-off)."""
-    base_probs = mu.marginal_elems(window.elements)
-    translated = mu.marginal_elems(window.translate(g))
-    return tv_distance(base_probs, translated)
-
-
 __all__ = [
     "Alphabet",
     "PatternDistribution",
@@ -444,10 +404,7 @@ __all__ = [
     "periodic_orbit",
     "coinduced",
     "product_process",
-    "power_process",
-    "process_from_json",
     "tv_distance",
     "pattern_count",
     "decode_patterns",
-    "shift_invariance_gap",
 ]

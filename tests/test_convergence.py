@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab.convergence import (
-    convergence_report,
     dispersion,
     dq_defect,
     h_average,
@@ -214,15 +213,3 @@ def test_h_average_refuses_sampler():
     with pytest.raises(ValueError):
         h_average(st_map, nu, [()])
 
-
-def test_convergence_report_shape():
-    vertices = 16
-    sigma = quotient_map(Z, vertices)
-    mu = periodic_orbit("01", Z)
-    nu = _orbit_measure(vertices)
-    rep = convergence_report(sigma, nu, mu, radius=1, eps=0.05)
-    assert rep.lw == 0.0 and rep.quenched == 0.0 and rep.dq == 1.0
-    js = rep.to_json()
-    assert js["F_radius"] == 1
-    assert js["q_defect"] == 0.0
-    assert "dispersion" in js

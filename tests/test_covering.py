@@ -1,5 +1,4 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -8,14 +7,10 @@ from hypothesis import strategies as st
 
 from soficlab.covering import (
     ModelMeasure,
+    _conflict_masks,
     _partial_cover_exact,
-    bernoulli_cov_eps,
     cov_delta,
-    cov_eps,
     cov_eps_delta,
-    hamming_ball_volume,
-    hamming_distance,
-    largest_small_ball_delta,
     pack_delta,
     pack_eps_delta,
     pair_configs,
@@ -30,14 +25,6 @@ def _cube(vertices: int) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=vertices)), dtype=np.uint8)
 
 
-def test_hamming_distance_basics():
-    assert hamming_distance([0, 0, 1, 1], [0, 0, 1, 1]) == 0.0
-    assert hamming_distance([0, 0, 1, 1], [0, 1, 0, 1]) == 0.5
-    assert hamming_distance([0, 0], [1, 1]) == 1.0
-    with pytest.raises(ValueError):
-        hamming_distance([0, 0], [0, 0, 0])
-
-
 def test_pairwise_hamming_matches_scalar():
     gen = np.random.default_rng(0)
     a = gen.integers(0, 3, size=(5, 7)).astype(np.uint8)
@@ -45,7 +32,7 @@ def test_pairwise_hamming_matches_scalar():
     mat = pairwise_hamming(a, b, block=2)
     for i in range(5):
         for j in range(4):
-            assert mat[i, j] == pytest.approx(hamming_distance(a[i], b[j]))
+            assert mat[i, j] == pytest.approx((a[i] != b[j]).mean())
     sym = pairwise_hamming(a)
     np.testing.assert_allclose(sym, sym.T)
     np.testing.assert_allclose(np.diag(sym), 0.0)
@@ -66,16 +53,6 @@ def test_pack_delta_strict_separation():
     assert pack_delta(CUBE2[:1], 0.9, method="exact").value == 1
 
 
-def test_cov_eps_prefix_rule():
-    three = np.array([[0], [1], [2]], dtype=np.uint8)
-    nu = ModelMeasure.from_support(three, (0.5, 0.3, 0.2))
-    assert cov_eps(nu, 0.25).value == 2
-    assert cov_eps(nu, 0.6).value == 1
-    assert cov_eps(ModelMeasure.point_mass([0, 1]), 0.01).value == 1
-    with pytest.raises(ValueError):
-        cov_eps(nu, 0.0)
-
-
 def test_cov_eps_delta_frozen_values():
     three = np.array([[0], [1], [2]], dtype=np.uint8)
     nu = ModelMeasure.from_support(three, (0.5, 0.3, 0.2))
@@ -85,8 +62,6 @@ def test_cov_eps_delta_frozen_values():
 
 def test_exact_methods_need_explicit_support():
     nu = ModelMeasure.from_sampler(4, lambda gen, k: gen.integers(0, 2, size=(k, 4)).astype(np.uint8))
-    with pytest.raises(ValueError):
-        cov_eps(nu, 0.2)
     with pytest.raises(ValueError):
         cov_eps_delta(nu, 0.2, 0.3, method="exact")
 
@@ -113,42 +88,6 @@ def test_model_measure_sampling_matches_weights():
     draws = nu.sample(gen, 6000)
     freq = np.bincount(draws[:, 0], minlength=3) / 6000.0
     np.testing.assert_allclose(freq, (0.5, 0.3, 0.2), atol=0.03)
-
-
-def test_hamming_ball_volume_values():
-    assert hamming_ball_volume(4, 0.0, 2) == 0.0
-    assert hamming_ball_volume(4, 0.25, 2) == pytest.approx(math.log(5))
-    assert hamming_ball_volume(4, 1.0, 2) == pytest.approx(4 * math.log(2))
-    assert hamming_ball_volume(3, 1 / 3, 3) == pytest.approx(math.log(1 + 3 * 2))
-    with pytest.raises(ValueError):
-        hamming_ball_volume(4, 1.5, 2)
-
-
-def test_largest_small_ball_delta_step_exact():
-    eta = math.log(5) / 4
-    assert largest_small_ball_delta(eta, 4, 2) == 0.25
-    assert largest_small_ball_delta(eta * 0.99, 4, 2) == 0.0
-    assert largest_small_ball_delta(10.0, 4, 2) == 1.0
-    with pytest.raises(ValueError):
-        largest_small_ball_delta(0.0, 4, 2)
-
-
-def test_bernoulli_cov_eps_uniform_case():
-    count, log_count = bernoulli_cov_eps((0.5, 0.5), 4, 0.3)
-    assert count == 12  # smallest k with k/16 > 0.7
-    assert log_count == pytest.approx(math.log(12))
-
-
-@pytest.mark.parametrize("eps", [0.1, 0.2, 0.5])
-def test_bernoulli_cov_eps_matches_explicit(eps):
-    vertices = 6
-    support = _cube(vertices)
-    w = np.array([0.7, 0.3])
-    weights = np.prod(np.where(support == 0, w[0], w[1]), axis=1)
-    nu = ModelMeasure.from_support(support, weights)
-    count, log_count = bernoulli_cov_eps((0.7, 0.3), vertices, eps)
-    assert count == cov_eps(nu, eps).value
-    assert log_count == pytest.approx(math.log(count))
 
 
 def test_pair_configs_row_major():
@@ -203,7 +142,6 @@ def test_cov_result_reports_method_and_checksum():
     assert isinstance(res.checksum, str) and len(res.checksum) > 0
     again = cov_delta(CUBE2, 0.5, method="exact")
     assert res.checksum == again.checksum
-
 
 
 def _partial_cover_loop(cover, weights, need):
@@ -272,3 +210,30 @@ def test_partial_cover_exact_matches_mask_loop(centres, atoms, density, need, se
             _partial_cover_exact(cover, weights, need)
         return
     assert _partial_cover_exact(cover, weights, need) == expect
+
+
+def _conflict_loop(dist, delta):
+    """Reference: the <=delta adjacency masks as the packing solvers built
+    them with a Python double loop."""
+    k = dist.shape[0]
+    conflict = dist <= delta
+    adj = []
+    for i in range(k):
+        row = 0
+        for j in range(k):
+            if j != i and conflict[i, j]:
+                row |= 1 << j
+        adj.append(row)
+    return adj
+
+
+@given(st.integers(1, 70), st.integers(1, 8), st.integers(0, 8), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_conflict_masks_match_loop(k, levels, step, hamming, seed):
+    gen = np.random.default_rng(seed)
+    if hamming:
+        dist = pairwise_hamming(gen.integers(0, 2, size=(k, levels)).astype(np.uint8))
+    else:
+        dist = gen.integers(0, levels + 1, size=(k, k)) / levels  # not symmetric
+    delta = min(step, levels) / levels  # a grid value, so some distances tie with delta
+    assert _conflict_masks(dist, delta) == _conflict_loop(dist, delta)

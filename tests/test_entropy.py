@@ -1,20 +1,16 @@
 import json
 import math
 
-import numpy as np
 import pytest
 
-from soficlab.covering import ModelMeasure, bernoulli_cov_eps
 from soficlab.entropy import (
     EntropyCurve,
     EntropyRow,
     entropy_curve,
-    hps_curve,
-    hq_lower_curve,
     shannon_entropy,
 )
-from soficlab.groups import GroupSpec, Window
-from soficlab.models import enumerate_good_models, letter_frequency_count
+from soficlab.groups import GroupSpec
+from soficlab.models import letter_frequency_count
 from soficlab.processes import bernoulli
 from soficlab.sofic import quotient_map
 
@@ -92,69 +88,3 @@ def test_minus_infinity_sentinel():
     assert "-inf" in payload
     assert curve.csv_lines()[1].split(",")[4] == "-inf"
 
-
-def test_hq_lower_point_mass_is_zero():
-    fam = lambda n: quotient_map(Z, n)
-    measures = lambda n: ModelMeasure.point_mass(np.zeros(n, dtype=np.uint8))
-    curve = hq_lower_curve(fam, measures, 0.2, [4, 8], 2)
-    assert curve.values() == [0.0, 0.0]
-
-
-def test_hq_lower_two_atom_orbit():
-    fam = lambda n: quotient_map(Z, n)
-
-    def measures(n):
-        x0 = (np.arange(n) % 2).astype(np.uint8)
-        return ModelMeasure.from_support(np.stack([x0, 1 - x0]), np.array([0.5, 0.5]))
-
-    curve = hq_lower_curve(fam, measures, 0.2, [8], 2)
-    assert curve.rows[0].value == pytest.approx(math.log(2) / 8)
-
-
-def test_hq_lower_bernoulli_matches_type_count():
-    vertices = 4096
-    count, log_count = bernoulli_cov_eps((0.5, 0.5), vertices, 0.1)
-    assert abs(log_count / vertices - math.log(2)) < 0.05
-
-    def measures(n):
-        support = np.zeros((2, n), dtype=np.uint8)
-        support[1] = 1
-        return ModelMeasure.from_support(support, np.array([0.5, 0.5]))
-
-    # small sanity of the curve plumbing itself
-    curve = hq_lower_curve(lambda n: quotient_map(Z, n), measures, 0.3, [4], 2)
-    assert curve.rows[0].log_count == pytest.approx(math.log(2))
-
-
-def test_hq_never_exceeds_h_on_enumerated_instance():
-    vertices = 8
-    eps = 0.25
-    mu = bernoulli((0.5, 0.5), Z)
-    sigma = quotient_map(Z, vertices)
-    W = Window(Z, [()])
-    got = enumerate_good_models(sigma, mu, W, eps)
-    # model measure living on the good set: its eps-covering number can
-    # never beat the cardinality of the set it lives on
-    nu = ModelMeasure.from_support(got.configs, np.full(got.count, 1.0 / got.count))
-    curve = hq_lower_curve(lambda n: sigma, lambda n: nu, eps, [vertices], 2)
-    assert curve.rows[0].log_count <= got.log_count_nats + 1e-12
-
-
-def test_hps_curve_k1_and_power_scaling():
-    mu = bernoulli((0.5, 0.5), Z)
-    fam = lambda n: quotient_map(Z, n)
-    curves = hps_curve(fam, mu, 0, 0.2, 2, [8])
-    base = entropy_curve(fam, mu, 0, 0.2, [8])
-    assert curves[1].rows[0].log_count == pytest.approx(base.rows[0].log_count)
-    assert curves[1].rows[0].value == pytest.approx(base.rows[0].value)
-    # the k = 2 good set is cut by two marginal constraints, so its
-    # per-copy rate cannot beat the k = 1 rate for a product target
-    assert curves[2].rows[0].value <= curves[1].rows[0].value + 1e-12
-
-
-def test_hps_curve_overflow_refusal():
-    mu = bernoulli((0.25,) * 4, Z)
-    # two vertices keep every k <= 4 enumeration tiny; k = 5 pushes the
-    # pair alphabet past the 256-symbol packing cap
-    with pytest.raises(ValueError, match="alphabet overflow"):
-        hps_curve(lambda n: quotient_map(Z, n), mu, 0, 0.2, 5, [2])

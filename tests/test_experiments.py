@@ -86,10 +86,20 @@ def test_run_experiment_writes_artifacts(tmp_path):
 def test_run_experiment_deterministic_bytes(tmp_path):
     cfg = _e8_cfg(tmp_path)
     run_experiment(cfg, RunContext(out_dir=tmp_path / "a"))
-    run_experiment(cfg, RunContext(threads=4, out_dir=tmp_path / "b"))
+    run_experiment(cfg, RunContext(out_dir=tmp_path / "b"))
     a = (tmp_path / "a" / "e8_convergence.csv").read_text()
     b = (tmp_path / "b" / "e8_convergence.csv").read_text()
     assert a == b
+
+
+def test_e6_hps_row_not_certified_when_pairs_are_good(tmp_path):
+    cfg = json.loads((CONFIG_DIR / "e6.json").read_text())
+    cfg["pair_eps"] = 0.15
+    assert run_experiment(cfg, RunContext(out_dir=tmp_path)) == 2
+    search = (tmp_path / "e6_pair_search.csv").read_text().splitlines()[2:]
+    assert sum(int(line.split(",")[4]) for line in search) > 0
+    hps = (tmp_path / "e6_hps.csv").read_text().splitlines()
+    assert hps[2] == "2,4,1,0.15,,,not-certified"
 
 
 def test_run_experiment_rejects_invalid_config():

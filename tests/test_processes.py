@@ -12,10 +12,7 @@ from soficlab.processes import (
     decode_patterns,
     pattern_count,
     periodic_orbit,
-    power_process,
-    process_from_json,
     product_process,
-    shift_invariance_gap,
     tree_markov,
     tv_distance,
 )
@@ -178,24 +175,6 @@ def test_product_rejects_mixed_groups():
         product_process(bernoulli((0.5, 0.5), F2), bernoulli((0.5, 0.5), Z))
 
 
-def test_power_process_degenerate_and_square():
-    mu = bernoulli((0.75, 0.25), F2)
-    assert power_process(mu, 1) is mu
-    sq = power_process(mu, 2)
-    np.testing.assert_allclose(sq.marginal_elems(((),)), [9 / 16, 3 / 16, 3 / 16, 1 / 16])
-    W = Window(F2, ((), (1,)))
-    pair = product_process(mu, mu)
-    assert sq.marginal(W).tv(pair.marginal(W)) < 1e-12
-
-
-def test_power_process_alphabet_overflow():
-    mu = bernoulli((0.25,) * 4, F2)
-    with pytest.raises(ValueError):
-        power_process(mu, 5)
-    with pytest.raises(ValueError):
-        power_process(mu, 0)
-
-
 def test_pattern_count_and_decode():
     assert pattern_count(2, 3) == 8
     pats = decode_patterns(3, 2)
@@ -216,26 +195,6 @@ def test_pattern_distribution_project_and_tv():
     assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
 
 
-ORACLES = [
-    bernoulli((0.75, 0.25), F2),
-    tree_markov([[0.7, 0.3], [0.3, 0.7]], (0.5, 0.5), F2),
-]
-
-
-@pytest.mark.parametrize("mu", ORACLES, ids=["bernoulli", "tree_markov"])
-def test_shift_invariance_gap_zero(mu):
-    W = Window(F2, F2.ball(1))
-    for g in ((1,), (-2,), (1, 2)):
-        assert shift_invariance_gap(mu, W, g) < 1e-12
-
-
-def test_shift_invariance_gap_coset_process():
-    mu = coset_iid((0.75, 0.25), CG)
-    W = Window(CG, CG.ball(1))
-    for g in ((1,), (3,), (1, 3)):
-        assert shift_invariance_gap(mu, W, g) < 1e-12
-
-
 @given(st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=25, deadline=None)
 def test_marginal_projection_consistency(i, j):
@@ -249,27 +208,3 @@ def test_marginal_projection_consistency(i, j):
         atol=1e-12,
     )
 
-
-def test_process_from_json_round_trip():
-    mu = process_from_json(
-        {"process": "bernoulli", "weights": [0.75, 0.25]}, F2
-    )
-    np.testing.assert_allclose(mu.marginal_elems(((),)), [0.75, 0.25])
-    pair = process_from_json(
-        {
-            "process": "product",
-            "factors": [
-                {"process": "coset_iid", "mu0": [0.75, 0.25]},
-                {"process": "coset_iid", "mu0": [0.75, 0.25]},
-            ],
-        },
-        CG,
-    )
-    assert pair.marginal_elems(((),))[2] == pytest.approx(3 / 16)
-    power = process_from_json(
-        {"process": "power", "k": 2, "base": {"process": "bernoulli", "weights": [0.5, 0.5]}},
-        F2,
-    )
-    np.testing.assert_allclose(power.marginal_elems(((),)), np.full(4, 0.25))
-    with pytest.raises(ValueError):
-        process_from_json({"process": "mystery"}, F2)
