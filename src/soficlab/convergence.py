@@ -24,18 +24,27 @@ from .sofic import SoficMap
 EXACT_SUPPORT_CAP = 100_000
 
 
-def _atoms_of(nu: ModelMeasure, samples: int, seed: int, label: str) -> Tuple[np.ndarray, np.ndarray]:
-    """Explicit (configs, weights) view of a measure: its support when
+def _atoms_of(nu: ModelMeasure, samples: int, seed: int, label: str) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """Explicit (configs, weights, drawn) view of a measure: its support when
     explicit and small enough, else a seeded block of `samples` draws with
-    equal weights, so a defect computed from it is the defect of the
-    empirical measure of those draws. `lw_defect` reads iid measures exactly
-    and never comes here for them."""
+    equal weights (drawn True), so a defect computed from it is the defect of
+    the empirical measure of those draws. `lw_defect` reads iid measures
+    exactly and never comes here for them."""
     if nu.explicit and nu.support.shape[0] <= EXACT_SUPPORT_CAP:
-        return nu.support, nu.weights
+        return nu.support, nu.weights, False
     if samples < 1:
         raise ValueError("sampler-backed measure needs a positive sample count")
     block = nu.sample(stream(seed, label), samples)
-    return block, np.full(samples, 1.0 / samples)
+    return block, np.full(samples, 1.0 / samples), True
+
+
+def _bad_mass(good: np.ndarray, weights: Optional[np.ndarray]) -> float:
+    """Weight of the atoms that fail the test. Equally weighted draws
+    (weights None) are counted and divided once, since a sum of `samples`
+    copies of 1/samples can exceed 1."""
+    if weights is None:
+        return int((~good).sum()) / good.size
+    return float(weights[~good].sum())
 
 
 def _iid_vertex_laws(perms: np.ndarray, site_weights: np.ndarray, base: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -89,7 +98,7 @@ def lw_defect(
         tvs = (0.5 * np.abs(laws - target[None, :]).sum(axis=1))[group]
     else:
         npat = pattern_count(base, len(window))
-        configs, weights = _atoms_of(nu, samples, seed, "lw")
+        configs, weights, _ = _atoms_of(nu, samples, seed, "lw")
         codes = _window_codes(np.ascontiguousarray(configs.T), sigma.window_perms(window), base)
         flat = (np.arange(0, n * npat, npat)[:, None] + codes).ravel()
         hist = np.bincount(flat, weights=np.tile(weights, n), minlength=n * npat).reshape(n, npat)
@@ -114,9 +123,9 @@ def quenched_defect(
     target = mu.marginal_elems(window.elements)
     npat = pattern_count(base, len(window))
     perms = sigma.window_perms(window)
-    configs, weights = _atoms_of(nu, samples, seed, "q")
+    configs, weights, drawn = _atoms_of(nu, samples, seed, "q")
     good = _good_mask(configs, perms, base, npat, target, sigma.n, eps)
-    return float(weights[~good].sum())
+    return _bad_mass(good, None if drawn else weights)
 
 
 def dq_defect(
@@ -153,9 +162,9 @@ def dq_defect(
         xs = nu.sample(stream(seed, "dq-left"), samples)
         ys = nu.sample(stream(seed, "dq-right"), samples)
         block = pair_configs(xs, ys, mu.alphabet.size)
-        weights = np.full(samples, 1.0 / samples)
+        weights = None
     good = _good_mask(block, perms, base, npat, target, sigma.n, eps)
-    return float(weights[~good].sum())
+    return _bad_mass(good, weights)
 
 
 @dataclass
@@ -200,7 +209,7 @@ def dispersion(
 ) -> DispersionReport:
     """Cluster the empirical F-marginals of nu's atoms (exact weights on
     explicit supports) by single linkage at the given TV threshold."""
-    configs, weights = _atoms_of(nu, samples, seed, "dispersion")
+    configs, weights, _ = _atoms_of(nu, samples, seed, "dispersion")
     k = configs.shape[0]
     npat = pattern_count(base, len(window))
     counts = _block_counts(configs, sigma.window_perms(window), base, npat)
@@ -256,7 +265,7 @@ def pair_vertex_stat(
     mu_f = mu.marginal_elems(window.elements)
     joint_target = np.outer(mu_f, mu_f).ravel()
     npat = mu_f.size
-    configs, weights = _atoms_of(nu, samples, seed, "pair-vertex")
+    configs, weights, _ = _atoms_of(nu, samples, seed, "pair-vertex")
     codes = _window_codes(configs.T, sigma.window_perms(window), base).astype(np.int64)
     gen = stream(seed, "pair-vertex-choice")
     vs = gen.integers(0, sigma.n, size=vertex_pairs)

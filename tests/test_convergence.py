@@ -106,6 +106,18 @@ def test_iid_lw_matches_full_support(vertices, seed):
             assert exact == lw_defect(sigma, iid, mu, W, eps, samples=50, seed=seed + 1)
 
 
+def test_sampled_defects_of_all_bad_draws_are_exactly_one():
+    # every draw of the point-mass site law is the all-zero labelling, which
+    # is 1/2 away from the fair-coin law; 2000 copies of 1/2000 sum past 1
+    vertices = 8
+    sigma = quotient_map(Z, vertices)
+    mu = bernoulli((0.5, 0.5), Z)
+    nu = ModelMeasure.iid(vertices, (1.0, 0.0))
+    W = Window(Z, [()])
+    assert quenched_defect(sigma, nu, mu, W, 0.1, samples=2000, seed=3) == 1.0
+    assert dq_defect(sigma, nu, mu, W, 0.1, samples=2000, seed=3) == 1.0
+
+
 @given(st.integers(0, 2**31 - 1))
 @settings(max_examples=20, deadline=None)
 def test_quenched_monotone_in_eps(seed):
