@@ -25,6 +25,15 @@ def _cube(vertices: int) -> np.ndarray:
     return np.array(list(itertools.product((0, 1), repeat=vertices)), dtype=np.uint8)
 
 
+def test_hamming_distance_basics():
+    a = np.array([[0, 0, 1, 1]])
+    assert pairwise_hamming(a, np.array([[0, 0, 1, 1]]))[0, 0] == 0.0
+    assert pairwise_hamming(a, np.array([[0, 1, 0, 1]]))[0, 0] == 0.5
+    assert pairwise_hamming(np.array([[0, 0]]), np.array([[1, 1]]))[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        pairwise_hamming(np.array([[0, 0]]), np.array([[0, 0, 0]]))
+
+
 def test_pairwise_hamming_matches_scalar():
     gen = np.random.default_rng(0)
     a = gen.integers(0, 3, size=(5, 7)).astype(np.uint8)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from soficlab.groups import GroupSpec, Window
 from soficlab.models import (
     KERNEL_CELLS,
+    MC_CHUNK,
     BudgetExceededError,
     Configuration,
     adjoint_shift,
@@ -275,6 +276,19 @@ def test_mc_count_proposal_choice_consistent():
     a = count_good_models_mc(sigma, mu, W, 0.2, (0.5, 0.5), 6000, seed=11)
     b = count_good_models_mc(sigma, mu, W, 0.2, (0.75, 0.25), 6000, seed=12)
     assert abs(a.count - b.count) <= 3 * (a.standard_error + b.standard_error)
+
+
+def test_mc_count_threads_deterministic():
+    # the chunks run serially, one named substream each, so a rerun with the
+    # same seed reproduces the estimate exactly, across a chunk boundary too
+    sigma = quotient_map(Z, 8)
+    mu = bernoulli((0.5, 0.5), Z)
+    W = Window(Z, [()])
+    samples = MC_CHUNK + 3000
+    one = count_good_models_mc(sigma, mu, W, 0.25, (0.5, 0.5), samples, seed=5)
+    two = count_good_models_mc(sigma, mu, W, 0.25, (0.5, 0.5), samples, seed=5)
+    assert one.log_count_nats == two.log_count_nats
+    assert one.standard_error == two.standard_error
 
 
 def test_mc_count_rejects_bad_inputs():

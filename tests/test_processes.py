@@ -195,6 +195,31 @@ def test_pattern_distribution_project_and_tv():
     assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
 
 
+def _shift_gap(mu, window, g):
+    """TV between the F-marginal and the g-translated Fg-marginal."""
+    return tv_distance(mu.marginal_elems(window.elements), mu.marginal_elems(window.translate(g)))
+
+
+ORACLES = [
+    bernoulli((0.75, 0.25), F2),
+    tree_markov([[0.7, 0.3], [0.3, 0.7]], (0.5, 0.5), F2),
+]
+
+
+@pytest.mark.parametrize("mu", ORACLES, ids=["bernoulli", "tree_markov"])
+def test_shift_invariance_gap_zero(mu):
+    W = Window(F2, F2.ball(1))
+    for g in ((1,), (-2,), (1, 2)):
+        assert _shift_gap(mu, W, g) < 1e-12
+
+
+def test_shift_invariance_gap_coset_process():
+    mu = coset_iid((0.75, 0.25), CG)
+    W = Window(CG, CG.ball(1))
+    for g in ((1,), (3,), (1, 3)):
+        assert _shift_gap(mu, W, g) < 1e-12
+
+
 @given(st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=25, deadline=None)
 def test_marginal_projection_consistency(i, j):
