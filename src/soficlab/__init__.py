@@ -2,14 +2,14 @@
 shift processes over explicit sofic approximations.
 
 Library layout:
-  groups       group specs, elements, word-metric balls, coset keys
-  randomness   seeded Philox streams and hand-rolled permutation draws
-  sofic        sofic approximations sigma: G -> Sym(V), defects, spectra
+  groups       free, free-product and direct-product specs, balls, coset keys
+  randomness   seeded Philox streams, permutation and categorical draws
+  sofic        sofic approximations sigma: G -> Sym(V), Schreier spectra
   processes    shift-invariant processes via exact finite-window marginals
   models       empirical distributions, good-model counting, adjoint shifts
   covering     Hamming distances, covering/packing numbers of sets and measures
   convergence  local weak*/quenched/doubly-quenched defects and dispersion
-  entropy      entropy curves from good-model counts
+  entropy      Shannon entropy and letter-exact entropy curves
   experiments  the E1..E9 batch experiments behind the CLI
 """
 

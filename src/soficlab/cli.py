@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .experiments import RunContext, config_checksum, run_experiment, validate_config
+from .experiments import RunContext, config_checksum, out_dir_for, run_experiment, validate_config
 from .models import ENUM_BUDGET
 
 
@@ -26,7 +26,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment config")
     p_run.add_argument("config", type=Path, help="path to an experiment JSON config")
-    p_run.add_argument("--seed", type=int, default=None, help="override the config's seed field")
+    p_run.add_argument("--seed", type=int, default=None, help="override the config's seed field (refused when it has none)")
     p_run.add_argument("--budget", type=int, default=None, help="override the enumeration budget")
     p_run.add_argument("--plot", action="store_true", help="also emit SVG plots")
     p_run.add_argument("--out", type=Path, default=None, help="override the output directory")
@@ -46,30 +46,25 @@ def _load_config(path: Path) -> dict:
     return cfg
 
 
-def _out_dir_for(cfg: dict, override: Optional[Path]) -> Path:
-    if override is not None:
-        return override
-    exp = str(cfg.get("experiment", "unknown")).lower()
-    return Path(cfg.get("out_dir", f"results/{exp}"))
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _load_config(args.config)
     except (OSError, ValueError) as exc:
         print(f"error: cannot load {args.config}: {exc}", file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg["seed"] = args.seed
     ctx = RunContext(
         budget=args.budget if args.budget is not None else ENUM_BUDGET,
         plot=args.plot,
         out_dir=args.out,
     )
     try:
+        if args.seed is not None:
+            if "seed" not in cfg:
+                raise ValueError(f"--seed: the {cfg.get('experiment')} config has no seed field to override")
+            cfg["seed"] = args.seed
         code = run_experiment(cfg, ctx)
-    except Exception as exc:  # budget refusals and validation errors land here
-        out = _out_dir_for(cfg, args.out)
+    except Exception as exc:  # seed, budget and validation refusals land here
+        out = out_dir_for(cfg, args.out)
         out.mkdir(parents=True, exist_ok=True)
         diag = {
             "error": str(exc),

@@ -57,9 +57,6 @@ class CovResult:
     method: str  # "exact" | "greedy"
     checksum: str
 
-    def to_json(self) -> dict:
-        return {"value": self.value, "method": self.method, "checksum": self.checksum}
-
 
 class ModelMeasure:
     """A measure on X^V: explicit atoms with weights, or a seeded sampler.
@@ -116,10 +113,6 @@ class ModelMeasure:
         return ModelMeasure(arr.shape[1], support=uniq, weights=counts / counts.sum())
 
     @staticmethod
-    def from_sampler(vertices: int, sampler: Callable[[np.random.Generator, int], np.ndarray]) -> "ModelMeasure":
-        return ModelMeasure(vertices, sampler=sampler)
-
-    @staticmethod
     def iid(vertices: int, site_weights: Sequence[float]) -> "ModelMeasure":
         """The product measure with the same site law at every vertex, drawn
         by inverse CDF."""
@@ -127,11 +120,6 @@ class ModelMeasure:
         nu = ModelMeasure(vertices, sampler=lambda gen, count: categorical(gen, w, (count, vertices)))
         nu.site_weights = w
         return nu
-
-    @staticmethod
-    def point_mass(config) -> "ModelMeasure":
-        arr = np.ascontiguousarray(config, dtype=np.uint8)
-        return ModelMeasure(arr.size, support=arr[None, :], weights=np.ones(1))
 
     def require_explicit(self, op: str) -> Tuple[np.ndarray, np.ndarray]:
         if self.support is None or self.weights is None:
@@ -144,10 +132,7 @@ class ModelMeasure:
             if out.shape != (count, self.vertices):
                 raise ValueError("sampler returned a wrong-shape block")
             return out
-        cdf = np.cumsum(self.weights)
-        cdf[-1] = 1.0
-        idx = np.searchsorted(cdf, gen.random(count), side="right")
-        return self.support[idx]
+        return self.support[categorical(gen, self.weights, count)]
 
 
 # -- exact set cover ---------------------------------------------------------------

@@ -1,29 +1,20 @@
-"""Entropy estimates assembled from counting and covering primitives.
+"""Shannon entropy and letter-exact entropy curves.
 
 Everything is reported per-n as curves in nats; the package never claims a
-limit. Empty good-model sets carry the -inf sentinel (serialized "-inf").
+limit. Empty good-model sets carry the -inf sentinel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .groups import Window
-from .models import (
-    ENUM_BUDGET,
-    GoodModelCount,
-    count_good_models_mc,
-    enumerate_good_models,
-    letter_frequency_count,
-)
+from .models import letter_frequency_count
 from .processes import MarginalOracle
 from .sofic import SoficMap
-
-METHODS = ("exhaustive", "mc", "letter-exact")
 
 
 def shannon_entropy(weights: Sequence[float]) -> float:
@@ -39,29 +30,8 @@ def shannon_entropy(weights: Sequence[float]) -> float:
 class EntropyRow:
     n: int
     vertices: int
-    window_radius: int
-    eps: float
     log_count: float  # nats; -inf when the good-model set is empty
     value: float  # log_count / vertices
-    method: str
-    standard_error: Optional[float] = None
-
-    def to_json(self) -> dict:
-        def enc(x: float):
-            return x if math.isfinite(x) else "-inf"
-
-        out = {
-            "n": self.n,
-            "vertices": self.vertices,
-            "F_radius": self.window_radius,
-            "epsilon": self.eps,
-            "log_count_nats": enc(self.log_count),
-            "normalized_nats": enc(self.value),
-            "method": self.method,
-        }
-        if self.standard_error is not None:
-            out["standard_error"] = self.standard_error
-        return out
 
 
 @dataclass
@@ -74,68 +44,21 @@ class EntropyCurve:
             raise ValueError("normalized entropy exceeds log |X|")
         self.rows.append(row)
 
-    def values(self) -> List[float]:
-        return [r.value for r in self.rows]
-
-    def to_json(self) -> dict:
-        return {"alphabet": self.alphabet_size, "rows": [r.to_json() for r in self.rows]}
-
-    CSV_HEADER = "n,vertices,F_radius,epsilon,log_count_nats,normalized_nats,method,standard_error"
-
-    def csv_lines(self) -> List[str]:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            se = "" if r.standard_error is None else repr(r.standard_error)
-            lines.append(
-                f"{r.n},{r.vertices},{r.window_radius},{r.eps!r},{r.log_count!r},{r.value!r},{r.method},{se}"
-            )
-        return lines
-
-
-def _count_for(
-    sigma: SoficMap,
-    mu: MarginalOracle,
-    window: Window,
-    eps: float,
-    method: str,
-    budget: int,
-    samples: int,
-    seed: int,
-    proposal: Optional[Sequence[float]],
-) -> GoodModelCount:
-    if method == "exhaustive":
-        return enumerate_good_models(sigma, mu, window, eps, budget=budget, keep_configs=False)
-    if method == "mc":
-        prop = proposal if proposal is not None else np.full(mu.alphabet.size, 1.0 / mu.alphabet.size)
-        return count_good_models_mc(sigma, mu, window, eps, prop, samples, seed)
-    if method == "letter-exact":
-        if len(window) != 1:
-            raise ValueError("letter-exact counting requires F = {e}")
-        return letter_frequency_count(mu.one_dim(), sigma.n, eps)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-
 
 def entropy_curve(
     approx_family: Callable[[int], SoficMap],
     mu: MarginalOracle,
-    radius: int,
     eps: float,
     sizes: Sequence[int],
-    method: str = "exhaustive",
-    budget: int = ENUM_BUDGET,
-    samples: int = 20000,
-    seed: int = 0,
-    proposal: Optional[Sequence[float]] = None,
 ) -> EntropyCurve:
-    """Normalized log |Omega(F, eps, sigma_n)| for each n, F the radius ball."""
+    """Normalized log |Omega({e}, eps, sigma_n)| for each n, counted exactly
+    by letter type from mu's one-letter marginal."""
     curve = EntropyCurve(mu.alphabet.size)
     for n in sizes:
         sigma = approx_family(n)
-        window = Window(sigma.group, sigma.group.ball(radius))
-        got = _count_for(sigma, mu, window, eps, method, budget, samples, seed, proposal)
+        got = letter_frequency_count(mu.one_dim(), sigma.n, eps)
         value = got.log_count_nats / sigma.n if math.isfinite(got.log_count_nats) else float("-inf")
-        se = None if got.standard_error is None else got.standard_error
-        curve.append(EntropyRow(n, sigma.n, radius, eps, got.log_count_nats, value, method, se))
+        curve.append(EntropyRow(n, sigma.n, got.log_count_nats, value))
     return curve
 
 
@@ -144,5 +67,4 @@ __all__ = [
     "EntropyCurve",
     "shannon_entropy",
     "entropy_curve",
-    "METHODS",
 ]

@@ -156,13 +156,11 @@ def run_e1(cfg: dict, ctx: RunContext) -> ExperimentResult:
     for weights in cfg["weight_sets"]:
         mu = bernoulli(weights, group)
         target = shannon_entropy(weights)
-        curve = entropy_curve(
-            lambda n: quotient_map(group, n), mu, 0, eps, sizes, method="letter-exact"
-        )
+        curve = entropy_curve(lambda n: quotient_map(group, n), mu, eps, sizes)
         label = "/".join(repr(float(w)) for w in weights)
         for row in curve.rows:
             err = abs(row.value - target)
-            rows.append((label, row.n, row.vertices, 0, eps, row.value, target, err, row.method))
+            rows.append((label, row.n, row.vertices, 0, eps, row.value, target, err, "letter-exact"))
             series.setdefault(label, []).append((row.vertices, row.value))
         final_err = abs(curve.rows[-1].value - target)
         if final_err > tol:
@@ -688,6 +686,16 @@ def validate_config(cfg: dict) -> List[str]:
     return problems
 
 
+def out_dir_for(cfg: dict, override: Optional[Path] = None) -> Path:
+    """Where a run writes: the override, else the config's out_dir, else
+    results/<experiment>. A config without a known experiment still gets a
+    directory, so a refusal can write its diagnostic.json there."""
+    if override is not None:
+        return override
+    exp = str(cfg.get("experiment", "unknown")).lower()
+    return Path(cfg.get("out_dir", f"results/{exp}"))
+
+
 def run_experiment(cfg: dict, ctx: RunContext) -> int:
     """Execute one experiment config; returns the process exit code."""
     problems = validate_config(cfg)
@@ -695,7 +703,7 @@ def run_experiment(cfg: dict, ctx: RunContext) -> int:
         raise ValueError("; ".join(problems))
     exp = cfg["experiment"]
     checksum = config_checksum(cfg)
-    out = ctx.out_dir if ctx.out_dir is not None else Path(cfg.get("out_dir", f"results/{exp.lower()}"))
+    out = out_dir_for(cfg, ctx.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     result = REGISTRY[exp](cfg, ctx)
     for name, lines in result.tables.items():
@@ -722,5 +730,6 @@ __all__ = [
     "config_checksum",
     "validate_config",
     "run_experiment",
+    "out_dir_for",
     "bernoulli_measure",
 ]

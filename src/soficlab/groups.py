@@ -3,8 +3,6 @@
 Supported kinds:
   free          free group F_k; elements are reduced words, stored as tuples of
                 signed letters (+i / -i for generator i and its inverse, 1-based)
-  finite        a finite group given by its multiplication table; elements are
-                indices into the table
   free_product  free product of free factors; same reduced-word representation
                 (it is free on the union of the generators) plus the
                 letter -> factor bookkeeping needed for coset keys
@@ -15,13 +13,11 @@ The integers are the rank-1 free group with generator "a".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 FreeWord = Tuple[int, ...]
-Element = Any  # FreeWord | int | tuple(left, right), per GroupSpec.kind
+Element = Any  # FreeWord | tuple(left, right), per GroupSpec.kind
 
 _DEFAULT_LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -54,15 +50,12 @@ def reduce_word(letters: Sequence[int]) -> FreeWord:
 class GroupSpec:
     """Immutable description of a finitely generated group.
 
-    Use the constructors `free`, `finite_table`, `cyclic`, `free_product`,
+    Use the constructors `free`, `integers`, `free_product` and
     `direct_product` rather than __init__ directly.
     """
 
     kind: str
     labels: Tuple[str, ...] = ()
-    table: Optional[Tuple[Tuple[int, ...], ...]] = None
-    names: Optional[Tuple[str, ...]] = None
-    generator_elems: Optional[Tuple[int, ...]] = None
     factor_ranks: Tuple[int, ...] = ()
     factors: Tuple["GroupSpec", ...] = ()
 
@@ -80,43 +73,6 @@ class GroupSpec:
     @staticmethod
     def integers() -> "GroupSpec":
         return GroupSpec.free(1)
-
-    @staticmethod
-    def finite_table(
-        table: Sequence[Sequence[int]],
-        generators: Dict[str, int],
-        names: Optional[Sequence[str]] = None,
-    ) -> "GroupSpec":
-        tab = tuple(tuple(int(x) for x in row) for row in table)
-        m = len(tab)
-        if m == 0 or any(len(row) != m for row in tab):
-            raise ValueError("multiplication table must be square and nonempty")
-        if any(not (0 <= x < m) for row in tab for x in row):
-            raise ValueError("table entries out of range")
-        _validate_group_table(tab)
-        if not generators:
-            raise ValueError("finite group needs at least one declared generator")
-        for lab, g in generators.items():
-            if not (0 <= g < m):
-                raise ValueError(f"generator {lab!r} index out of range")
-        nm = tuple(names) if names is not None else tuple(str(i) for i in range(m))
-        if len(nm) != m or len(set(nm)) != m:
-            raise ValueError("need one distinct name per element")
-        items = sorted(generators.items())
-        return GroupSpec(
-            kind="finite",
-            labels=tuple(k for k, _ in items),
-            table=tab,
-            names=nm,
-            generator_elems=tuple(v for _, v in items),
-        )
-
-    @staticmethod
-    def cyclic(n: int) -> "GroupSpec":
-        if n < 1:
-            raise ValueError("cyclic order must be >= 1")
-        table = [[(i + j) % n for j in range(n)] for i in range(n)]
-        return GroupSpec.finite_table(table, generators={"a": 1 % n})
 
     @staticmethod
     def free_product(*factors: "GroupSpec") -> "GroupSpec":
@@ -173,8 +129,6 @@ class GroupSpec:
     def identity(self) -> Element:
         if self.kind in ("free", "free_product"):
             return ()
-        if self.kind == "finite":
-            return _finite_identity(self)
         left, right = self.factors
         return (left.identity(), right.identity())
 
@@ -183,8 +137,6 @@ class GroupSpec:
             self._check_word(a)
             self._check_word(b)
             return reduce_word(tuple(a) + tuple(b))
-        if self.kind == "finite":
-            return self.table[a][b]  # type: ignore[index]
         left, right = self.factors
         return (left.multiply(a[0], b[0]), right.multiply(a[1], b[1]))
 
@@ -192,16 +144,12 @@ class GroupSpec:
         if self.kind in ("free", "free_product"):
             self._check_word(a)
             return tuple(-s for s in reversed(a))
-        if self.kind == "finite":
-            return _finite_inverses(self)[a]
         left, right = self.factors
         return (left.inverse(a[0]), right.inverse(a[1]))
 
     def word_length(self, a: Element) -> int:
         if self.kind in ("free", "free_product"):
             return len(a)
-        if self.kind == "finite":
-            return _finite_lengths(self)[a]
         left, right = self.factors
         return max(left.word_length(a[0]), right.word_length(a[1]))
 
@@ -215,22 +163,16 @@ class GroupSpec:
         """Deterministic total order: (word length, letter order)."""
         if self.kind in ("free", "free_product"):
             return (len(a), tuple(_letter_key(s) for s in a))
-        if self.kind == "finite":
-            return (_finite_lengths(self)[a], _finite_bfs_rank(self)[a])
         left, right = self.factors
         return (self.word_length(a), left.sort_key(a[0]), right.sort_key(a[1]))
 
     def word_of(self, a: Element) -> FreeWord:
-        """A shortest word in the declared generators evaluating to the element.
-
-        Letters are signed 1-based generator indices, as in the free kinds.
-        Not defined for direct products (use the component words).
+        """The reduced word of the element, in signed 1-based generator
+        indices. Not defined for direct products (use the component words).
         """
         if self.kind in ("free", "free_product"):
             self._check_word(a)
             return tuple(a)
-        if self.kind == "finite":
-            return _finite_words(self)[a]
         raise ValueError("word_of is not defined for direct products")
 
     # -- windows -------------------------------------------------------------
@@ -255,9 +197,6 @@ class GroupSpec:
                 out.extend(nxt)
                 frontier = nxt
             elems: List[Element] = out
-        elif self.kind == "finite":
-            lengths = _finite_lengths(self)
-            elems = [g for g in range(len(lengths)) if lengths[g] <= radius]
         else:
             left, right = self.factors
             bl = left.ball(radius).elements
@@ -284,77 +223,6 @@ class GroupSpec:
             i += 1
         return tuple(g[i:])
 
-    # -- text and JSON ---------------------------------------------------------
-
-    def element_to_string(self, a: Element) -> str:
-        if self.kind in ("free", "free_product"):
-            if not a:
-                return "e"
-            parts = []
-            for s in a:
-                lab = self.labels[abs(s) - 1]
-                parts.append(lab if s > 0 else lab + "^-1")
-            return "*".join(parts)
-        if self.kind == "finite":
-            return self.names[a]  # type: ignore[index]
-        left, right = self.factors
-        return f"({left.element_to_string(a[0])},{right.element_to_string(a[1])})"
-
-    def parse_element(self, text: str) -> Element:
-        if self.kind in ("free", "free_product"):
-            if text == "e":
-                return ()
-            letters = []
-            for part in text.split("*"):
-                inv = part.endswith("^-1")
-                lab = part[:-3] if inv else part
-                if lab not in self.labels:
-                    raise ValueError(f"unknown generator {lab!r}")
-                idx = self.labels.index(lab) + 1
-                letters.append(-idx if inv else idx)
-            return reduce_word(letters)
-        if self.kind == "finite":
-            if text not in self.names:  # type: ignore[operator]
-                raise ValueError(f"unknown element name {text!r}")
-            return self.names.index(text)  # type: ignore[union-attr]
-        raise ValueError("parse_element is not defined for direct products")
-
-    def to_json(self) -> Dict[str, Any]:
-        if self.kind == "free":
-            return {"kind": "free", "rank": self.rank, "labels": list(self.labels)}
-        if self.kind == "finite":
-            return {
-                "kind": "finite",
-                "table": [list(r) for r in self.table],  # type: ignore[union-attr]
-                "names": list(self.names),  # type: ignore[arg-type]
-                "generators": {lab: g for lab, g in zip(self.labels, self.generator_elems)},  # type: ignore[arg-type]
-            }
-        if self.kind == "free_product":
-            return {"kind": "free_product", "factors": [f.to_json() for f in self.factors]}
-        return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
-
-    @staticmethod
-    def from_json(obj: Dict[str, Any]) -> "GroupSpec":
-        kind = obj.get("kind")
-        if kind == "free":
-            return GroupSpec.free(int(obj["rank"]), obj.get("labels"))
-        if kind == "cyclic":
-            return GroupSpec.cyclic(int(obj["n"]))
-        if kind == "finite":
-            return GroupSpec.finite_table(obj["table"], dict(obj["generators"]), obj.get("names"))
-        if kind == "free_product":
-            return GroupSpec.free_product(*(GroupSpec.from_json(f) for f in obj["factors"]))
-        if kind == "product":
-            factors = [GroupSpec.from_json(f) for f in obj["factors"]]
-            if len(factors) != 2:
-                raise ValueError("direct product takes exactly two factors")
-            return GroupSpec.direct_product(*factors)
-        raise ValueError(f"unknown group kind {kind!r}")
-
-    @staticmethod
-    def from_json_text(text: str) -> "GroupSpec":
-        return GroupSpec.from_json(json.loads(text))
-
 
 def _disambiguate(label: str, taken: Tuple[str, ...]) -> str:
     while label in taken:
@@ -369,120 +237,10 @@ def coind_group() -> GroupSpec:
     )
 
 
-# -- finite-table helpers (cached per spec) -------------------------------------
-
-
-def _validate_group_table(tab: Tuple[Tuple[int, ...], ...]) -> None:
-    m = len(tab)
-    identity = None
-    for e in range(m):
-        if all(tab[e][x] == x and tab[x][e] == x for x in range(m)):
-            identity = e
-            break
-    if identity is None:
-        raise ValueError("table has no identity element")
-    for a in range(m):
-        if not any(tab[a][b] == identity for b in range(m)):
-            raise ValueError(f"element {a} has no inverse")
-    if m <= 64:
-        for a in range(m):
-            for b in range(m):
-                tab_ab = tab[a][b]
-                for c in range(m):
-                    if tab[tab_ab][c] != tab[a][tab[b][c]]:
-                        raise ValueError("table is not associative")
-    else:
-        # Light randomized spot check keeps validation O(m^2) for big tables.
-        import random
-
-        rng = random.Random(0)
-        for _ in range(4 * m):
-            a, b, c = rng.randrange(m), rng.randrange(m), rng.randrange(m)
-            if tab[tab[a][b]][c] != tab[a][tab[b][c]]:
-                raise ValueError("table is not associative")
-
-
-@lru_cache(maxsize=64)
-def _finite_identity(spec: GroupSpec) -> int:
-    tab = spec.table
-    assert tab is not None
-    m = len(tab)
-    for e in range(m):
-        if all(tab[e][x] == x for x in range(m)):
-            return e
-    raise ValueError("no identity")
-
-
-@lru_cache(maxsize=64)
-def _finite_inverses(spec: GroupSpec) -> Tuple[int, ...]:
-    tab = spec.table
-    assert tab is not None
-    m = len(tab)
-    e = _finite_identity(spec)
-    inv = [0] * m
-    for a in range(m):
-        inv[a] = next(b for b in range(m) if tab[a][b] == e)
-    return tuple(inv)
-
-
-@lru_cache(maxsize=64)
-def _finite_bfs(spec: GroupSpec) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[FreeWord, ...]]:
-    """(word lengths, BFS visit ranks, shortest words) over declared generators.
-
-    BFS steps use right multiplication by s then s^-1 per generator, in label
-    order, so visit ranks and words are deterministic.
-    """
-    tab = spec.table
-    assert tab is not None and spec.generator_elems is not None
-    m = len(tab)
-    inv = _finite_inverses(spec)
-    steps: List[Tuple[int, int]] = []  # (group element to right-multiply, signed letter)
-    for i, g in enumerate(spec.generator_elems):
-        steps.append((g, i + 1))
-        steps.append((inv[g], -(i + 1)))
-    e = _finite_identity(spec)
-    dist = [-1] * m
-    rank = [-1] * m
-    words: List[FreeWord] = [()] * m
-    dist[e] = 0
-    rank[e] = 0
-    frontier = [e]
-    nvisited = 1
-    d = 0
-    while frontier:
-        d += 1
-        nxt: List[int] = []
-        for v in frontier:
-            for g, letter in steps:
-                w = tab[v][g]
-                if dist[w] < 0:
-                    dist[w] = d
-                    rank[w] = nvisited
-                    words[w] = words[v] + (letter,)
-                    nvisited += 1
-                    nxt.append(w)
-        frontier = nxt
-    if any(x < 0 for x in dist):
-        raise ValueError("declared generators do not generate the group")
-    return tuple(dist), tuple(rank), tuple(words)
-
-
-def _finite_lengths(spec: GroupSpec) -> Tuple[int, ...]:
-    return _finite_bfs(spec)[0]
-
-
-def _finite_bfs_rank(spec: GroupSpec) -> Tuple[int, ...]:
-    return _finite_bfs(spec)[1]
-
-
-def _finite_words(spec: GroupSpec) -> Tuple[FreeWord, ...]:
-    return _finite_bfs(spec)[2]
-
-
 class Window:
     """Finite ordered set of group elements with the identity at index 0."""
 
-    __slots__ = ("spec", "elements", "_index")
+    __slots__ = ("elements",)
 
     def __init__(self, spec: GroupSpec, elements: Sequence[Element]):
         elems = tuple(elements)
@@ -495,9 +253,7 @@ class Window:
             elems = (ident,) + tuple(g for g in elems if g != ident)
         if len(set(elems)) != len(elems):
             raise ValueError("window elements must be distinct")
-        self.spec = spec
         self.elements = elems
-        self._index = {g: i for i, g in enumerate(elems)}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -510,19 +266,6 @@ class Window:
 
     def __hash__(self) -> int:
         return hash(self.elements)
-
-    def index(self, g: Element) -> int:
-        return self._index[g]
-
-    def __contains__(self, g: Element) -> bool:
-        return g in self._index
-
-    def translate(self, g: Element) -> Tuple[Element, ...]:
-        """The tuple (f*g for f in window), in window order (not a Window)."""
-        return tuple(self.spec.multiply(f, g) for f in self.elements)
-
-    def describe(self) -> str:
-        return "{" + ",".join(self.spec.element_to_string(g) for g in self.elements) + "}"
 
 
 __all__ = ["GroupSpec", "Window", "reduce_word", "coind_group"]

@@ -31,13 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Element, Window
-from .processes import (
-    Alphabet,
-    MarginalOracle,
-    PatternDistribution,
-    pattern_count,
-    tv_distance,
-)
+from .processes import Alphabet, MarginalOracle, pattern_count, tv_distance
 from .randomness import categorical, stream
 from .sofic import SoficMap
 
@@ -57,32 +51,10 @@ class BudgetExceededError(RuntimeError):
         self.budget = budget
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """A point of X^V attached to its sofic approximation."""
-
-    sigma: SoficMap
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.ascontiguousarray(self.values, dtype=np.uint8)
-        if vals.shape != (self.sigma.n,):
-            raise ValueError("configuration length must equal the vertex count")
-        object.__setattr__(self, "values", vals)
-
-
-def _as_values(x) -> np.ndarray:
-    if isinstance(x, Configuration):
-        return x.values
-    return np.ascontiguousarray(x, dtype=np.uint8)
-
-
 @dataclass
 class EmpiricalDistribution:
     """Exact pattern counts of a configuration over a window."""
 
-    window: Window
-    alphabet: Alphabet
     counts: np.ndarray
     vertices: int
 
@@ -93,9 +65,6 @@ class EmpiricalDistribution:
     def tv_to(self, probs: np.ndarray) -> float:
         return tv_distance(self.probs, probs)
 
-    def pattern_distribution(self) -> PatternDistribution:
-        return PatternDistribution(self.window, self.alphabet, self.probs)
-
 
 def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: int) -> np.ndarray:
     """Pattern counts of ((x at sigma^g(v)) for g in elements) over all v.
@@ -104,13 +73,14 @@ def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: 
     behind empirical distributions.
     """
     total = pattern_count(base, len(elements))
-    codes = _window_codes(_as_values(x), [sigma.perm_of(g) for g in elements], base)
+    vals = np.ascontiguousarray(x, dtype=np.uint8)
+    codes = _window_codes(vals, [sigma.perm_of(g) for g in elements], base)
     return np.bincount(codes, minlength=total)
 
 
 def empirical_distribution(sigma: SoficMap, x, window: Window, alphabet: Alphabet) -> EmpiricalDistribution:
     counts = counts_over_elements(sigma, x, window.elements, alphabet.size)
-    return EmpiricalDistribution(window, alphabet, counts, sigma.n)
+    return EmpiricalDistribution(counts, sigma.n)
 
 
 def is_good_model(sigma: SoficMap, x, mu: MarginalOracle, window: Window, eps: float) -> bool:
@@ -138,13 +108,6 @@ class GoodModelCount:
     log_count_nats: float
     configs: Optional[np.ndarray] = None  # (count, |V|) uint8 when kept
     standard_error: Optional[float] = None
-
-    def to_json(self) -> dict:
-        log = self.log_count_nats
-        out = {"count": self.count, "log_count_nats": log if math.isfinite(log) else "-inf"}
-        if self.standard_error is not None:
-            out["standard_error"] = self.standard_error
-        return out
 
 
 def _window_codes(vals: np.ndarray, perms, base: int) -> np.ndarray:
@@ -410,7 +373,7 @@ def adjoint_shift(st: SoficMap, h: Element, x) -> np.ndarray:
     if st.product_of is None:
         raise ValueError("adjoint_shift needs a product sofic approximation")
     left, right = st.product_of
-    vals = _as_values(x)
+    vals = np.ascontiguousarray(x, dtype=np.uint8)
     if vals.shape != (st.n,):
         raise ValueError("configuration length must equal |V x W|")
     tw = right.perm_of(right.group.inverse(h))
@@ -419,7 +382,6 @@ def adjoint_shift(st: SoficMap, h: Element, x) -> np.ndarray:
 
 
 __all__ = [
-    "Configuration",
     "EmpiricalDistribution",
     "GoodModelCount",
     "BudgetExceededError",

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .groups import Element, GroupSpec, Window
+from .groups import Element, GroupSpec
 
 PATTERN_CAP = 1 << 24
 
@@ -38,12 +38,6 @@ class Alphabet:
         labels = tuple(a + b for a in self.labels for b in other.labels)
         return Alphabet(size, labels)
 
-    def string_of(self, symbols: Sequence[int]) -> str:
-        parts = [self.labels[s] for s in symbols]
-        if all(len(lab) == 1 for lab in self.labels):
-            return "".join(parts)
-        return ",".join(parts)
-
 
 def pattern_count(base: int, length: int) -> int:
     total = base**length
@@ -65,50 +59,6 @@ def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-@dataclass
-class PatternDistribution:
-    """Exact marginal on X^F in window order."""
-
-    window: Window
-    alphabet: Alphabet
-    probs: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        expected = pattern_count(self.alphabet.size, len(self.window))
-        if self.probs.shape != (expected,):
-            raise ValueError("probability vector length must be |X|^|F|")
-        if np.any(self.probs < -1e-12) or abs(float(self.probs.sum()) - 1.0) > 1e-12:
-            raise ValueError("marginal must be a probability vector")
-
-    def tv(self, other: "PatternDistribution") -> float:
-        return tv_distance(self.probs, other.probs)
-
-    def pattern_tuple(self, index: int) -> Tuple[int, ...]:
-        base = self.alphabet.size
-        out = []
-        for pos in range(len(self.window) - 1, -1, -1):
-            out.append((index // base**pos) % base)
-        return tuple(out)
-
-    def project(self, positions: Sequence[int]) -> np.ndarray:
-        """Marginal prob vector over the sub-window at the given positions."""
-        m = len(self.window)
-        base = self.alphabet.size
-        shaped = self.probs.reshape((base,) * m)
-        drop = tuple(i for i in range(m) if i not in positions)
-        reduced = shaped.sum(axis=drop) if drop else shaped
-        kept_sorted = sorted(positions)
-        perm = [kept_sorted.index(p) for p in positions]
-        return np.transpose(reduced, axes=perm).ravel()
-
-    def csv_rows(self) -> List[Tuple[str, float]]:
-        rows = []
-        for i, p in enumerate(self.probs):
-            rows.append((self.alphabet.string_of(self.pattern_tuple(i)), float(p)))
-        return rows
-
-
 class MarginalOracle:
     """Base class: exact marginals for arbitrary finite element tuples."""
 
@@ -128,10 +78,6 @@ class MarginalOracle:
             hit.setflags(write=False)
             self._cache[key] = hit
         return hit
-
-    def marginal(self, window: Window) -> PatternDistribution:
-        probs = self.marginal_elems(window.elements)
-        return PatternDistribution(window, self.alphabet, probs)
 
     def one_dim(self) -> np.ndarray:
         return self.marginal_elems((self.group.identity(),))
@@ -390,7 +336,6 @@ def product_process(mu: MarginalOracle, nu: MarginalOracle) -> ProductOracle:
 
 __all__ = [
     "Alphabet",
-    "PatternDistribution",
     "MarginalOracle",
     "BernoulliOracle",
     "TreeMarkovOracle",

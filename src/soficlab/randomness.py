@@ -66,18 +66,17 @@ def partitioned_permutation(gen: np.random.Generator, blocks: list[np.ndarray], 
 
 
 def categorical(gen: np.random.Generator, weights: np.ndarray, size: Union[int, Tuple[int, ...]]) -> np.ndarray:
-    """Draw an array of shape `size` of iid uint8 symbols from at most 256
-    weights by inverse CDF.
-
-    The symbol of u is the number of j < |X| - 1 with cdf[j] <= u; the cdf is
-    non-decreasing and its last entry is 1.0 > u, so this is
-    searchsorted(cdf, u, side="right"), counted in uint8 without a search.
+    """Draw an array of shape `size` of iid symbols from the weights by
+    inverse CDF: the symbol of u is searchsorted(cdf, u, side="right"), the
+    number of j < |X| - 1 with cdf[j] <= u (the last cdf entry is set to
+    1.0 > u). For at most 256 weights that number is counted in uint8 without
+    a search; more weights are searched and give intp symbols.
     """
     cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
-    if cdf.size > 256:
-        raise ValueError(f"categorical draws uint8 symbols, got {cdf.size} weights")
     cdf[-1] = 1.0  # guard against round-off in the last bin
     u = gen.random(size)
+    if cdf.size > 256:
+        return np.searchsorted(cdf, u, side="right")
     out = np.zeros(u.shape, dtype=np.uint8)
     for c in cdf[:-1]:
         out += u >= c

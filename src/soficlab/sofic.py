@@ -1,15 +1,14 @@
 """Sofic approximations sigma: G -> Sym(V) and their diagnostics.
 
 A SoficMap stores one permutation per group generator; sigma^g for a general
-element is composed on the fly along the canonical word of g. Multiplicativity
-and freeness are audited as exact defect fractions, and the Schreier graph of
-a chosen generator set exposes a spectral-gap estimate.
+element is composed on the fly along the canonical word of g. The Schreier
+graph of a chosen generator set exposes a spectral-gap estimate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -79,86 +78,9 @@ class SoficMap:
             out = self._letter_perm(letter, labels)[out]
         return out
 
-    def evaluate(self, g: Element, v: int) -> int:
-        if not (0 <= v < self.n):
-            raise ValueError(f"vertex {v} out of range for |V| = {self.n}")
-        if self.group.kind == "product":
-            return int(self.perm_of(g)[v])
-        word = self.group.word_of(g)
-        labels = self.group.generator_labels()
-        out = v
-        for letter in reversed(word):
-            out = int(self._letter_perm(letter, labels)[out])
-        return out
-
     def window_perms(self, window: Window) -> np.ndarray:
         """Stacked permutations for a window: row i is sigma^{window[i]}."""
         return np.stack([self.perm_of(g) for g in window.elements])
-
-    # -- defects ----------------------------------------------------------------
-
-    def defect(
-        self,
-        pairs: Iterable[Tuple[Element, Element]] = (),
-        elements: Iterable[Element] = (),
-    ) -> "DefectReport":
-        mult = []
-        for g, h in pairs:
-            lhs = self.perm_of(g)[self.perm_of(h)]
-            rhs = self.perm_of(self.group.multiply(g, h))
-            frac = float(np.count_nonzero(lhs != rhs)) / self.n
-            mult.append((self.group.element_to_string(g), self.group.element_to_string(h), frac))
-        fixed = []
-        for g in elements:
-            frac = float(np.count_nonzero(self.perm_of(g) == np.arange(self.n))) / self.n
-            fixed.append((self.group.element_to_string(g), frac))
-        return DefectReport(tuple(mult), tuple(fixed))
-
-    def window_defect(self, window: Window) -> "DefectReport":
-        """Defects for all window pairs and all non-identity window elements."""
-        e = self.group.identity()
-        pairs = [(g, h) for g in window for h in window]
-        elems = [g for g in window if g != e]
-        return self.defect(pairs, elems)
-
-    # -- serialization ------------------------------------------------------------
-
-    def to_json(self) -> Dict[str, Any]:
-        obj: Dict[str, Any] = {
-            "n": int(self.n),
-            "perms": {lab: [int(x) for x in p] for lab, p in self.perms.items()},
-        }
-        if self.partition is not None:
-            obj["partition"] = {k: [int(x) for x in v] for k, v in self.partition.items()}
-        return obj
-
-    @staticmethod
-    def from_json(obj: Dict[str, Any], group: GroupSpec) -> "SoficMap":
-        perms = {lab: np.asarray(p, dtype=np.int64) for lab, p in obj["perms"].items()}
-        partition = None
-        if obj.get("partition") is not None:
-            partition = {k: np.asarray(v, dtype=np.int64) for k, v in obj["partition"].items()}
-        return SoficMap(group, perms, partition=partition)
-
-
-@dataclass(frozen=True)
-class DefectReport:
-    """Exact defect fractions: multiplicativity per pair, fixed points per element."""
-
-    multiplicativity: Tuple[Tuple[str, str, float], ...]
-    fixed_points: Tuple[Tuple[str, float], ...]
-
-    def max_multiplicativity(self) -> float:
-        return max((f for _, _, f in self.multiplicativity), default=0.0)
-
-    def max_fixed_points(self) -> float:
-        return max((f for _, f in self.fixed_points), default=0.0)
-
-    def csv_rows(self) -> List[Tuple[str, str, float]]:
-        """Rows (g, h, defect); fixed-point rows carry an empty h."""
-        rows = list(self.multiplicativity)
-        rows.extend((g, "", f) for g, f in self.fixed_points)
-        return rows
 
 
 # -- constructors ------------------------------------------------------------------
@@ -197,23 +119,15 @@ def partitioned_random(n: int, seed: int) -> SoficMap:
     return SoficMap(group, perms, partition={"U": u_block, "W": w_block})
 
 
-def quotient_map(spec: GroupSpec, n: Optional[int] = None) -> SoficMap:
-    """Exact finite quotients: Z/nZ cycles for the integers, left rotation for
-    finite groups. Defects are identically zero (true homomorphisms)."""
-    if spec.is_integers():
-        if n is None or n < 1:
-            raise ValueError("cycle length n >= 1 required")
-        perm = (np.arange(n, dtype=np.int64) + 1) % n
-        return SoficMap(spec, {spec.labels[0]: perm})
-    if spec.kind == "finite":
-        assert spec.table is not None and spec.generator_elems is not None
-        m = len(spec.table)
-        if n is not None and n != m:
-            raise ValueError(f"finite quotient acts on the group itself (|V| = {m})")
-        tab = np.asarray(spec.table, dtype=np.int64)
-        perms = {lab: tab[g] for lab, g in zip(spec.labels, spec.generator_elems)}
-        return SoficMap(spec, perms)
-    raise ValueError("quotient_map supports the integers and finite-table groups")
+def quotient_map(spec: GroupSpec, n: int) -> SoficMap:
+    """The exact finite quotient Z/nZ of the integers, acting on n vertices by
+    the n-cycle: a true homomorphism."""
+    if not spec.is_integers():
+        raise ValueError("quotient_map supports the integers")
+    if n < 1:
+        raise ValueError("cycle length n >= 1 required")
+    perm = (np.arange(n, dtype=np.int64) + 1) % n
+    return SoficMap(spec, {spec.labels[0]: perm})
 
 
 def product(sigma: SoficMap, tau: SoficMap) -> SoficMap:
@@ -345,7 +259,6 @@ def schreier_spectral_gap(
 
 __all__ = [
     "SoficMap",
-    "DefectReport",
     "SpectralReport",
     "random_uniform",
     "partitioned_random",

@@ -17,6 +17,7 @@ from soficlab.covering import (
     pairwise_hamming,
     random_coupling,
 )
+from soficlab.randomness import stream
 
 CUBE2 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
 
@@ -70,7 +71,7 @@ def test_cov_eps_delta_frozen_values():
 
 
 def test_exact_methods_need_explicit_support():
-    nu = ModelMeasure.from_sampler(4, lambda gen, k: gen.integers(0, 2, size=(k, 4)).astype(np.uint8))
+    nu = ModelMeasure.iid(4, [0.5, 0.5])
     with pytest.raises(ValueError):
         cov_eps_delta(nu, 0.2, 0.3, method="exact")
 
@@ -82,6 +83,26 @@ def test_model_measure_validation():
         ModelMeasure.from_support(CUBE2, (0.5, 0.5, 0.25, 0.25))
     with pytest.raises(ValueError):
         ModelMeasure.from_support(CUBE2, (0.7, 0.2, 0.2, -0.1))
+
+
+@given(
+    st.integers(1, 600)
+    .flatmap(lambda k: st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=k, max_size=k))
+    .filter(lambda w: sum(w) > 0),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_model_measure_sample_matches_searchsorted(raw, seed):
+    """`sample` on an explicit support draws the atoms of the old inline
+    inverse-CDF search, byte for byte, on either side of 256 atoms."""
+    k = len(raw)
+    support = ((np.arange(k)[:, None] >> np.arange(10)[None, :]) & 1).astype(np.uint8)
+    w = np.asarray(raw) / sum(raw)
+    nu = ModelMeasure.from_support(support, w)
+    cdf = np.cumsum(nu.weights)
+    cdf[-1] = 1.0
+    expect = support[np.searchsorted(cdf, stream(seed, "sample").random(300), side="right")]
+    np.testing.assert_array_equal(nu.sample(stream(seed, "sample"), 300), expect)
 
 
 def test_model_measure_from_samples_merges():

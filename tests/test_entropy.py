@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -9,8 +8,8 @@ from soficlab.entropy import (
     entropy_curve,
     shannon_entropy,
 )
-from soficlab.groups import GroupSpec
-from soficlab.models import letter_frequency_count
+from soficlab.groups import GroupSpec, Window
+from soficlab.models import enumerate_good_models, letter_frequency_count
 from soficlab.processes import bernoulli
 from soficlab.sofic import quotient_map
 
@@ -28,50 +27,30 @@ def test_shannon_entropy_values():
 def test_curve_append_rejects_overflow():
     curve = EntropyCurve(2)
     with pytest.raises(ValueError):
-        curve.append(EntropyRow(4, 4, 0, 0.1, 4.0, math.log(2) + 1e-3, "exhaustive", None))
-    curve.append(EntropyRow(4, 4, 0, 0.1, 4 * math.log(2), math.log(2), "exhaustive", None))
-    assert curve.values() == [math.log(2)]
+        curve.append(EntropyRow(4, 4, 4.0, math.log(2) + 1e-3))
+    curve.append(EntropyRow(4, 4, 4 * math.log(2), math.log(2)))
+    assert [row.value for row in curve.rows] == [math.log(2)]
 
 
 def test_letter_exact_matches_definition():
     mu = bernoulli((0.75, 0.25), Z)
     sizes = [4, 8, 12]
-    curve = entropy_curve(lambda n: quotient_map(Z, n), mu, 0, 0.2, sizes, method="letter-exact")
+    curve = entropy_curve(lambda n: quotient_map(Z, n), mu, 0.2, sizes)
     for row, n in zip(curve.rows, sizes):
         count = letter_frequency_count((0.75, 0.25), n, 0.2).count
         assert row.log_count == pytest.approx(math.log(count))
         assert row.value == pytest.approx(math.log(count) / n)
-        assert row.method == "letter-exact"
-
-
-def test_exhaustive_equals_letter_exact_at_identity_window():
-    mu = bernoulli((0.5, 0.5), Z)
-    a = entropy_curve(lambda n: quotient_map(Z, n), mu, 0, 0.3, [6], method="exhaustive")
-    b = entropy_curve(lambda n: quotient_map(Z, n), mu, 0, 0.3, [6], method="letter-exact")
-    assert a.rows[0].log_count == pytest.approx(b.rows[0].log_count)
-
-
-def test_mc_curve_within_four_se():
-    mu = bernoulli((0.5, 0.5), Z)
-    exact = entropy_curve(lambda n: quotient_map(Z, n), mu, 0, 0.25, [10], method="exhaustive")
-    est = entropy_curve(
-        lambda n: quotient_map(Z, n), mu, 0, 0.25, [10], method="mc", samples=4000, seed=99
-    )
-    row = est.rows[0]
-    assert row.standard_error is not None and row.standard_error > 0
-    count_exact = math.exp(exact.rows[0].log_count)
-    count_est = math.exp(row.log_count)
-    assert abs(count_est - count_exact) <= 4 * row.standard_error
 
 
 def test_monotone_in_eps_and_window():
     mu = bernoulli((0.5, 0.5), Z)
     fam = lambda n: quotient_map(Z, n)
-    tight = entropy_curve(fam, mu, 0, 0.1, [8]).rows[0].log_count
-    loose = entropy_curve(fam, mu, 0, 0.4, [8]).rows[0].log_count
+    tight = entropy_curve(fam, mu, 0.1, [8]).rows[0].log_count
+    loose = entropy_curve(fam, mu, 0.4, [8]).rows[0].log_count
     assert tight <= loose
-    big_window = entropy_curve(fam, mu, 1, 0.2, [8]).rows[0].log_count
-    small_window = entropy_curve(fam, mu, 0, 0.2, [8]).rows[0].log_count
+    sigma = fam(8)
+    big_window = enumerate_good_models(sigma, mu, Window(Z, Z.ball(1)), 0.2).log_count_nats
+    small_window = enumerate_good_models(sigma, mu, Window(Z, Z.ball(0)), 0.2).log_count_nats
     assert big_window <= small_window
     assert loose / 8 <= math.log(2) + 1e-9
 
@@ -80,11 +59,8 @@ def test_minus_infinity_sentinel():
     mu = bernoulli((0.5, 0.5), Z)
     # n = 1 forces empirical TV 1/2 at the identity window; eps below that
     # leaves no good model at all
-    curve = entropy_curve(lambda n: quotient_map(Z, n), mu, 0, 0.25, [1])
+    curve = entropy_curve(lambda n: quotient_map(Z, n), mu, 0.25, [1])
     row = curve.rows[0]
     assert row.log_count == float("-inf")
     assert row.value == float("-inf")
-    payload = json.dumps(curve.to_json())
-    assert "-inf" in payload
-    assert curve.csv_lines()[1].split(",")[4] == "-inf"
 

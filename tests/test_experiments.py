@@ -141,6 +141,25 @@ def test_cli_out_override_and_seed(tmp_path, capsys):
     # --out must not perturb the digest baked into the table
     table = (other / "e8_convergence.csv").read_text()
     assert table.splitlines()[0] == f"# config_checksum={config_checksum(cfg)}"
+    # --seed replaces the seed field, so the table carries that config's digest
+    seeded = tmp_path / "seeded"
+    assert main(["run", str(cfg_path), "--out", str(seeded), "--seed", "5"]) == 0
+    capsys.readouterr()
+    table = (seeded / "e8_convergence.csv").read_text()
+    assert table.splitlines()[0] == f"# config_checksum={config_checksum({**cfg, 'seed': 5})}"
+
+
+def test_cli_seed_refused_without_seed_field(tmp_path, capsys):
+    cfg = json.loads((CONFIG_DIR / "e5.json").read_text())
+    cfg["out_dir"] = str(tmp_path / "e5")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--seed", "5"]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert sorted(p.name for p in (tmp_path / "e5").iterdir()) == ["diagnostic.json"]
+    diag = json.loads((tmp_path / "e5" / "diagnostic.json").read_text())
+    assert diag["experiment"] == "E5"
+    assert diag["config_checksum"] == config_checksum(cfg)
 
 
 def test_cli_budget_refusal_writes_diagnostic(tmp_path, capsys):

@@ -10,7 +10,6 @@ from soficlab.models import (
     KERNEL_CELLS,
     MC_CHUNK,
     BudgetExceededError,
-    Configuration,
     adjoint_shift,
     count_good_models_mc,
     counts_over_elements,
@@ -56,7 +55,7 @@ def test_is_good_model():
     assert is_good_model(sigma, [0, 0, 0, 0], mu, W, 1.1)
     assert is_good_model(sigma, [0, 0, 1, 1], mu, W, 0.3)
     assert not is_good_model(sigma, [0, 0, 0, 0], mu, W, 0.3)
-    assert is_good_model(sigma, Configuration(sigma, np.array([0, 1, 0, 1])), mu, W, 0.3)
+    assert is_good_model(sigma, np.array([0, 1, 0, 1]), mu, W, 0.3)
     with pytest.raises(ValueError):
         is_good_model(sigma, [0, 0, 1, 1], mu, W, 0.0)
 

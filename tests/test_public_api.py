@@ -1,5 +1,6 @@
-"""Every public name of a soficlab submodule is reached from an experiment,
-the CLI or an acceptance criterion.
+"""Every public name of a soficlab submodule, and every public method of a
+public class, is reached from an experiment, the CLI or an acceptance
+criterion.
 
 The walk is static. It parses each submodule, maps every top-level name to
 the statement that defines or imports it, and follows references from the
@@ -8,13 +9,25 @@ roots: `experiments.REGISTRY`, `run_experiment`, `validate_config`,
 `tests/test_acceptance.py` imports. A reached name that is an import
 (`from .x import a as b`, `from . import x as y`) reaches its target; a
 reached definition reaches every top-level name it mentions, directly or
-as an attribute of an imported module. Reaching a class reaches all of its
-methods. Unit tests are not roots, so a name only they use fails here.
+as an attribute of an imported module. Unit tests are not roots, so a name
+only they use fails here.
+
+Reaching a class reaches its bases, decorators, class-level statements and
+its dunder and `_private` methods, but not its public methods. A public
+method of a reached class is reached when its name occurs as an attribute
+(`x.name`) in reached code or anywhere in `tests/test_acceptance.py`; its
+body then counts as reached code, and the walk repeats to a fixpoint.
+
+Methods are matched by name only, since the walk does not know the type of
+`x`. So a method shares the fate of every other attribute with its name:
+`DispersionReport.to_json`, which E8 writes, reaches every `to_json`, and a
+dict's `.values()` reaches every `values` method. A method that only a
+reached name of this kind covers is not caught here.
 """
 
 import ast
 from pathlib import Path
-from typing import Dict, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "soficlab"
@@ -56,7 +69,14 @@ def _module_tables(module: str):
     return defs, aliases, modules, public
 
 
-def _reached() -> Tuple[Set[Name], Dict[str, Tuple[str, ...]]]:
+def _public_methods(cls: ast.ClassDef) -> List[ast.FunctionDef]:
+    return [
+        node for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _reached() -> Tuple[Set[Name], Set[Tuple[str, str, str]], Dict[str, tuple]]:
     names = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
     tables = {m: _module_tables(m) for m in names}
     acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
@@ -64,32 +84,68 @@ def _reached() -> Tuple[Set[Name], Dict[str, Tuple[str, ...]]]:
     for node in acceptance.body:
         if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("soficlab."):
             todo += [(node.module.split(".", 1)[1], alias.name) for alias in node.names]
+    attrs = {node.attr for node in ast.walk(acceptance) if isinstance(node, ast.Attribute)}
     seen: Set[Name] = set()
-    while todo:
-        item = todo.pop()
-        if item in seen or item[0] not in tables:
-            continue
-        seen.add(item)
-        module, name = item
+    methods: Set[Tuple[str, str, str]] = set()
+
+    def visit(module: str, node: ast.AST) -> None:
+        """Queue the top-level names a reached node mentions, and note its attributes."""
         defs, aliases, modules, _ = tables[module]
-        if name in aliases:
-            todo.append(aliases[name])
-            continue
-        if name not in defs:
-            continue
-        for node in ast.walk(defs[name]):
-            if isinstance(node, ast.Name) and (node.id in defs or node.id in aliases):
-                todo.append((module, node.id))
-            elif (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id in modules
-            ):
-                todo.append((modules[node.value.id], node.attr))
-    return seen, {m: tables[m][3] for m in names}
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name) and (sub.id in defs or sub.id in aliases):
+                todo.append((module, sub.id))
+            elif isinstance(sub, ast.Attribute):
+                attrs.add(sub.attr)
+                if isinstance(sub.value, ast.Name) and sub.value.id in modules:
+                    todo.append((modules[sub.value.id], sub.attr))
+
+    while True:
+        while todo:
+            item = todo.pop()
+            if item in seen or item[0] not in tables:
+                continue
+            seen.add(item)
+            module, name = item
+            defs, aliases, _, _ = tables[module]
+            if name in aliases:
+                todo.append(aliases[name])
+            elif isinstance(defs.get(name), ast.ClassDef):
+                cls = defs[name]
+                held = _public_methods(cls)
+                for part in [*cls.bases, *cls.keywords, *cls.decorator_list, *cls.body]:
+                    if part not in held:
+                        visit(module, part)
+            elif name in defs:
+                visit(module, defs[name])
+        grown = False
+        for module, name in sorted(seen):
+            cls = tables[module][0].get(name)
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for meth in _public_methods(cls):
+                key = (module, name, meth.name)
+                if key not in methods and meth.name in attrs:
+                    methods.add(key)
+                    visit(module, meth)
+                    grown = True
+        if not grown and not todo:
+            return seen, methods, {m: tables[m] for m in names}
 
 
 def test_every_public_name_is_reached():
-    seen, public = _reached()
-    unreached = [f"{m}.{n}" for m, names in public.items() for n in names if (m, n) not in seen]
+    seen, _, tables = _reached()
+    unreached = [f"{m}.{n}" for m, table in tables.items() for n in table[3] if (m, n) not in seen]
     assert not unreached, f"public names no experiment, CLI path or acceptance criterion reaches: {unreached}"
+
+
+def test_every_public_method_is_reached():
+    seen, methods, tables = _reached()
+    unreached = [
+        f"{m}.{n}.{meth.name}"
+        for m, table in tables.items()
+        for n in table[3]
+        if (m, n) in seen and isinstance(table[0].get(n), ast.ClassDef)
+        for meth in _public_methods(table[0][n])
+        if (m, n, meth.name) not in methods
+    ]
+    assert not unreached, f"public methods no experiment, CLI path or acceptance criterion runs: {unreached}"

@@ -101,7 +101,12 @@ def test_categorical_on_rounding_and_zero_weights():
     assert set(np.unique(categorical(stream(3, "cat-zero"), [0.0, 0.5, 0.0, 0.5, 0.0], 5000))) == {1, 3}
 
 
-def test_categorical_rejects_more_than_256_weights():
-    categorical(stream(4, "cat-cap"), np.full(256, 1 / 256), 10)
-    with pytest.raises(ValueError):
-        categorical(stream(4, "cat-cap"), np.full(257, 1 / 257), 10)
+def test_categorical_searches_more_than_256_weights():
+    assert categorical(stream(4, "cat-cap"), np.full(256, 1 / 256), 10).dtype == np.uint8
+    w = np.full(257, 1 / 257)
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    expect = np.searchsorted(cdf, stream(4, "cat-cap").random(5000), side="right")
+    got = categorical(stream(4, "cat-cap"), w, 5000)
+    np.testing.assert_array_equal(got, expect)
+    assert got.max() == 256
