@@ -4,6 +4,9 @@ Every process is represented by its alphabet and a function from finite
 windows F to the exact marginal distribution on X^F, stored as a dense vector
 of |X|^|F| doubles. Pattern indexing is mixed-radix with window position 0
 most significant: pattern (x_0, ..., x_{m-1}) has index sum x_i |X|^(m-1-i).
+Each marginal is computed for all patterns at once, as array operations over
+the decoded pattern matrix, with the same floating-point operation order as
+an evaluation one pattern at a time.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ class MarginalOracle:
 
     def marginal_elems(self, elements: Tuple[Element, ...]) -> np.ndarray:
         key = tuple(elements)
+        if len(set(key)) != len(key):
+            raise ValueError("marginal elements must be distinct")
         hit = self._cache.get(key)
         if hit is None:
             hit = self._compute(key)
@@ -162,28 +167,27 @@ class TreeMarkovOracle(MarginalOracle):
             kids.sort()
         clamp_pos = {tuple(w): i for i, w in enumerate(elements)}
         patterns = decode_patterns(base, m)
-        probs = np.empty(total)
+        rows = np.arange(total)
         P = self.P
-        for idx in range(total):
-            pat = patterns[idx]
 
-            def subtree(node: Tuple[int, ...]) -> np.ndarray:
-                # Likelihood vector over the node's state given the clamped
-                # leaves below it; detailed balance makes the edge direction
-                # irrelevant, so P serves for both orientations.
-                vec = np.ones(base)
-                for child in children[node]:
-                    cvec = subtree(child)
-                    vec = vec * (P @ cvec)
-                if node in clamp_pos:
-                    s = pat[clamp_pos[node]]
-                    mask = np.zeros(base)
-                    mask[s] = vec[s]
-                    vec = mask
-                return vec
+        def subtree(node: Tuple[int, ...]) -> np.ndarray:
+            # (total, base) likelihoods of the node's state given the clamped
+            # leaves below it; detailed balance makes the edge direction
+            # irrelevant, so P serves for both orientations. The stacked
+            # matmul forms sum in the order of a per-pattern P @ cvec and
+            # pi @ vec, which keeps the result bit-identical to it.
+            vec = np.ones((total, base))
+            for child in children[node]:
+                cvec = subtree(child)
+                vec = vec * np.matmul(P, cvec[:, :, None])[:, :, 0]
+            if node in clamp_pos:
+                s = patterns[:, clamp_pos[node]]
+                kept = np.zeros((total, base))
+                kept[rows, s] = vec[rows, s]
+                vec = kept
+            return vec
 
-            probs[idx] = float(self.pi @ subtree(()))
-        return probs
+        return np.matmul(self.pi, subtree(())[:, :, None])[:, 0]
 
 
 class CosetIidOracle(MarginalOracle):
@@ -206,17 +210,11 @@ class CosetIidOracle(MarginalOracle):
         for pos, key in enumerate(keys):
             classes.setdefault(key, []).append(pos)
         patterns = decode_patterns(base, m)
-        probs = np.zeros(total)
-        for idx in range(total):
-            pat = patterns[idx]
-            p = 1.0
-            for positions in classes.values():
-                s = pat[positions[0]]
-                if any(pat[q] != s for q in positions[1:]):
-                    p = 0.0
-                    break
-                p *= self.mu0[s]
-            probs[idx] = p
+        probs = np.ones(total)
+        for positions in classes.values():
+            s = patterns[:, positions[0]]
+            ok = np.all(patterns[:, positions[1:]] == s[:, None], axis=1)
+            probs = np.where(ok, probs * self.mu0[s], 0.0)
         return probs
 
 

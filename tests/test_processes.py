@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from soficlab.groups import GroupSpec, Window, coind_group
 from soficlab.processes import (
     BernoulliOracle,
+    CosetIidOracle,
+    TreeMarkovOracle,
     bernoulli,
     coinduced,
     coset_iid,
@@ -39,6 +41,19 @@ def test_bernoulli_biased_pair():
     mu = bernoulli((0.75, 0.25), F2)
     probs = mu.marginal_elems(Window(F2, ((), (1,))).elements)
     np.testing.assert_allclose(probs, [9 / 16, 3 / 16, 3 / 16, 1 / 16])
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [bernoulli((0.5, 0.5), F2), tree_markov([[0.7, 0.3], [0.3, 0.7]], (0.5, 0.5), F2)],
+    ids=["bernoulli", "tree_markov"],
+)
+def test_marginal_elems_refuses_repeated_elements(mu):
+    # a repeated element is one site, not two independent ones
+    with pytest.raises(ValueError, match="distinct"):
+        mu.marginal_elems(((1,), (1,)))
+    with pytest.raises(ValueError, match="distinct"):
+        mu.marginal_elems(((), (1,), ()))
 
 
 def test_bernoulli_rejects_bad_weights():
@@ -241,3 +256,121 @@ def test_marginal_projection_consistency(i, j):
         atol=1e-12,
     )
 
+
+
+def test_tree_markov_full_radius_two_ball():
+    P = np.array([[0.7, 0.3], [0.3, 0.7]])
+    pi = np.array([0.5, 0.5])
+    mu = tree_markov(P, pi, F2)
+    W = Window(F2, F2.ball(2))
+    probs = mu.marginal_elems(W.elements)
+    # pi(x_e) times P(x_parent, x_child) over the tree edges; the parent of a
+    # reduced word drops its first letter
+    pats = decode_patterns(2, len(W))
+    pos = {w: i for i, w in enumerate(W.elements)}
+    ref = pi[pats[:, pos[()]]]
+    for w, i in pos.items():
+        if w:
+            ref = ref * P[pats[:, pos[w[1:]]], pats[:, i]]
+    assert probs.shape == (1 << 17,)
+    np.testing.assert_allclose(probs, ref, rtol=1e-12, atol=0.0)
+    assert abs(float(probs.sum()) - 1.0) < 1e-12
+    # F g is not suffix-closed, so its tree has unclamped internal nodes
+    assert _shift_gap(mu, W, (1,)) < 1e-12
+
+
+# -- batched marginals against per-pattern loops ------------------------------------
+
+
+def _tree_markov_loop(P, pi, elements):
+    """Per-pattern reference: one recursive tree walk for every pattern."""
+    base = pi.size
+    m = len(elements)
+    nodes = {(): None}
+    for w in elements:
+        for i in range(1, len(w) + 1):
+            nodes[tuple(w[len(w) - i :])] = None
+    children = {w: [] for w in nodes}
+    for w in nodes:
+        if w:
+            children[tuple(w[1:])].append(w)
+    for kids in children.values():
+        kids.sort()
+    clamp_pos = {tuple(w): i for i, w in enumerate(elements)}
+    patterns = decode_patterns(base, m)
+    probs = np.empty(len(patterns))
+    for idx, pat in enumerate(patterns):
+
+        def subtree(node):
+            vec = np.ones(base)
+            for child in children[node]:
+                vec = vec * (P @ subtree(child))
+            if node in clamp_pos:
+                s = pat[clamp_pos[node]]
+                mask = np.zeros(base)
+                mask[s] = vec[s]
+                vec = mask
+            return vec
+
+        probs[idx] = float(pi @ subtree(()))
+    return probs
+
+
+def _coset_iid_loop(mu0, group, factor, elements):
+    """Per-pattern reference: coset classes tested one pattern at a time."""
+    classes = {}
+    for pos, g in enumerate(elements):
+        classes.setdefault(group.right_coset_key(g, factor), []).append(pos)
+    patterns = decode_patterns(mu0.size, len(elements))
+    probs = np.zeros(len(patterns))
+    for idx, pat in enumerate(patterns):
+        p = 1.0
+        for positions in classes.values():
+            s = pat[positions[0]]
+            if any(pat[q] != s for q in positions[1:]):
+                p = 0.0
+                break
+            p *= mu0[s]
+        probs[idx] = p
+    return probs
+
+
+# at most 4096 (base 2) or 6561 (base 3) patterns, so the loops stay fast
+MAX_ELEMENTS = {2: 12, 3: 8}
+
+
+def _reversible_chain(data, base):
+    """P = A / rowsum and pi proportional to rowsum for a random symmetric A."""
+    weights = st.floats(0.05, 1.0, allow_nan=False)
+    A = np.array(data.draw(st.lists(weights, min_size=base * base, max_size=base * base))).reshape(base, base)
+    A = A + A.T
+    rowsum = A.sum(axis=1)
+    return A / rowsum[:, None], rowsum / rowsum.sum()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_tree_markov_batched_equals_loop(data):
+    base = data.draw(st.sampled_from((2, 3)))
+    P, pi = _reversible_chain(data, base)
+    # subsets of ball(2) with the identity; most are not suffix-closed and
+    # leave internal tree nodes unclamped
+    rest = F2.ball(2).elements[1:]
+    picked = data.draw(st.lists(st.sampled_from(rest), unique=True, max_size=MAX_ELEMENTS[base] - 1))
+    elements = tuple(data.draw(st.permutations(((),) + tuple(picked))))
+    probs = TreeMarkovOracle(P, pi, F2).marginal_elems(elements)
+    assert np.array_equal(probs, _tree_markov_loop(P, pi, elements))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_coset_iid_batched_equals_loop(data):
+    base = data.draw(st.sampled_from((2, 3)))
+    mu0 = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=base, max_size=base)))
+    mu0 = mu0 / mu0.sum()
+    factor = data.draw(st.sampled_from((0, 1)))
+    subsets = st.lists(st.sampled_from(CG.ball(2).elements), unique=True, min_size=1, max_size=MAX_ELEMENTS[base])
+    ball1 = CG.ball(1).elements  # E5 and E6's window
+    elements = tuple(data.draw(st.one_of(st.just(ball1), subsets) if base == 2 else subsets))
+    mu = CosetIidOracle(mu0, CG, factor)
+    assert np.array_equal(mu.marginal_elems(elements), _coset_iid_loop(mu.mu0, CG, factor, elements))
