@@ -3,9 +3,10 @@
 Covering uses closed balls (distance <= delta); packing uses strict
 separation (distance > delta). The standard chain inequalities
 cov_{delta/2} >= pack_delta >= cov_delta then hold verbatim at any finite
-scale, boundary ties included. Exact solvers are branch-and-bound and run
-under explicit instance-size budgets; greedy variants scale further and are
-always valid one-sided bounds.
+scale, boundary ties included. Every covering solver and the set packing
+solver take a required method: "exact" (branch and bound) or "greedy" (scales
+further and is always a valid one-sided bound). The measure packing number is
+exact only: a DP over atom subsets, capped at PACK_EPS_EXACT_BUDGET atoms.
 
 Solvers come in two layers: *_matrix functions take explicit distance
 matrices (so non-Hamming metrics like the pair average 0.5 dX + 0.5 dY plug
@@ -15,7 +16,6 @@ distances first.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -23,9 +23,6 @@ import numpy as np
 
 from .randomness import categorical, stream
 
-COV_EXACT_BUDGET = 4096
-PACK_EXACT_BUDGET = 512
-COV_EPS_EXACT_BUDGET = 24
 PACK_EPS_EXACT_BUDGET = 16
 
 
@@ -40,22 +37,15 @@ def pairwise_hamming(a: np.ndarray, b: Optional[np.ndarray] = None, block: int =
     return out
 
 
-def _checksum(*parts) -> str:
-    h = hashlib.blake2b(digest_size=6)
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part).tobytes())
-        else:
-            h.update(repr(part).encode())
-        h.update(b"\x00")
-    return h.hexdigest()
+def _check_method(method: str) -> None:
+    if method not in ("exact", "greedy"):
+        raise ValueError(f"method must be 'exact' or 'greedy', got {method!r}")
 
 
 @dataclass(frozen=True)
 class CovResult:
     value: int
     method: str  # "exact" | "greedy"
-    checksum: str
 
 
 class ModelMeasure:
@@ -246,45 +236,44 @@ def _max_separated_exact(dist: np.ndarray, delta: float) -> int:
 # -- set quantities ----------------------------------------------------------------
 
 
-def cov_delta_matrix(dist: np.ndarray, delta: float, method: str = "auto", exact_budget: int = COV_EXACT_BUDGET) -> CovResult:
+def cov_delta_matrix(dist: np.ndarray, delta: float, method: str) -> CovResult:
     """min |F| with closed delta-balls around F covering all points.
 
     dist is square: dist[i, j] between candidate center i and point j.
     """
+    _check_method(method)
     if delta < 0:
         raise ValueError("delta must be >= 0")
     m = dist.shape[0]
-    tag = _checksum(np.round(dist, 12), delta)
     cover = dist <= delta
     masks = [int.from_bytes(np.packbits(cover[i]).tobytes(), "big") for i in range(m)]
     padded = (8 - dist.shape[1] % 8) % 8
     universe = ((1 << dist.shape[1]) - 1) << padded
-    if method == "exact" or (method == "auto" and m <= exact_budget):
-        return CovResult(_min_cover_masks(masks, universe), "exact", tag)
-    return CovResult(_greedy_cover_masks(masks, universe), "greedy", tag)
+    if method == "exact":
+        return CovResult(_min_cover_masks(masks, universe), method)
+    return CovResult(_greedy_cover_masks(masks, universe), method)
 
 
-def cov_delta(points, delta: float, method: str = "auto", exact_budget: int = COV_EXACT_BUDGET) -> CovResult:
-    return cov_delta_matrix(pairwise_hamming(np.asarray(points, dtype=np.uint8)), delta, method, exact_budget)
+def cov_delta(points, delta: float, method: str) -> CovResult:
+    return cov_delta_matrix(pairwise_hamming(np.asarray(points, dtype=np.uint8)), delta, method)
 
 
-def pack_delta_matrix(dist: np.ndarray, delta: float, method: str = "auto", exact_budget: int = PACK_EXACT_BUDGET) -> CovResult:
+def pack_delta_matrix(dist: np.ndarray, delta: float, method: str) -> CovResult:
     """Largest subset with pairwise distance strictly greater than delta."""
+    _check_method(method)
     if delta <= 0:
         raise ValueError("delta must be > 0")
-    k = dist.shape[0]
-    tag = _checksum(np.round(dist, 12), delta)
-    if method == "exact" or (method == "auto" and k <= exact_budget):
-        return CovResult(_max_separated_exact(dist, delta), "exact", tag)
+    if method == "exact":
+        return CovResult(_max_separated_exact(dist, delta), method)
     kept: List[int] = []
-    for i in range(k):
+    for i in range(dist.shape[0]):
         if all(dist[i, j] > delta for j in kept):
             kept.append(i)
-    return CovResult(len(kept), "greedy", tag)
+    return CovResult(len(kept), method)
 
 
-def pack_delta(points, delta: float, method: str = "auto", exact_budget: int = PACK_EXACT_BUDGET) -> CovResult:
-    return pack_delta_matrix(pairwise_hamming(np.asarray(points, dtype=np.uint8)), delta, method, exact_budget)
+def pack_delta(points, delta: float, method: str) -> CovResult:
+    return pack_delta_matrix(pairwise_hamming(np.asarray(points, dtype=np.uint8)), delta, method)
 
 
 # -- measure quantities ------------------------------------------------------------
@@ -341,23 +330,22 @@ def cov_eps_delta_matrix(
     weights: np.ndarray,
     eps: float,
     delta: float,
-    method: str = "auto",
-    exact_budget: int = COV_EPS_EXACT_BUDGET,
+    method: str,
 ) -> CovResult:
     """min |F| with nu(closed delta-neighbourhood of F) > 1 - eps.
 
     dist is (centers, atoms); weights are the atom masses.
     """
+    _check_method(method)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     w = np.asarray(weights, dtype=np.float64)
     cover = dist <= delta
-    tag = _checksum(np.round(dist, 12), np.round(w, 15), eps, delta)
     need = 1.0 - eps
-    if method == "exact" or (method == "auto" and w.size <= exact_budget):
-        return CovResult(_partial_cover_exact(cover, w, need), "exact", tag)
+    if method == "exact":
+        return CovResult(_partial_cover_exact(cover, w, need), method)
     covered = np.zeros(w.size, dtype=bool)
     picks = 0
     while float(w[covered].sum()) <= need:
@@ -367,16 +355,15 @@ def cov_eps_delta_matrix(
             raise ValueError("mass target unreachable: no center adds coverage")
         covered |= cover[i]
         picks += 1
-    return CovResult(picks, "greedy", tag)
+    return CovResult(picks, method)
 
 
 def cov_eps_delta(
     nu: ModelMeasure,
     eps: float,
     delta: float,
+    method: str,
     centers: Optional[np.ndarray] = None,
-    method: str = "auto",
-    exact_budget: int = COV_EPS_EXACT_BUDGET,
 ) -> CovResult:
     """Covering number of a measure; centers default to its own support.
 
@@ -385,7 +372,7 @@ def cov_eps_delta(
     """
     support, weights = nu.require_explicit("cov_eps_delta")
     pool = support if centers is None else np.ascontiguousarray(centers, dtype=np.uint8)
-    return cov_eps_delta_matrix(pairwise_hamming(pool, support), weights, eps, delta, method, exact_budget)
+    return cov_eps_delta_matrix(pairwise_hamming(pool, support), weights, eps, delta, method)
 
 
 def pack_eps_delta_matrix(
@@ -393,7 +380,6 @@ def pack_eps_delta_matrix(
     weights: np.ndarray,
     eps: float,
     delta: float,
-    exact_budget: int = PACK_EPS_EXACT_BUDGET,
 ) -> CovResult:
     """min over atom subsets of mass > 1 - eps of the max separated subset.
 
@@ -403,9 +389,8 @@ def pack_eps_delta_matrix(
         raise ValueError("eps must lie in (0,1)")
     w = np.asarray(weights, dtype=np.float64)
     k = w.size
-    if k > exact_budget:
-        raise ValueError(f"pack_eps_delta is exact-only and capped at {exact_budget} atoms")
-    tag = _checksum(np.round(dist, 12), np.round(w, 15), eps, delta)
+    if k > PACK_EPS_EXACT_BUDGET:
+        raise ValueError(f"pack_eps_delta is exact-only and capped at {PACK_EPS_EXACT_BUDGET} atoms")
     adj = _conflict_masks(dist, delta)
     size = 1 << k
     mis = np.zeros(size, dtype=np.int32)
@@ -422,12 +407,12 @@ def pack_eps_delta_matrix(
     eligible = mass > 1.0 - eps
     if not eligible.any():
         raise ValueError("no atom subset reaches mass 1 - eps")
-    return CovResult(int(mis[eligible].min()), "exact", tag)
+    return CovResult(int(mis[eligible].min()), "exact")
 
 
-def pack_eps_delta(nu: ModelMeasure, eps: float, delta: float, exact_budget: int = PACK_EPS_EXACT_BUDGET) -> CovResult:
+def pack_eps_delta(nu: ModelMeasure, eps: float, delta: float) -> CovResult:
     support, weights = nu.require_explicit("pack_eps_delta")
-    return pack_eps_delta_matrix(pairwise_hamming(support), weights, eps, delta, exact_budget)
+    return pack_eps_delta_matrix(pairwise_hamming(support), weights, eps, delta)
 
 
 # -- couplings ---------------------------------------------------------------------

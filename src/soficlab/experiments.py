@@ -124,10 +124,6 @@ def _svg_lines(series: Dict[str, List[Tuple[float, float]]], title: str) -> str:
     return "\n".join(parts)
 
 
-def bernoulli_measure(weights: Sequence[float], vertices: int) -> ModelMeasure:
-    return ModelMeasure.iid(vertices, weights)
-
-
 def _unique_configs(gen: np.random.Generator, count: int, vertices: int, base: int = 2) -> np.ndarray:
     rows: List[tuple] = []
     seen = set()
@@ -327,7 +323,7 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
     final: Dict[str, float] = {}
     for n in cfg["sizes"]:
         sigma = random_uniform(group, n, derive_seed(seed, "sigma", n))
-        nu = bernoulli_measure(cfg["weights"], n)
+        nu = ModelMeasure.iid(n, cfg["weights"])
         for radius in (0, 1):
             window = Window(group, group.ball(radius))
             lw = lw_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "lw", n, radius))
@@ -352,7 +348,7 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
     stab_ok = True
     for s in cfg["stability_seeds"]:
         sigma = random_uniform(group, n, derive_seed(s, "sigma", n))
-        nu = bernoulli_measure(cfg["weights"], n)
+        nu = ModelMeasure.iid(n, cfg["weights"])
         w1 = Window(group, group.ball(1))
         w0 = Window(group, [group.identity()])
         q1 = quenched_defect(sigma, nu, mu, w1, eps, samples, derive_seed(s, "q", n, 1))
@@ -567,7 +563,7 @@ def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
     # rho of k independent exact samples from nu.
     n = cfg["vertices"]
     sigma = random_uniform(group, n, derive_seed(seed, "e9-sigma"))
-    nu = bernoulli_measure([0.5, 0.5], n)
+    nu = ModelMeasure.iid(n, [0.5, 0.5])
     samples = _sample_bits(seed, "e9-samples", cfg["k"], n)
     rho = models_to_measure(samples)
     ball1 = Window(group, group.ball(1))
@@ -640,60 +636,75 @@ REGISTRY: Dict[str, Callable[[dict, RunContext], ExperimentResult]] = {
     "E9": run_e9,
 }
 
-REQUIRED_FIELDS: Dict[str, Tuple[str, ...]] = {
-    "E1": ("weight_sets", "sizes", "eps", "tolerance"),
-    "E2": ("seed", "instances", "vertices", "set_size", "support_atoms", "deltas", "eps"),
-    "E3": ("seed", "instances", "vertices", "eps"),
-    "E4": (
-        "seed", "weights", "sizes", "eps", "samples", "dispersion_samples",
-        "stability_seeds", "q_threshold", "dq_threshold",
-    ),
-    "E5": ("n", "seeds", "epsilons", "mu0", "radius", "hamming_threshold", "min_pass_seeds"),
-    "E6": ("n", "seeds", "epsilons", "mu0", "radius", "pair_eps"),
-    "E7": ("ns", "seeds", "generators", "lambda2_threshold", "min_pass_seeds"),
-    "E8": ("seed", "ns", "eps", "cluster_threshold", "pair_eps", "pair_stat_threshold", "vertex_pairs"),
-    "E9": (
-        "seed", "vertices", "k", "lw_eps", "dq_eps", "lw_threshold", "dq_threshold",
-        "product_v", "product_w", "averaging_window", "preserve_eps", "preserve_tol",
-    ),
+SCHEMA = json.loads(Path(__file__).with_name("schema.json").read_text())
+
+# stricter than draft-07: integer takes no float, not even 1.0 (the experiments
+# call range() on integer fields), and no type takes a bool
+_TYPES: Dict[str, Callable[[object], bool]] = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
 }
 
 
-def validate_config(cfg: dict) -> List[str]:
-    """Structural validation; returns a list of problems (empty when valid)."""
+def _schema_problems(schema: dict, value, path: str) -> List[str]:
+    """Problems of a value against a node of schema.json, each led by its field
+    path; interprets only the keywords the file uses. allOf applies once the
+    node's own keywords hold: a config without an experiment meets every
+    branch's `if` vacuously, and must get one problem, not one per branch."""
+    where = path or "config"
+    if "type" in schema and not _TYPES[schema["type"]](value):
+        return [f"{where}: expected {schema['type']}, got {value!r}"]
     problems = []
-    exp = cfg.get("experiment")
-    if exp not in REGISTRY:
-        problems.append(f"unknown experiment {exp!r}; expected one of {sorted(REGISTRY)}")
+    if "const" in schema and value != schema["const"]:
+        problems.append(f"{where}: must be {schema['const']!r}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        problems.append(f"{where}: must be one of {schema['enum']}, got {value!r}")
+    if "minimum" in schema and value < schema["minimum"]:
+        problems.append(f"{where}: must be >= {schema['minimum']}, got {value!r}")
+    if "maximum" in schema and value > schema["maximum"]:
+        problems.append(f"{where}: must be <= {schema['maximum']}, got {value!r}")
+    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+        problems.append(f"{where}: must be > {schema['exclusiveMinimum']}, got {value!r}")
+    for key in schema.get("required", ()):
+        if key not in value:
+            problems.append(f"{path}.{key}".lstrip(".") + ": missing required field")
+    for key, sub in schema.get("properties", {}).items():
+        if key in value:
+            problems += _schema_problems(sub, value[key], f"{path}.{key}".lstrip("."))
+    if "items" in schema:
+        for i, item in enumerate(value):
+            problems += _schema_problems(schema["items"], item, f"{path}[{i}]")
+    if problems:
         return problems
-    for key in REQUIRED_FIELDS[exp]:
-        if key not in cfg:
-            problems.append(f"{exp}: missing required field {key!r}")
-    for key in ("seed",):
-        if key in REQUIRED_FIELDS[exp] and key in cfg and not isinstance(cfg[key], int):
-            problems.append(f"{exp}: field 'seed' must be an integer")
-    if "seeds" in cfg and not (isinstance(cfg["seeds"], list) and all(isinstance(s, int) for s in cfg["seeds"])):
-        problems.append(f"{exp}: field 'seeds' must be a list of integers")
-    if "epsilons" in cfg:
-        eps_list = cfg["epsilons"]
-        if not (isinstance(eps_list, list) and all(isinstance(x, (int, float)) for x in eps_list)):
-            problems.append(f"{exp}: field 'epsilons' must be a list of numbers")
-        elif isinstance(cfg.get("seeds"), list) and len(eps_list) != len(cfg["seeds"]):
-            problems.append(f"{exp}: 'epsilons' must have one entry per seed")
-    for key in ("sizes", "ns", "vertices"):
-        if key in cfg and isinstance(cfg[key], list) and not all(isinstance(v, int) and v > 0 for v in cfg[key]):
-            problems.append(f"{exp}: field {key!r} must hold positive integers")
+    for branch in schema.get("allOf", ()):
+        if not _schema_problems(branch["if"], value, path):
+            problems += _schema_problems(branch["then"], value, path)
+    return problems
+
+
+def validate_config(cfg: dict) -> List[str]:
+    """Problems of a config against schema.json, then against the one rule it
+    cannot state: one epsilon per seed (E5, E6). Empty when the config is valid."""
+    problems = _schema_problems(SCHEMA, cfg, "")
+    eps, seeds = cfg.get("epsilons"), cfg.get("seeds")
+    if not problems and isinstance(eps, list) and isinstance(seeds, list) and len(eps) != len(seeds):
+        problems.append(f"epsilons: must have one entry per seed, got {len(eps)} for {len(seeds)} seeds")
     return problems
 
 
 def out_dir_for(cfg: dict, override: Optional[Path] = None) -> Path:
     """Where a run writes: the override, else the config's out_dir, else
-    results/<experiment>. A config without a known experiment still gets a
-    directory, so a refusal can write its diagnostic.json there."""
+    results/<experiment>. A config without a known experiment or a string
+    out_dir still gets a directory, so a refusal can write its
+    diagnostic.json there."""
     if override is not None:
         return override
     exp = str(cfg.get("experiment", "unknown")).lower()
-    return Path(cfg.get("out_dir", f"results/{exp}"))
+    out_dir = cfg.get("out_dir")
+    return Path(out_dir if isinstance(out_dir, str) else f"results/{exp}")
 
 
 def run_experiment(cfg: dict, ctx: RunContext) -> int:
@@ -731,5 +742,4 @@ __all__ = [
     "validate_config",
     "run_experiment",
     "out_dir_for",
-    "bernoulli_measure",
 ]

@@ -50,11 +50,15 @@ def pattern_count(base: int, length: int) -> int:
 
 
 def decode_patterns(base: int, length: int) -> np.ndarray:
-    """All patterns as a (base^length, length) symbol matrix, index order."""
+    """All patterns as a (base^length, length) uint8 symbol matrix, index order,
+    filled a column at a time: no temporary is the matrix's size in int64."""
     total = pattern_count(base, length)
     idx = np.arange(total, dtype=np.int64)
-    powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // powers[None, :]) % base
+    out = np.empty((total, length), dtype=np.uint8)
+    for col in range(length - 1, -1, -1):
+        out[:, col] = idx % base
+        idx //= base
+    return out
 
 
 def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
@@ -297,9 +301,8 @@ class ProductOracle(MarginalOracle):
         pattern_count(bx * by, m)
         pm = self.mu.marginal_elems(elements)
         pn = self.nu.marginal_elems(elements)
-        combined = decode_patterns(bx * by, m)
-        x_digits = combined // by
-        y_digits = combined % by
+        # by is 256 when bx is 1, and a uint8 array cannot be divided by 256
+        x_digits, y_digits = np.divmod(decode_patterns(bx * by, m), np.uint16(by))
         powx = bx ** np.arange(m - 1, -1, -1, dtype=np.int64)
         powy = by ** np.arange(m - 1, -1, -1, dtype=np.int64)
         return pm[x_digits @ powx] * pn[y_digits @ powy]

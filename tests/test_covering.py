@@ -166,12 +166,21 @@ def test_measure_chain_cov_pack(seed):
     assert c_half >= p_full >= c_full
 
 
-def test_cov_result_reports_method_and_checksum():
-    res = cov_delta(CUBE2, 0.5, method="exact")
-    assert res.method == "exact"
-    assert isinstance(res.checksum, str) and len(res.checksum) > 0
-    again = cov_delta(CUBE2, 0.5, method="exact")
-    assert res.checksum == again.checksum
+def test_cov_result_reports_method():
+    assert cov_delta(CUBE2, 0.5, method="exact").method == "exact"
+    assert cov_delta(CUBE2, 0.5, method="greedy").method == "greedy"
+
+
+@pytest.mark.parametrize("method", ["exatc", "auto"])
+def test_unknown_method_raises(method):
+    nu = ModelMeasure.from_support(CUBE2)
+    for solve in (
+        lambda: cov_delta(CUBE2, 0.5, method=method),
+        lambda: pack_delta(CUBE2, 0.5, method=method),
+        lambda: cov_eps_delta(nu, 0.25, 0.5, method=method),
+    ):
+        with pytest.raises(ValueError, match="method"):
+            solve()
 
 
 def _partial_cover_loop(cover, weights, need):

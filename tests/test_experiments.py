@@ -6,8 +6,10 @@ import pytest
 from soficlab.cli import main
 from soficlab.experiments import (
     REGISTRY,
+    SCHEMA,
     RunContext,
     config_checksum,
+    out_dir_for,
     run_experiment,
     validate_config,
 )
@@ -26,6 +28,7 @@ def _e8_cfg(tmp_path: Path, **over) -> dict:
 
 def test_registry_covers_all_nine():
     assert sorted(REGISTRY) == [f"E{i}" for i in range(1, 10)]
+    assert sorted(REGISTRY) == SCHEMA["properties"]["experiment"]["enum"]
 
 
 def test_config_checksum_stable_and_sensitive():
@@ -66,6 +69,95 @@ def test_validate_config_reports_problems():
 def test_shipped_configs_validate(name):
     cfg = json.loads((CONFIG_DIR / name).read_text())
     assert validate_config(cfg) == []
+
+
+@pytest.mark.parametrize("cfg", [{}, {"experiment": "E42"}, {"experiment": None, "seed": 1}])
+def test_validate_config_one_problem_without_known_experiment(cfg):
+    (problem,) = validate_config(cfg)
+    assert problem.startswith("experiment: ")
+
+
+@pytest.mark.parametrize(
+    "key, bad, path",
+    [("eps", -1, "eps"), ("eps", "0.1", "eps"), ("vertices", [40], "vertices[0]")],
+)
+def test_validate_enforces_schema_bounds_and_types(key, bad, path):
+    cfg = json.loads((CONFIG_DIR / "e3.json").read_text())
+    (problem,) = validate_config({**cfg, key: bad})
+    assert problem.startswith(f"{path}: ")
+
+
+# the keywords validate_config interprets, and the annotations it may ignore
+INTERPRETED = {
+    "type", "required", "properties", "enum", "const", "minimum", "maximum",
+    "exclusiveMinimum", "items", "allOf", "if", "then",
+}
+ANNOTATIONS = {"$schema", "$id", "title", "description"}
+
+
+def _keywords(node: dict):
+    yield from node
+    for sub in [*node.get("properties", {}).values(), *node.get("allOf", ())]:
+        yield from _keywords(sub)
+    for key in ("items", "if", "then"):
+        if key in node:
+            yield from _keywords(node[key])
+
+
+def test_schema_uses_only_interpreted_keywords():
+    assert set(_keywords(SCHEMA)) <= INTERPRETED | ANNOTATIONS
+
+
+WRONG_TYPE = {"integer": [1.5, True, "1"], "number": [True, "0.1"], "array": [{}], "string": [1]}
+
+
+def _violations(schema: dict, value):
+    """(constraint, value) pairs, each breaking one constraint of a schema node."""
+    out = [(f"type {schema['type']}", v) for v in WRONG_TYPE.get(schema.get("type"), [])]
+    if "const" in schema:
+        out.append(("const", schema["const"] + 1))
+    if "enum" in schema:
+        out.append(("enum", "E0"))
+    if "minimum" in schema:
+        out.append(("minimum", schema["minimum"] - 1))
+    if "maximum" in schema:
+        out.append(("maximum", schema["maximum"] + 1))
+    if "exclusiveMinimum" in schema:
+        out.append(("exclusiveMinimum", schema["exclusiveMinimum"]))
+    if "items" in schema and value:
+        out += [(f"items {c}", [bad, *value[1:]]) for c, bad in _violations(schema["items"], value[0])]
+    return out
+
+
+def _broken_configs(cfg: dict):
+    """The config with each constraint of its schema broken once: every field
+    of the root and of its experiment's branch, and every required field."""
+    (branch,) = [b["then"] for b in SCHEMA["allOf"] if b["if"]["properties"]["experiment"]["const"] == cfg["experiment"]]
+    for key, sub in {**SCHEMA["properties"], **branch["properties"]}.items():
+        for constraint, bad in _violations(sub, cfg.get(key)):
+            yield f"{key} {constraint}", key, {**cfg, key: bad}
+    for key in [*SCHEMA["required"], *branch["required"]]:
+        yield f"{key} required", key, {k: v for k, v in cfg.items() if k != key}
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("e*.json")))
+def test_every_schema_violation_is_refused(name, tmp_path, monkeypatch, capsys):
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    cases = list(_broken_configs(cfg))
+    assert {key for _, key, _ in cases} >= set(cfg)
+    for i, (label, key, bad) in enumerate(cases):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", str(path)]) == 1, label
+        assert f"invalid: {key}" in capsys.readouterr().err, label
+        # run refuses it too, writing nothing but its diagnostic
+        cwd = tmp_path / f"run{i}"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["run", str(path)]) == 1, label
+        capsys.readouterr()
+        written = [p.relative_to(cwd) for p in cwd.rglob("*") if p.is_file()]
+        assert written == [out_dir_for(bad) / "diagnostic.json"], label
 
 
 def test_run_experiment_writes_artifacts(tmp_path):

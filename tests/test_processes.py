@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -185,6 +187,14 @@ def test_product_of_bernoullis_is_bernoulli():
     assert tv_distance(pair.marginal_elems(W.elements), joint.marginal_elems(W.elements)) < 1e-12
 
 
+def test_product_with_a_256_letter_factor():
+    # a 1-letter x factor leaves a 256-letter y factor, whose base overflows uint8
+    weights = np.arange(1, 257) / np.arange(1, 257).sum()
+    nu = bernoulli(weights, Z)
+    pair = product_process(bernoulli((1.0,), Z), nu)
+    assert np.array_equal(pair.marginal_elems(((), (1,))), nu.marginal_elems(((), (1,))))
+
+
 def test_product_rejects_mixed_groups():
     with pytest.raises(ValueError):
         product_process(bernoulli((0.5, 0.5), F2), bernoulli((0.5, 0.5), Z))
@@ -193,10 +203,23 @@ def test_product_rejects_mixed_groups():
 def test_pattern_count_and_decode():
     assert pattern_count(2, 3) == 8
     pats = decode_patterns(3, 2)
-    assert pats.shape == (9, 2)
+    assert pats.shape == (9, 2) and pats.dtype == np.uint8
     assert tuple(pats[5]) == (1, 2)
+    assert np.array_equal(decode_patterns(256, 2)[-1], [255, 255])
     with pytest.raises(ValueError):
         pattern_count(2, 64)
+
+
+def test_decode_patterns_memory():
+    # the uint8 matrix and a few int64 index vectors, no int64 matrix
+    total, m = 1 << 17, 17
+    tracemalloc.start()
+    try:
+        pats = decode_patterns(2, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pats.nbytes + 3 * 8 * total
 
 
 def _project(probs, base, m, positions):
