@@ -16,7 +16,7 @@ import numpy as np
 
 from .covering import ModelMeasure, pair_configs
 from .groups import Element, Window
-from .models import _block_counts, _good_mask, _window_codes, adjoint_shift
+from .models import _window_codes, adjoint_shift, counts_over_elements, good_mask
 from .processes import MarginalOracle, pattern_count, product_process, tv_distance
 from .randomness import stream
 from .sofic import SoficMap
@@ -26,14 +26,15 @@ EXACT_SUPPORT_CAP = 100_000
 
 def _atoms_of(nu: ModelMeasure, samples: int, seed: int, label: str) -> Tuple[np.ndarray, np.ndarray, bool]:
     """Explicit (configs, weights, drawn) view of a measure: its support when
-    explicit and small enough, else a seeded block of `samples` draws with
-    equal weights (drawn True), so a defect computed from it is the defect of
-    the empirical measure of those draws. `lw_defect` reads iid measures
-    exactly and never comes here for them."""
+    explicit with at most EXACT_SUPPORT_CAP atoms, else (an iid measure or a
+    larger support) a seeded block of `samples` draws with equal weights
+    (drawn True), so a defect computed from it is the defect of the empirical
+    measure of those draws. `lw_defect` reads iid measures exactly and never
+    comes here for them."""
     if nu.explicit and nu.support.shape[0] <= EXACT_SUPPORT_CAP:
         return nu.support, nu.weights, False
     if samples < 1:
-        raise ValueError("sampler-backed measure needs a positive sample count")
+        raise ValueError("a measure without a small explicit support needs a positive sample count")
     block = nu.sample(stream(seed, label), samples)
     return block, np.full(samples, 1.0 / samples), True
 
@@ -82,9 +83,10 @@ def lw_defect(
     """Fraction of vertices whose local pushforward marginal is >= eps away
     from mu_F in total variation.
 
-    Exact for explicit supports and for iid measures (`ModelMeasure.iid`),
-    which ignore `samples` and `seed`. For any other sampler it is the lw
-    defect of the empirical measure of `samples` seeded draws.
+    Exact for iid measures (`ModelMeasure.iid`), which ignore `samples` and
+    `seed`, and for explicit supports of at most EXACT_SUPPORT_CAP atoms. For
+    a larger support it is the lw defect of the empirical measure of
+    `samples` seeded draws.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -119,13 +121,8 @@ def quenched_defect(
     Carlo otherwise."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    base = mu.alphabet.size
-    target = mu.marginal_elems(window.elements)
-    npat = pattern_count(base, len(window))
-    perms = sigma.window_perms(window)
     configs, weights, drawn = _atoms_of(nu, samples, seed, "q")
-    good = _good_mask(configs, perms, base, npat, target, sigma.n, eps)
-    return _bad_mass(good, None if drawn else weights)
+    return _bad_mass(good_mask(sigma, mu, window, configs, eps), None if drawn else weights)
 
 
 def dq_defect(
@@ -145,17 +142,8 @@ def dq_defect(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    pair = product_process(mu, mu)
-    base = pair.alphabet.size
-    target = pair.marginal_elems(window.elements)
-    npat = pattern_count(base, len(window))
-    perms = sigma.window_perms(window)
     if nu.explicit and nu.support.shape[0] ** 2 <= pair_cap:
-        k = nu.support.shape[0]
-        left = np.repeat(np.arange(k), k)
-        right = np.tile(np.arange(k), k)
-        block = pair_configs(nu.support[left], nu.support[right], mu.alphabet.size)
-        weights = (nu.weights[left] * nu.weights[right])
+        block, weights = nu.pairs(mu.alphabet.size)
     else:
         if samples < 1:
             raise ValueError("need a positive sample count for the pair draw")
@@ -163,8 +151,7 @@ def dq_defect(
         ys = nu.sample(stream(seed, "dq-right"), samples)
         block = pair_configs(xs, ys, mu.alphabet.size)
         weights = None
-    good = _good_mask(block, perms, base, npat, target, sigma.n, eps)
-    return _bad_mass(good, weights)
+    return _bad_mass(good_mask(sigma, product_process(mu, mu), window, block, eps), weights)
 
 
 @dataclass
@@ -211,9 +198,7 @@ def dispersion(
     explicit supports) by single linkage at the given TV threshold."""
     configs, weights, _ = _atoms_of(nu, samples, seed, "dispersion")
     k = configs.shape[0]
-    npat = pattern_count(base, len(window))
-    counts = _block_counts(configs, sigma.window_perms(window), base, npat)
-    marginals = np.concatenate(list(counts)) / float(sigma.n)
+    marginals = counts_over_elements(sigma, configs, window.elements, base) / float(sigma.n)
     # single linkage: connected components of the TV < threshold graph
     parent = list(range(k))
 
@@ -254,18 +239,18 @@ def pair_vertex_stat(
     window: Window,
     eps: float,
     vertex_pairs: int = 256,
-    samples: int = 0,
     seed: int = 0,
 ) -> float:
-    """Fraction of sampled vertex pairs (v, v') whose joint pushforward on
-    F x F is >= eps away from mu_F x mu_F in total variation."""
+    """Fraction of sampled vertex pairs (v, v') whose joint pushforward under
+    an explicit-support nu on F x F is >= eps away from mu_F x mu_F in total
+    variation."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     base = mu.alphabet.size
     mu_f = mu.marginal_elems(window.elements)
     joint_target = np.outer(mu_f, mu_f).ravel()
     npat = mu_f.size
-    configs, weights, _ = _atoms_of(nu, samples, seed, "pair-vertex")
+    configs, weights = nu.require_explicit("pair_vertex_stat")
     codes = _window_codes(configs.T, sigma.window_perms(window), base).astype(np.int64)
     gen = stream(seed, "pair-vertex-choice")
     vs = gen.integers(0, sigma.n, size=vertex_pairs)
@@ -285,7 +270,8 @@ def models_to_measure(configs: Sequence[np.ndarray]) -> ModelMeasure:
     block = np.ascontiguousarray(configs, dtype=np.uint8)
     if block.ndim != 2 or block.shape[0] < 1:
         raise ValueError("need at least one configuration")
-    return ModelMeasure.from_samples(block)
+    uniq, counts = np.unique(block, axis=0, return_counts=True)
+    return ModelMeasure(block.shape[1], support=uniq, weights=counts / counts.sum())
 
 
 def h_average(st: SoficMap, theta: ModelMeasure, elements: Sequence[Element]) -> ModelMeasure:

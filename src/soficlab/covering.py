@@ -1,5 +1,8 @@
-"""Hamming-average metrics and covering/packing numbers.
+"""Hamming-average metrics, measures on model spaces and covering/packing
+numbers.
 
+A measure on X^V (`ModelMeasure`) is explicit atoms or iid site weights; its
+product with itself is read as explicit pair atoms (`ModelMeasure.pairs`).
 Covering uses closed balls (distance <= delta); packing uses strict
 separation (distance > delta). The standard chain inequalities
 cov_{delta/2} >= pack_delta >= cov_delta then hold verbatim at any finite
@@ -17,7 +20,7 @@ distances first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,24 +52,21 @@ class CovResult:
 
 
 class ModelMeasure:
-    """A measure on X^V: explicit atoms with weights, or a seeded sampler.
-
-    A sampler-backed iid product measure (see `iid`) also keeps its site
-    weights, so that its per-vertex laws can be computed without sampling.
-    """
+    """A measure on X^V: explicit atoms with weights, or the iid product of
+    site weights (see `iid`), whose per-vertex laws are computed without
+    sampling."""
 
     def __init__(
         self,
         vertices: int,
         support: Optional[np.ndarray] = None,
         weights: Optional[np.ndarray] = None,
-        sampler: Optional[Callable[[np.random.Generator, int], np.ndarray]] = None,
+        site_weights: Optional[Sequence[float]] = None,
     ):
-        if (support is None) == (sampler is None):
-            raise ValueError("exactly one of support and sampler is required")
+        if (support is None) == (site_weights is None):
+            raise ValueError("exactly one of support and site_weights is required")
         self.vertices = vertices
-        self.sampler = sampler
-        self.site_weights: Optional[np.ndarray] = None
+        self.site_weights = None if site_weights is None else np.asarray(site_weights, dtype=np.float64)
         if support is not None:
             sup = np.ascontiguousarray(support, dtype=np.uint8)
             if sup.ndim != 2 or sup.shape[1] != vertices:
@@ -96,32 +96,30 @@ class ModelMeasure:
         return ModelMeasure(sup.shape[1], support=sup, weights=weights)
 
     @staticmethod
-    def from_samples(samples) -> "ModelMeasure":
-        """Empirical measure of a sample list; duplicate rows merge."""
-        arr = np.ascontiguousarray(samples, dtype=np.uint8)
-        uniq, counts = np.unique(arr, axis=0, return_counts=True)
-        return ModelMeasure(arr.shape[1], support=uniq, weights=counts / counts.sum())
-
-    @staticmethod
     def iid(vertices: int, site_weights: Sequence[float]) -> "ModelMeasure":
         """The product measure with the same site law at every vertex, drawn
         by inverse CDF."""
-        w = np.asarray(site_weights, dtype=np.float64)
-        nu = ModelMeasure(vertices, sampler=lambda gen, count: categorical(gen, w, (count, vertices)))
-        nu.site_weights = w
-        return nu
+        return ModelMeasure(vertices, site_weights=site_weights)
 
     def require_explicit(self, op: str) -> Tuple[np.ndarray, np.ndarray]:
         if self.support is None or self.weights is None:
-            raise ValueError(f"{op} needs an explicit-support measure, got a sampler")
+            raise ValueError(f"{op} needs an explicit-support measure, got an iid one")
         return self.support, self.weights
 
+    def pairs(self, base_y: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Atoms and weights of nu x nu on the pair alphabet, ordered pair
+        (i, j) at row i * k + j. Returned as arrays, not as a measure: pairs
+        of distinct atoms are distinct, and checking it again costs a sort of
+        k^2 rows."""
+        support, weights = self.require_explicit("pairs")
+        k = support.shape[0]
+        left = np.repeat(np.arange(k), k)
+        right = np.tile(np.arange(k), k)
+        return pair_configs(support[left], support[right], base_y), weights[left] * weights[right]
+
     def sample(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        if self.sampler is not None:
-            out = np.ascontiguousarray(self.sampler(gen, count), dtype=np.uint8)
-            if out.shape != (count, self.vertices):
-                raise ValueError("sampler returned a wrong-shape block")
-            return out
+        if self.site_weights is not None:
+            return categorical(gen, self.site_weights, (count, self.vertices))
         return self.support[categorical(gen, self.weights, count)]
 
 

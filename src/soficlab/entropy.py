@@ -8,13 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from .models import letter_frequency_count
 from .processes import MarginalOracle
-from .sofic import SoficMap
 
 
 def shannon_entropy(weights: Sequence[float]) -> float:
@@ -45,20 +44,14 @@ class EntropyCurve:
         self.rows.append(row)
 
 
-def entropy_curve(
-    approx_family: Callable[[int], SoficMap],
-    mu: MarginalOracle,
-    eps: float,
-    sizes: Sequence[int],
-) -> EntropyCurve:
-    """Normalized log |Omega({e}, eps, sigma_n)| for each n, counted exactly
-    by letter type from mu's one-letter marginal."""
+def entropy_curve(mu: MarginalOracle, eps: float, sizes: Sequence[int]) -> EntropyCurve:
+    """Normalized log |Omega({e}, eps, sigma)| over n vertices for each n,
+    counted exactly by letter type from mu's one-letter marginal: at F = {e}
+    the count is the same for every sofic map on n vertices."""
     curve = EntropyCurve(mu.alphabet.size)
     for n in sizes:
-        sigma = approx_family(n)
-        got = letter_frequency_count(mu.one_dim(), sigma.n, eps)
-        value = got.log_count_nats / sigma.n if math.isfinite(got.log_count_nats) else float("-inf")
-        curve.append(EntropyRow(n, sigma.n, got.log_count_nats, value))
+        got = letter_frequency_count(mu.one_dim(), n, eps)
+        curve.append(EntropyRow(n, n, got.log_count_nats, got.log_count_nats / n))
     return curve
 
 

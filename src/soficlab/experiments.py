@@ -152,7 +152,7 @@ def run_e1(cfg: dict, ctx: RunContext) -> ExperimentResult:
     for weights in cfg["weight_sets"]:
         mu = bernoulli(weights, group)
         target = shannon_entropy(weights)
-        curve = entropy_curve(lambda n: quotient_map(group, n), mu, eps, sizes)
+        curve = entropy_curve(mu, eps, sizes)
         label = "/".join(repr(float(w)) for w in weights)
         for row in curve.rows:
             err = abs(row.value - target)
@@ -293,13 +293,8 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
         violations = 0
         if got.count:
             ny = nu.alphabet.size
-            xs = got.configs // ny
-            ys = got.configs % ny
-            perms = sigma.window_perms(window)
-            npx = mu.alphabet.size ** len(window)
-            npy = ny ** len(window)
-            gx = mod._good_mask(xs, perms, mu.alphabet.size, npx, mu.marginal_elems(window.elements), vertices, 2 * eps)
-            gy = mod._good_mask(ys, perms, ny, npy, nu.marginal_elems(window.elements), vertices, 2 * eps)
+            gx = mod.good_mask(sigma, mu, window, got.configs // ny, 2 * eps)
+            gy = mod.good_mask(sigma, nu, window, got.configs % ny, 2 * eps)
             violations = int((~gx | ~gy).sum())
         subadd = got.count <= count_x * count_y
         ok = violations == 0 and subadd
@@ -426,15 +421,10 @@ def run_e6(cfg: dict, ctx: RunContext) -> ExperimentResult:
         # so a pair search over the 2 eps enumeration certifies emptiness)
         got = mod.enumerate_good_models(sigma, nu, window, max(eps, cert_eps), budget=ctx.budget)
         # the calibrated set is the part of the search set that is eps-good
-        base = nu.alphabet.size
-        star = int(
-            mod._good_mask(
-                got.configs, sigma.window_perms(window), base, base ** len(window),
-                nu.marginal_elems(window.elements), sigma.n, eps,
-            ).sum()
-        )
+        star = int(mod.good_mask(sigma, nu, window, got.configs, eps).sum())
         pair = product_process(nu, nu)
-        target_e = pair.marginal_elems((sigma.group.identity(),))
+        ident = (sigma.group.identity(),)
+        target_e = pair.marginal_elems(ident)
         n = sigma.n
         configs = got.configs
         k = configs.shape[0]
@@ -443,7 +433,7 @@ def run_e6(cfg: dict, ctx: RunContext) -> ExperimentResult:
         min_tv = 1.0
         for a in range(k):
             pairs = pair_configs(configs[a][None, :], configs, 2)  # (k, n) pair symbols vs atom a
-            freqs = np.concatenate(list(mod._block_counts(pairs, np.arange(n)[None, :], 4, 4))) / n
+            freqs = mod.counts_over_elements(sigma, pairs, ident, 4) / n
             tvs = 0.5 * np.abs(freqs - target_e[None, :]).sum(axis=1)
             pair_good += int((tvs < pair_eps).sum())
             max_f10 = max(max_f10, float(freqs[:, 2].max()))
@@ -513,14 +503,8 @@ def run_e8(cfg: dict, ctx: RunContext) -> ExperimentResult:
         # pair-measure dispersion over the two-element window {e, a}
         ea = Window(group, [group.identity(), (1,)])
         pair = product_process(mu, mu)
-        k = nu.support.shape[0]
-        li = np.repeat(np.arange(k), k)
-        ri = np.tile(np.arange(k), k)
-        pair_support = pair_configs(nu.support[li], nu.support[ri], 2)
-        pair_weights = nu.weights[li] * nu.weights[ri]
-        pair_nu = ModelMeasure(vertices, support=pair_support, weights=pair_weights)
         disp = dispersion(
-            sigma, pair_nu, ea, 4, threshold=cfg["cluster_threshold"],
+            sigma, ModelMeasure.from_support(*nu.pairs(2)), ea, 4, threshold=cfg["cluster_threshold"],
             target=pair.marginal_elems(ea.elements),
         )
         stat = pair_vertex_stat(
@@ -731,6 +715,8 @@ def run_experiment(cfg: dict, ctx: RunContext) -> int:
         **result.summary,
     }
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=2, default=float) + "\n")
+    # a refusal of an earlier run left its diagnostic here; this run supersedes it
+    (out / "diagnostic.json").unlink(missing_ok=True)
     return 0 if result.passed else 2
 
 

@@ -69,13 +69,16 @@ class EmpiricalDistribution:
 def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: int) -> np.ndarray:
     """Pattern counts of ((x at sigma^g(v)) for g in elements) over all v.
 
-    The element tuple need not contain the identity; this is the workhorse
-    behind empirical distributions.
+    `x` is one configuration (|V|,), giving (npat,) counts, or a (rows, |V|)
+    block, giving one row of counts per configuration. The element tuple need
+    not contain the identity; this is the workhorse behind empirical
+    distributions.
     """
-    total = pattern_count(base, len(elements))
-    vals = np.ascontiguousarray(x, dtype=np.uint8)
-    codes = _window_codes(vals, [sigma.perm_of(g) for g in elements], base)
-    return np.bincount(codes, minlength=total)
+    vals = np.asarray(x)
+    npat = pattern_count(base, len(elements))
+    perms = np.stack([sigma.perm_of(g) for g in elements])
+    counts = np.concatenate(list(_block_counts(vals.reshape(-1, sigma.n), perms, base, npat)))
+    return counts.reshape(vals.shape[:-1] + (npat,))
 
 
 def empirical_distribution(sigma: SoficMap, x, window: Window, alphabet: Alphabet) -> EmpiricalDistribution:
@@ -83,11 +86,21 @@ def empirical_distribution(sigma: SoficMap, x, window: Window, alphabet: Alphabe
     return EmpiricalDistribution(counts, sigma.n)
 
 
-def is_good_model(sigma: SoficMap, x, mu: MarginalOracle, window: Window, eps: float) -> bool:
+def good_mask(sigma: SoficMap, mu: MarginalOracle, window: Window, configs, eps: float) -> np.ndarray:
+    """Membership of each row of a (rows, |V|) configuration block in
+    Omega(F, eps, sigma): the strict test TV < eps of its empirical
+    F-marginal against mu_F, made by the kernel of the exact enumeration."""
     if eps <= 0:
         raise ValueError("eps must be positive")
-    emp = empirical_distribution(sigma, x, window, mu.alphabet)
-    return emp.tv_to(mu.marginal_elems(window.elements)) < eps
+    base = mu.alphabet.size
+    return _good_mask(
+        np.asarray(configs), sigma.window_perms(window), base, pattern_count(base, len(window)),
+        mu.marginal_elems(window.elements), sigma.n, eps,
+    )
+
+
+def is_good_model(sigma: SoficMap, x, mu: MarginalOracle, window: Window, eps: float) -> bool:
+    return bool(good_mask(sigma, mu, window, np.asarray(x)[None, :], eps)[0])
 
 
 def _exp_nats_to_int(log_value: float) -> int:
@@ -387,6 +400,7 @@ __all__ = [
     "BudgetExceededError",
     "counts_over_elements",
     "empirical_distribution",
+    "good_mask",
     "is_good_model",
     "enumerate_good_models",
     "count_good_models_mc",

@@ -14,7 +14,7 @@ from soficlab.convergence import (
     pair_vertex_stat,
     quenched_defect,
 )
-from soficlab.covering import ModelMeasure, pair_configs
+from soficlab.covering import ModelMeasure
 from soficlab.groups import GroupSpec, Window
 from soficlab.processes import bernoulli, periodic_orbit, product_process
 from soficlab.sofic import product, quotient_map, random_uniform
@@ -48,13 +48,7 @@ def test_orbit_dispersion_two_clusters():
     nu = _orbit_measure(vertices)
     ea = Window(Z, ((), (1,)))
     pair = product_process(mu, mu)
-    li = np.repeat(np.arange(2), 2)
-    ri = np.tile(np.arange(2), 2)
-    pair_nu = ModelMeasure(
-        vertices,
-        support=pair_configs(nu.support[li], nu.support[ri], 2),
-        weights=nu.weights[li] * nu.weights[ri],
-    )
+    pair_nu = ModelMeasure.from_support(*nu.pairs(2))
     target = pair.marginal_elems(ea.elements)
     disp = dispersion(sigma, pair_nu, ea, 4, target=target)
     assert disp.cluster_count == 2
@@ -125,7 +119,7 @@ def test_quenched_monotone_in_eps(seed):
     vertices = 10
     sigma = quotient_map(Z, vertices)
     mu = bernoulli((0.5, 0.5), Z)
-    nu = ModelMeasure.from_samples(gen.integers(0, 2, size=(6, vertices)).astype(np.uint8))
+    nu = models_to_measure(gen.integers(0, 2, size=(6, vertices)).astype(np.uint8))
     W = Window(Z, [()])
     qs = [quenched_defect(sigma, nu, mu, W, eps) for eps in (0.1, 0.2, 0.4)]
     assert qs[0] >= qs[1] >= qs[2]
@@ -139,7 +133,7 @@ def test_dq_dominates_squared_quenched(seed):
     vertices = 8
     sigma = random_uniform(GroupSpec.free(2), vertices, seed)
     mu = bernoulli((0.5, 0.5), GroupSpec.free(2))
-    nu = ModelMeasure.from_samples(gen.integers(0, 2, size=(5, vertices)).astype(np.uint8))
+    nu = models_to_measure(gen.integers(0, 2, size=(5, vertices)).astype(np.uint8))
     W = Window(GroupSpec.free(2), [GroupSpec.free(2).identity()])
     eps = 0.15
     dq = dq_defect(sigma, nu, mu, W, eps)
@@ -154,7 +148,7 @@ def test_barycentre_tv_bounded_by_lw(seed, eps):
     vertices = 12
     sigma = quotient_map(Z, vertices)
     mu = bernoulli((0.6, 0.4), Z)
-    nu = ModelMeasure.from_samples(gen.integers(0, 2, size=(7, vertices)).astype(np.uint8))
+    nu = models_to_measure(gen.integers(0, 2, size=(7, vertices)).astype(np.uint8))
     W = Window(Z, [()])
     target = mu.marginal_elems(W.elements)
     disp = dispersion(sigma, nu, W, 2, target=target)

@@ -105,12 +105,6 @@ def test_model_measure_sample_matches_searchsorted(raw, seed):
     np.testing.assert_array_equal(nu.sample(stream(seed, "sample"), 300), expect)
 
 
-def test_model_measure_from_samples_merges():
-    nu = ModelMeasure.from_samples([[0, 1], [0, 1], [1, 1], [0, 1]])
-    assert nu.support.shape == (2, 2)
-    np.testing.assert_allclose(sorted(nu.weights), [0.25, 0.75])
-
-
 def test_model_measure_sampling_matches_weights():
     three = np.array([[0], [1], [2]], dtype=np.uint8)
     nu = ModelMeasure.from_support(three, (0.5, 0.3, 0.2))
@@ -118,6 +112,15 @@ def test_model_measure_sampling_matches_weights():
     draws = nu.sample(gen, 6000)
     freq = np.bincount(draws[:, 0], minlength=3) / 6000.0
     np.testing.assert_allclose(freq, (0.5, 0.3, 0.2), atol=0.03)
+
+
+def test_model_measure_pairs_row_major():
+    nu = ModelMeasure.from_support([[0, 1], [1, 1]], (0.25, 0.75))
+    support, weights = nu.pairs(2)
+    np.testing.assert_array_equal(support, [[0, 3], [1, 3], [2, 3], [3, 3]])
+    np.testing.assert_allclose(weights, [0.0625, 0.1875, 0.1875, 0.5625])
+    with pytest.raises(ValueError):
+        ModelMeasure.iid(2, (0.5, 0.5)).pairs(2)
 
 
 def test_pair_configs_row_major():

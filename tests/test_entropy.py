@@ -35,7 +35,7 @@ def test_curve_append_rejects_overflow():
 def test_letter_exact_matches_definition():
     mu = bernoulli((0.75, 0.25), Z)
     sizes = [4, 8, 12]
-    curve = entropy_curve(lambda n: quotient_map(Z, n), mu, 0.2, sizes)
+    curve = entropy_curve(mu, 0.2, sizes)
     for row, n in zip(curve.rows, sizes):
         count = letter_frequency_count((0.75, 0.25), n, 0.2).count
         assert row.log_count == pytest.approx(math.log(count))
@@ -44,11 +44,10 @@ def test_letter_exact_matches_definition():
 
 def test_monotone_in_eps_and_window():
     mu = bernoulli((0.5, 0.5), Z)
-    fam = lambda n: quotient_map(Z, n)
-    tight = entropy_curve(fam, mu, 0.1, [8]).rows[0].log_count
-    loose = entropy_curve(fam, mu, 0.4, [8]).rows[0].log_count
+    tight = entropy_curve(mu, 0.1, [8]).rows[0].log_count
+    loose = entropy_curve(mu, 0.4, [8]).rows[0].log_count
     assert tight <= loose
-    sigma = fam(8)
+    sigma = quotient_map(Z, 8)
     big_window = enumerate_good_models(sigma, mu, Window(Z, Z.ball(1)), 0.2).log_count_nats
     small_window = enumerate_good_models(sigma, mu, Window(Z, Z.ball(0)), 0.2).log_count_nats
     assert big_window <= small_window
@@ -59,7 +58,7 @@ def test_minus_infinity_sentinel():
     mu = bernoulli((0.5, 0.5), Z)
     # n = 1 forces empirical TV 1/2 at the identity window; eps below that
     # leaves no good model at all
-    curve = entropy_curve(lambda n: quotient_map(Z, n), mu, 0.25, [1])
+    curve = entropy_curve(mu, 0.25, [1])
     row = curve.rows[0]
     assert row.log_count == float("-inf")
     assert row.value == float("-inf")

@@ -268,6 +268,31 @@ def test_cli_budget_refusal_writes_diagnostic(tmp_path, capsys):
     assert diag["experiment"] == "E5"
 
 
+def _assert_same_as_results(out: Path, exp: str, extra=()) -> None:
+    golden = RESULTS_DIR / exp
+    names = sorted(f.name for f in golden.iterdir())
+    assert sorted(f.name for f in out.iterdir()) == sorted([*names, *extra])
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), f"{exp}/{name} differs from results/"
+
+
+def test_cli_run_removes_stale_diagnostic(tmp_path, capsys):
+    out = tmp_path / "e8"
+    out.mkdir()
+    (out / "diagnostic.json").write_text('{"error": "from an earlier refused run"}\n')
+    assert main(["run", str(CONFIG_DIR / "e8.json"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    _assert_same_as_results(out, "e8")
+
+
+def test_cli_run_plot(tmp_path, capsys):
+    out = tmp_path / "e1"
+    assert main(["run", str(CONFIG_DIR / "e1.json"), "--plot", "--out", str(out)]) == 0
+    capsys.readouterr()
+    _assert_same_as_results(out, "e1", extra=["e1_entropy.svg"])
+    assert (out / "e1_entropy.svg").read_text().startswith("<svg")
+
+
 def test_cli_report_table(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_e8_cfg(tmp_path, out_dir=str(tmp_path / "res" / "e8"))))
@@ -286,6 +311,4 @@ def test_config_regenerates_results(exp, tmp_path):
     code = main(["run", str(CONFIG_DIR / f"{exp}.json"), "--out", str(out)])
     passed = json.loads((golden / "summary.json").read_text())["passed"]
     assert code == (0 if passed else 2)
-    assert sorted(f.name for f in out.iterdir()) == sorted(f.name for f in golden.iterdir())
-    for f in golden.iterdir():
-        assert (out / f.name).read_bytes() == f.read_bytes(), f"{exp}/{f.name} differs from results/"
+    _assert_same_as_results(out, exp)

@@ -46,6 +46,11 @@ def test_empirical_distribution_alternating_pair():
     emp = empirical_distribution(sigma, [0, 1, 0, 1], Window(Z, ((), (1,))), BITS)
     # every vertex sees either 01 or 10
     np.testing.assert_allclose(emp.probs, [0.0, 0.5, 0.5, 0.0])
+    # a block gives one row of counts per configuration
+    block = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.uint8)
+    rows = counts_over_elements(sigma, block, ((), (1,)), 2)
+    np.testing.assert_array_equal(rows, [counts_over_elements(sigma, x, ((), (1,)), 2) for x in block])
+    np.testing.assert_array_equal(rows[0], emp.counts)
 
 
 def test_is_good_model():
@@ -156,7 +161,8 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
     if scale != 1.0:
         mu = _ScaledOracle(mu, scale)
     # ties: the float TV of drawn configurations, and the next float above it
-    tvs = [_float_tv(sigma, mu, window, gen.integers(0, base, size=n)) for _ in range(3)]
+    drawn = [gen.integers(0, base, size=n) for _ in range(3)]
+    tvs = [_float_tv(sigma, mu, window, x) for x in drawn]
     for eps in sorted({*tvs, *(np.nextafter(t, 2.0) for t in tvs), 0.35}):
         if eps <= 0:
             continue
@@ -166,6 +172,9 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
         assert got.configs.dtype == np.uint8
         np.testing.assert_array_equal(got.configs, expect)
         assert enumerate_good_models(sigma, mu, window, eps, keep_configs=False).count == expect.shape[0]
+        members = {tuple(row) for row in expect.tolist()}
+        for x in drawn:
+            assert is_good_model(sigma, x, mu, window, eps) == (tuple(x.tolist()) in members)
 
 
 def _good_mask_int64(block, perms, base, npat, target, n, eps):

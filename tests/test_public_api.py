@@ -149,3 +149,48 @@ def test_every_public_method_is_reached():
         if (m, n, meth.name) not in methods
     ]
     assert not unreached, f"public methods no experiment, CLI path or acceptance criterion runs: {unreached}"
+
+
+KERNEL = {"_good_mask", "_block_counts"}
+
+
+def _names(tree: ast.AST) -> Set[str]:
+    """Every identifier a module mentions: names, attributes and imports."""
+    out: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_good_model_kernel_stays_in_models():
+    """Other modules decide TV < eps through `models.good_mask` and count
+    patterns through `models.counts_over_elements`, not the kernel."""
+    named = {
+        p.stem: sorted(_names(ast.parse(p.read_text())) & KERNEL)
+        for p in PACKAGE.glob("*.py")
+        if p.stem != "models"
+    }
+    assert not {m: n for m, n in named.items() if n}, named
+
+
+def test_experiments_use_no_private_names_of_other_modules():
+    tree = ast.parse((PACKAGE / "experiments.py").read_text())
+    _, _, modules, _ = _module_tables("experiments")
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ] + [
+        f"{modules[node.value.id]}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id in modules and node.attr.startswith("_")
+    ]
+    assert not private, private
