@@ -51,6 +51,17 @@ class CovResult:
     method: str  # "exact" | "greedy"
 
 
+def _law(values, size: Optional[int], what: str) -> np.ndarray:
+    """A probability vector: 1-D (of the given size), nonnegative, summing to 1
+    within 1e-12; the rule for atom weights and for iid site weights."""
+    w = np.asarray(values, dtype=np.float64)
+    shaped = w.ndim == 1 and (size is None or w.size == size)
+    if not shaped or not np.all(w >= 0) or abs(float(w.sum()) - 1.0) > 1e-12:
+        length = "" if size is None else f" of length {size}"
+        raise ValueError(f"{what} must be a nonnegative vector{length} summing to 1")
+    return w
+
+
 class ModelMeasure:
     """A measure on X^V: explicit atoms with weights, or the iid product of
     site weights (see `iid`), whose per-vertex laws are computed without
@@ -66,20 +77,14 @@ class ModelMeasure:
         if (support is None) == (site_weights is None):
             raise ValueError("exactly one of support and site_weights is required")
         self.vertices = vertices
-        self.site_weights = None if site_weights is None else np.asarray(site_weights, dtype=np.float64)
+        self.site_weights = None if site_weights is None else _law(site_weights, None, "site weights")
         if support is not None:
             sup = np.ascontiguousarray(support, dtype=np.uint8)
             if sup.ndim != 2 or sup.shape[1] != vertices:
                 raise ValueError("support must be a (k, |V|) array")
             if np.unique(sup, axis=0).shape[0] != sup.shape[0]:
                 raise ValueError("support entries must be distinct")
-            w = (
-                np.full(sup.shape[0], 1.0 / sup.shape[0])
-                if weights is None
-                else np.asarray(weights, dtype=np.float64)
-            )
-            if w.shape != (sup.shape[0],) or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-                raise ValueError("weights must be nonnegative and sum to 1")
+            w = np.full(sup.shape[0], 1.0 / sup.shape[0]) if weights is None else _law(weights, sup.shape[0], "weights")
             self.support: Optional[np.ndarray] = sup
             self.weights: Optional[np.ndarray] = w
         else:

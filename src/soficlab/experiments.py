@@ -39,7 +39,7 @@ from .processes import (
     product_process,
     tree_markov,
 )
-from .randomness import derive_seed, stream
+from .randomness import categorical, derive_seed, stream
 from .sofic import (
     partitioned_random,
     product as product_map,
@@ -318,7 +318,7 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
     final: Dict[str, float] = {}
     for n in cfg["sizes"]:
         sigma = random_uniform(group, n, derive_seed(seed, "sigma", n))
-        nu = ModelMeasure.iid(n, cfg["weights"])
+        nu = ModelMeasure.iid(n, mu.weights)
         for radius in (0, 1):
             window = Window(group, group.ball(radius))
             lw = lw_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "lw", n, radius))
@@ -343,7 +343,7 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
     stab_ok = True
     for s in cfg["stability_seeds"]:
         sigma = random_uniform(group, n, derive_seed(s, "sigma", n))
-        nu = ModelMeasure.iid(n, cfg["weights"])
+        nu = ModelMeasure.iid(n, mu.weights)
         w1 = Window(group, group.ball(1))
         w0 = Window(group, [group.identity()])
         q1 = quenched_defect(sigma, nu, mu, w1, eps, samples, derive_seed(s, "q", n, 1))
@@ -532,11 +532,6 @@ def run_e8(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # -- E9: models-to-measure and H-averaging pipeline -----------------------------------
 
 
-def _sample_bits(seed: int, label: str, k: int, vertices: int) -> np.ndarray:
-    gen = stream(seed, label)
-    return (gen.random((k, vertices)) < 0.5).astype(np.uint8)
-
-
 def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
     seed = cfg["seed"]
     group = GroupSpec.free(2)
@@ -548,7 +543,9 @@ def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
     n = cfg["vertices"]
     sigma = random_uniform(group, n, derive_seed(seed, "e9-sigma"))
     nu = ModelMeasure.iid(n, [0.5, 0.5])
-    samples = _sample_bits(seed, "e9-samples", cfg["k"], n)
+    # ^ 1: these fair bits are 1 where the uniform draw is below 1/2, where
+    # categorical gives 0; flipping keeps the law and the committed bytes
+    samples = categorical(stream(seed, "e9-samples"), [0.5, 0.5], (cfg["k"], n)) ^ 1
     rho = models_to_measure(samples)
     ball1 = Window(group, group.ball(1))
     ident = Window(group, [group.identity()])
@@ -567,7 +564,7 @@ def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
     sig_g = random_uniform(group, cfg["product_v"], derive_seed(seed, "e9-left"))
     tau = quotient_map(h_spec, cfg["product_w"])
     st = product_map(sig_g, tau)
-    theta_samples = _sample_bits(seed, "e9-theta", cfg["k"], st.n)
+    theta_samples = categorical(stream(seed, "e9-theta"), [0.5, 0.5], (cfg["k"], st.n)) ^ 1
     theta = models_to_measure(theta_samples)
     elems = [h_spec.identity()]
     for _ in range(cfg["averaging_window"] - 1):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .groups import Element, Window
 from .processes import Alphabet, MarginalOracle, pattern_count, tv_distance
-from .randomness import categorical, stream
+from .randomness import _map, categorical, stream
 from .sofic import SoficMap
 
 ENUM_BUDGET = 1 << 26
@@ -77,7 +77,8 @@ def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: 
     vals = np.asarray(x)
     npat = pattern_count(base, len(elements))
     perms = np.stack([sigma.perm_of(g) for g in elements])
-    counts = np.concatenate(list(_block_counts(vals.reshape(-1, sigma.n), perms, base, npat)))
+    slices = _sub_slices(vals.reshape(-1, sigma.n), npat)
+    counts = np.concatenate(_map(lambda rows: _block_counts(rows, perms, base, npat), slices))
     return counts.reshape(vals.shape[:-1] + (npat,))
 
 
@@ -139,19 +140,23 @@ def _window_codes(vals: np.ndarray, perms, base: int) -> np.ndarray:
     return codes
 
 
-def _block_counts(block: np.ndarray, perms: np.ndarray, base: int, npat: int) -> Iterator[np.ndarray]:
-    """Pattern counts of the rows of a (rows, |V|) letter block, one
-    C-contiguous (b, npat) int64 array per sub-slice of KERNEL_CELLS cells,
-    which keeps the code and histogram arrays in cache. Each sub-slice is
-    transposed to vertex-major in the code dtype, coded by `_window_codes` and
-    histogrammed by one bincount with a row offset of npat; any integer letter
-    dtype is accepted."""
-    n = block.shape[1]
-    step = max(1, KERNEL_CELLS // max(npat, n))
-    for lo in range(0, block.shape[0], step):
-        sub = np.ascontiguousarray(block[lo : lo + step].T, dtype=np.min_scalar_type(npat - 1))
-        codes = _window_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
-        yield np.bincount(codes.ravel(), minlength=sub.shape[1] * npat).reshape(-1, npat)
+def _sub_slices(block: np.ndarray, npat: int) -> List[np.ndarray]:
+    """The rows of a (rows, |V|) block in sub-slices of KERNEL_CELLS cells,
+    which keep the code and histogram arrays of `_block_counts` in cache."""
+    step = max(1, KERNEL_CELLS // max(npat, block.shape[1]))
+    return [block[lo : lo + step] for lo in range(0, block.shape[0], step)]
+
+
+def _block_counts(rows: np.ndarray, perms: np.ndarray, base: int, npat: int) -> np.ndarray:
+    """Pattern counts of the rows of a (rows, |V|) letter block as one
+    C-contiguous (rows, npat) int64 array. The rows are transposed to
+    vertex-major in the code dtype, coded by `_window_codes` and histogrammed
+    by one bincount with a row offset of npat; any integer letter dtype is
+    accepted. Callers pass one `_sub_slices` piece at a time and map the
+    pieces over the worker pool of `randomness`."""
+    sub = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(npat - 1))
+    codes = _window_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
+    return np.bincount(codes.ravel(), minlength=sub.shape[1] * npat).reshape(-1, npat)
 
 
 def _good_mask(
@@ -166,11 +171,14 @@ def _good_mask(
     """Strict TV test per row. TV is `0.5 * |counts / n - target|` summed
     along each row of the C-contiguous counts, the expression and summation
     order of every exact decision in this package, so the decisions at float
-    ties (the E5/E6 epsilons) do not depend on the code layout or dtype."""
-    good = [
-        0.5 * np.abs(counts / float(n) - target[None, :]).sum(axis=1) < eps
-        for counts in _block_counts(block, perms, base, npat)
-    ]
+    ties (the E5/E6 epsilons) do not depend on the code layout, the dtype or
+    the sub-slice a row falls in."""
+
+    def decide(rows: np.ndarray) -> np.ndarray:
+        counts = _block_counts(rows, perms, base, npat)
+        return 0.5 * np.abs(counts / float(n) - target[None, :]).sum(axis=1) < eps
+
+    good = _map(decide, _sub_slices(block, npat))
     return np.concatenate(good) if good else np.zeros(0, dtype=bool)
 
 

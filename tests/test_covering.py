@@ -85,6 +85,16 @@ def test_model_measure_validation():
         ModelMeasure.from_support(CUBE2, (0.7, 0.2, 0.2, -0.1))
 
 
+def test_iid_site_weights_follow_the_atom_weight_rule():
+    """Site weights that explicit weights would refuse are refused: the
+    sampler and the exact lw path must read one law."""
+    for bad in ([0.7, 0.7], [1.2, -0.2], [[0.5, 0.5]]):
+        with pytest.raises(ValueError, match="site weights"):
+            ModelMeasure.iid(4, bad)
+    tenths = ModelMeasure.iid(4, np.full(10, 0.1))  # sums to 1 - 2^-53
+    assert tenths.site_weights.shape == (10,)
+
+
 @given(
     st.integers(1, 600)
     .flatmap(lambda k: st.lists(st.sampled_from([0.0, 0.0, 0.25, 1.0, 3.0]), min_size=k, max_size=k))

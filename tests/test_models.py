@@ -1,11 +1,13 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab.groups import GroupSpec, Window
+from soficlab.groups import GroupSpec, Window, coind_group
 from soficlab.models import (
     KERNEL_CELLS,
     MC_CHUNK,
@@ -15,13 +17,14 @@ from soficlab.models import (
     counts_over_elements,
     empirical_distribution,
     enumerate_good_models,
+    good_mask,
     is_good_model,
     letter_frequency_count,
     _good_mask,
     _window_codes,
 )
-from soficlab.processes import Alphabet, bernoulli, product_process, tree_markov
-from soficlab.sofic import product, quotient_map, random_uniform
+from soficlab.processes import Alphabet, bernoulli, coset_iid, product_process, tree_markov
+from soficlab.sofic import partitioned_random, product, quotient_map, random_uniform
 
 Z = GroupSpec.integers()
 F2 = GroupSpec.free(2)
@@ -228,6 +231,32 @@ def test_kernel_matches_int64_row_major(m, base, n, extra, uniform, seed):
         for dtype in (np.uint8, np.int64):
             got = _good_mask(block.astype(dtype), perms, base, npat, target, n, eps)
             np.testing.assert_array_equal(got, expect)
+
+
+@pytest.mark.parametrize("index", [0, 2])
+def test_good_mask_over_sub_slices_matches_is_good_model(index):
+    """A block several kernel sub-slices tall, whose rows include the E5/E6
+    tie rows (TV exactly eps) at sub-slice boundaries, gets the decision of
+    testing each row alone."""
+    cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "e5.json").read_text())
+    seed, eps = cfg["seeds"][index], cfg["epsilons"][index]
+    group = coind_group()
+    sigma = partitioned_random(cfg["n"], seed)
+    mu = coset_iid(cfg["mu0"], group)
+    window = Window(group, group.ball(cfg["radius"]))
+    good = enumerate_good_models(sigma, mu, window, eps).configs
+    above = enumerate_good_models(sigma, mu, window, float(np.nextafter(eps, 2.0))).configs
+    ties = np.array([row for row in above.tolist() if row not in good.tolist()], dtype=np.uint8)
+    assert ties.shape[0] >= 1 and good.shape[0] >= 1
+    step = KERNEL_CELLS // max(mu.alphabet.size ** len(window), sigma.n)
+    block = np.random.default_rng(seed).integers(0, mu.alphabet.size, size=(3 * step + 7, sigma.n), dtype=np.uint8)
+    edges = [0, step - 1, step, 2 * step - 1, 2 * step, 3 * step + 6]
+    block[edges] = ties[np.arange(len(edges)) % ties.shape[0]]
+    block[[1, step + 1, 3 * step]] = good[np.arange(3) % good.shape[0]]
+    got = good_mask(sigma, mu, window, block, eps)
+    assert got.tolist() == [is_good_model(sigma, row, mu, window, eps) for row in block]
+    assert not got[edges].any() and got[[1, step + 1, 3 * step]].all()
+    assert good_mask(sigma, mu, window, block[edges], float(np.nextafter(eps, 2.0))).all()
 
 
 def test_letter_frequency_matches_enumeration():

@@ -1,8 +1,12 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficlab import randomness
 from soficlab.randomness import (
     categorical,
     derive_seed,
@@ -110,3 +114,81 @@ def test_categorical_searches_more_than_256_weights():
     got = categorical(stream(4, "cat-cap"), w, 5000)
     np.testing.assert_array_equal(got, expect)
     assert got.max() == 256
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Worker pools of 1, 2 and 3 threads; `_pool` gives None on one core."""
+    with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(3) as three:
+        yield {1: None, 2: two, 3: three}
+
+
+def _started(kind: str, seed: int) -> np.random.Generator:
+    """A generator in one of the states a draw can start from."""
+    if kind == "pcg64":
+        return np.random.default_rng(seed)
+    gen = stream(seed, "split")
+    if kind == "after-random":
+        gen.random(3)  # mid-block: one word of the current Philox block left
+    elif kind == "after-int32":
+        gen.integers(0, 1000, dtype=np.int32)  # a 32-bit half-word held back
+    return gen
+
+
+def _state(gen: np.random.Generator) -> dict:
+    return {
+        k: ({kk: np.asarray(vv).tolist() for kk, vv in v.items()} if isinstance(v, dict) else np.asarray(v).tolist())
+        for k, v in gen.bit_generator.state.items()
+    }
+
+
+def test_draw_chunk_is_whole_philox_blocks():
+    assert randomness.DRAW_CHUNK % 4 == 0
+
+
+@given(
+    st.sampled_from(["fresh", "after-random", "after-int32", "pcg64"]),
+    st.integers(0, 5),
+    st.integers(1, 13),
+    st.sampled_from([2, 3, 256, 300]),
+    st.sampled_from([1, 2, 3]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_split_categorical_is_one_serial_draw(pools, kind, rows, cols, k, workers, seed):
+    """With 8-word pieces, a draw split over 1-3 workers gives the symbols
+    of one serial inverse-CDF draw and leaves the generator in its state."""
+    w = np.random.default_rng(seed).dirichlet(np.ones(k))
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    serial = _started(kind, seed)
+    expect = np.searchsorted(cdf, serial.random((rows, cols)), side="right")
+    gen = _started(kind, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randomness, "DRAW_CHUNK", 8)
+        mp.setattr(randomness, "_pool", lambda: pools[workers])
+        got = categorical(gen, w, (rows, cols))
+    assert got.dtype == (np.uint8 if k <= 256 else np.intp)
+    np.testing.assert_array_equal(got, expect)
+    assert _state(gen) == _state(serial)
+    np.testing.assert_array_equal(gen.random(5), serial.random(5))
+    np.testing.assert_array_equal(gen.integers(0, 1000, 5, dtype=np.int32), serial.integers(0, 1000, 5, dtype=np.int32))
+
+
+def test_split_draws_under_fast_thread_switching(pools):
+    """Three workers on fewer cores, switching threads every microsecond:
+    each piece writes its own slice of the output, so every draw is still
+    the serial one."""
+    cdf = np.array([0.2, 0.5, 1.0])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randomness, "DRAW_CHUNK", 64)
+            mp.setattr(randomness, "_pool", lambda: pools[3])
+            for i in range(20):
+                got = categorical(stream(i, "stress"), [0.2, 0.3, 0.5], 5000)
+                expect = np.searchsorted(cdf, stream(i, "stress").random(5000), side="right")
+                np.testing.assert_array_equal(got, expect)
+    finally:
+        sys.setswitchinterval(interval)
