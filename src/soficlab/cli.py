@@ -1,7 +1,8 @@
 """Command-line entry point for the experiment suite.
 
 Subcommands: run (validate, then execute one JSON config), validate (check a
-config against the package's schema.json, one problem a line), report
+config against the package's schema.json and the rules beside it, one
+problem a line), report
 (tabulate the summary.json verdicts under a results directory).
 Exit codes: 0 all pass thresholds met, 2 a threshold failed, 1 error.
 """

@@ -97,15 +97,14 @@ def lw_defect(
         if nu.site_weights.size != base:
             raise ValueError("iid site weights must match the alphabet")
         laws, group = _iid_vertex_laws(sigma.window_perms(window), nu.site_weights, base)
-        tvs = (0.5 * np.abs(laws - target[None, :]).sum(axis=1))[group]
+        laws = laws[group]
     else:
         npat = pattern_count(base, len(window))
         configs, weights, _ = _atoms_of(nu, samples, seed, "lw")
         codes = _window_codes(np.ascontiguousarray(configs.T), sigma.window_perms(window), base)
         flat = (np.arange(0, n * npat, npat)[:, None] + codes).ravel()
-        hist = np.bincount(flat, weights=np.tile(weights, n), minlength=n * npat).reshape(n, npat)
-        tvs = 0.5 * np.abs(hist - target[None, :]).sum(axis=1)
-    return float((tvs >= eps).mean())
+        laws = np.bincount(flat, weights=np.tile(weights, n), minlength=n * npat).reshape(n, npat)
+    return float((tv_distance(laws, target) >= eps).mean())
 
 
 def quenched_defect(
@@ -169,7 +168,7 @@ class DispersionReport:
         return len(self.masses)
 
     def centroid_tvs(self, target: np.ndarray) -> List[float]:
-        return [tv_distance(c, target) for c in self.centroids]
+        return tv_distance(np.stack(self.centroids), target).tolist()
 
     def to_json(self) -> dict:
         out = {
@@ -209,7 +208,7 @@ def dispersion(
         return a
 
     for i in range(k):
-        close = 0.5 * np.abs(marginals[i + 1 :] - marginals[i]).sum(axis=1) < threshold
+        close = tv_distance(marginals[i + 1 :], marginals[i]) < threshold
         for j in (np.flatnonzero(close) + i + 1).tolist():
             parent[find(i)] = find(j)
     groups: dict = {}
@@ -259,7 +258,7 @@ def pair_vertex_stat(
     for v, w in zip(vs, ws):
         joint_codes = codes[v] * npat + codes[w]
         joint = np.bincount(joint_codes, weights=weights, minlength=npat * npat)
-        if 0.5 * float(np.abs(joint - joint_target).sum()) >= eps:
+        if tv_distance(joint, joint_target) >= eps:
             bad += 1
     return bad / vertex_pairs
 

@@ -38,6 +38,8 @@ from .processes import (
     periodic_orbit,
     product_process,
     tree_markov,
+    tv_distance,
+    validate_weights,
 )
 from .randomness import categorical, derive_seed, stream
 from .sofic import (
@@ -388,9 +390,9 @@ def run_e5(cfg: dict, ctx: RunContext) -> ExperimentResult:
     pass_seeds = 0
     for s, eps in zip(cfg["seeds"], cfg["epsilons"]):
         sigma, nu, one_w, window = _coind_setup(cfg, s)
-        ident = Window(sigma.group, [sigma.group.identity()])
-        emp = mod.empirical_distribution(sigma, one_w, ident, nu.alphabet)
-        tv_e = emp.tv_to(nu.marginal_elems(ident.elements))
+        ident = (sigma.group.identity(),)
+        freqs = mod.counts_over_elements(sigma, one_w, ident, nu.alphabet.size) / float(sigma.n)
+        tv_e = tv_distance(freqs, nu.marginal_elems(ident))
         got = mod.enumerate_good_models(sigma, nu, window, eps, budget=ctx.budget)
         if got.count:
             dists = (got.configs != one_w[None, :]).mean(axis=1)
@@ -434,7 +436,7 @@ def run_e6(cfg: dict, ctx: RunContext) -> ExperimentResult:
         for a in range(k):
             pairs = pair_configs(configs[a][None, :], configs, 2)  # (k, n) pair symbols vs atom a
             freqs = mod.counts_over_elements(sigma, pairs, ident, 4) / n
-            tvs = 0.5 * np.abs(freqs - target_e[None, :]).sum(axis=1)
+            tvs = tv_distance(freqs, target_e)
             pair_good += int((tvs < pair_eps).sum())
             max_f10 = max(max_f10, float(freqs[:, 2].max()))
             min_tv = min(min_tv, float(tvs.min()))
@@ -649,6 +651,8 @@ def _schema_problems(schema: dict, value, path: str) -> List[str]:
         problems.append(f"{where}: must be <= {schema['maximum']}, got {value!r}")
     if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
         problems.append(f"{where}: must be > {schema['exclusiveMinimum']}, got {value!r}")
+    if "minItems" in schema and len(value) < schema["minItems"]:
+        problems.append(f"{where}: must have at least {schema['minItems']} items, got {value!r}")
     for key in schema.get("required", ()):
         if key not in value:
             problems.append(f"{path}.{key}".lstrip(".") + ": missing required field")
@@ -667,12 +671,25 @@ def _schema_problems(schema: dict, value, path: str) -> List[str]:
 
 
 def validate_config(cfg: dict) -> List[str]:
-    """Problems of a config against schema.json, then against the one rule it
-    cannot state: one epsilon per seed (E5, E6). Empty when the config is valid."""
+    """Problems of a config against schema.json, then against the rules it
+    cannot state: one epsilon per seed (E5, E6), and the probability-vector
+    rule that the processes apply at run time to E1 `weight_sets`, E4
+    `weights` and E5/E6 `mu0`. Empty when the config is valid."""
     problems = _schema_problems(SCHEMA, cfg, "")
+    if problems:
+        return problems
     eps, seeds = cfg.get("epsilons"), cfg.get("seeds")
-    if not problems and isinstance(eps, list) and isinstance(seeds, list) and len(eps) != len(seeds):
+    if isinstance(eps, list) and isinstance(seeds, list) and len(eps) != len(seeds):
         problems.append(f"epsilons: must have one entry per seed, got {len(eps)} for {len(seeds)} seeds")
+    key = {"E1": "weight_sets", "E4": "weights", "E5": "mu0", "E6": "mu0"}.get(cfg["experiment"])
+    laws = {key: cfg[key]} if key in ("weights", "mu0") else {}
+    if key == "weight_sets":
+        laws = {f"{key}[{i}]": w for i, w in enumerate(cfg[key])}
+    for path, weights in laws.items():
+        try:
+            validate_weights(weights)
+        except ValueError as err:
+            problems.append(f"{path}: {err}, got {weights!r}")
     return problems
 
 

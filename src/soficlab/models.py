@@ -1,10 +1,10 @@
-"""Empirical distributions, good-model combinatorics, and the adjoint shift.
+"""Pattern counts, good-model combinatorics, and the adjoint shift.
 
 Configurations are arrays of alphabet indices over the vertex set of a sofic
-approximation. The empirical distribution of a configuration counts pullback
-patterns over all vertices; a configuration is an (F, eps)-good model when
-that empirical F-marginal is within TV distance strictly less than eps of the
-process marginal.
+approximation. Their pattern counts are taken over all vertices; a
+configuration is an (F, eps)-good model when its empirical F-marginal, the
+counts over n, is within TV distance strictly less than eps of the process
+marginal.
 
 Exact enumeration is a depth-first branch and bound over X^V. Vertices are
 assigned one at a time; the pattern of a vertex is final once its whole window
@@ -31,7 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Element, Window
-from .processes import Alphabet, MarginalOracle, pattern_count, tv_distance
+from .processes import MarginalOracle, _tv_rows, pattern_count, tv_distance
 from .randomness import _map, categorical, stream
 from .sofic import SoficMap
 
@@ -45,25 +45,10 @@ class BudgetExceededError(RuntimeError):
     def __init__(self, required: int, budget: int):
         super().__init__(
             f"exact enumeration spans {required} configurations, over the budget of {budget}; "
-            "raise the budget or use count_good_models_mc"
+            "raise it with --budget"
         )
         self.required = required
         self.budget = budget
-
-
-@dataclass
-class EmpiricalDistribution:
-    """Exact pattern counts of a configuration over a window."""
-
-    counts: np.ndarray
-    vertices: int
-
-    @property
-    def probs(self) -> np.ndarray:
-        return self.counts / float(self.vertices)
-
-    def tv_to(self, probs: np.ndarray) -> float:
-        return tv_distance(self.probs, probs)
 
 
 def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: int) -> np.ndarray:
@@ -71,8 +56,8 @@ def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: 
 
     `x` is one configuration (|V|,), giving (npat,) counts, or a (rows, |V|)
     block, giving one row of counts per configuration. The element tuple need
-    not contain the identity; this is the workhorse behind empirical
-    distributions.
+    not contain the identity. Divided by n, a row of counts is the empirical
+    marginal that the good-model test and the defects compare with mu_F.
     """
     vals = np.asarray(x)
     npat = pattern_count(base, len(elements))
@@ -80,11 +65,6 @@ def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: 
     slices = _sub_slices(vals.reshape(-1, sigma.n), npat)
     counts = np.concatenate(_map(lambda rows: _block_counts(rows, perms, base, npat), slices))
     return counts.reshape(vals.shape[:-1] + (npat,))
-
-
-def empirical_distribution(sigma: SoficMap, x, window: Window, alphabet: Alphabet) -> EmpiricalDistribution:
-    counts = counts_over_elements(sigma, x, window.elements, alphabet.size)
-    return EmpiricalDistribution(counts, sigma.n)
 
 
 def good_mask(sigma: SoficMap, mu: MarginalOracle, window: Window, configs, eps: float) -> np.ndarray:
@@ -98,10 +78,6 @@ def good_mask(sigma: SoficMap, mu: MarginalOracle, window: Window, configs, eps:
         np.asarray(configs), sigma.window_perms(window), base, pattern_count(base, len(window)),
         mu.marginal_elems(window.elements), sigma.n, eps,
     )
-
-
-def is_good_model(sigma: SoficMap, x, mu: MarginalOracle, window: Window, eps: float) -> bool:
-    return bool(good_mask(sigma, mu, window, np.asarray(x)[None, :], eps)[0])
 
 
 def _exp_nats_to_int(log_value: float) -> int:
@@ -168,15 +144,13 @@ def _good_mask(
     n: int,
     eps: float,
 ) -> np.ndarray:
-    """Strict TV test per row. TV is `0.5 * |counts / n - target|` summed
-    along each row of the C-contiguous counts, the expression and summation
-    order of every exact decision in this package, so the decisions at float
-    ties (the E5/E6 epsilons) do not depend on the code layout, the dtype or
-    the sub-slice a row falls in."""
+    """Strict TV test per row, `tv_distance(counts / n, target) < eps` through
+    its array form (this runs in pool tasks). Each row's TV is a 1-D call's,
+    so the decisions at float ties (the E5/E6 epsilons) do not depend on the
+    code layout, the dtype or the sub-slice a row falls in."""
 
     def decide(rows: np.ndarray) -> np.ndarray:
-        counts = _block_counts(rows, perms, base, npat)
-        return 0.5 * np.abs(counts / float(n) - target[None, :]).sum(axis=1) < eps
+        return _tv_rows(_block_counts(rows, perms, base, npat) / float(n), target) < eps
 
     good = _map(decide, _sub_slices(block, npat))
     return np.concatenate(good) if good else np.zeros(0, dtype=bool)
@@ -368,8 +342,8 @@ def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) 
 
     For F = {e} membership depends only on the letter counts, so the count is
     a sum of multinomial coefficients over types with TV strictly below eps.
-    The TV test reuses the same float expression as the exhaustive scan so the
-    two paths make bitwise-identical decisions.
+    The TV test is `tv_distance`, as in the exhaustive scan, so the two paths
+    make bitwise-identical decisions.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -377,8 +351,7 @@ def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) 
     count = 0
     nf = float(vertices)
     for comp in _compositions(vertices, w.size):
-        tv = 0.5 * np.abs(np.asarray(comp, dtype=np.float64) / nf - w).sum()
-        if tv < eps:
+        if tv_distance(np.asarray(comp, dtype=np.float64) / nf, w) < eps:
             coeff = 1
             rem = vertices
             for c in comp[:-1]:
@@ -403,13 +376,10 @@ def adjoint_shift(st: SoficMap, h: Element, x) -> np.ndarray:
 
 
 __all__ = [
-    "EmpiricalDistribution",
     "GoodModelCount",
     "BudgetExceededError",
     "counts_over_elements",
-    "empirical_distribution",
     "good_mask",
-    "is_good_model",
     "enumerate_good_models",
     "count_good_models_mc",
     "letter_frequency_count",

@@ -61,9 +61,19 @@ def decode_patterns(base: int, length: int) -> np.ndarray:
     return out
 
 
-def tv_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance: half the l1 distance of the pattern vectors."""
-    return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
+def tv_distance(p, q):
+    """Total variation distance over the last axis: a Python float for two
+    vectors, one value per row for a block, each bit for bit a 1-D call's."""
+    tv = _tv_rows(p, q)
+    return float(tv) if tv.ndim == 0 else tv
+
+
+def _tv_rows(p, q) -> np.ndarray:
+    """The package's one TV expression, half the l1 distance, summed along the
+    rows of a C-contiguous |p - q| so that no row depends on the layout of p
+    and q. Pool tasks, which call no public function (see `randomness`),
+    call it directly."""
+    return 0.5 * np.abs(np.subtract(p, q, order="C")).sum(axis=-1)
 
 
 class MarginalOracle:
@@ -95,7 +105,8 @@ class MarginalOracle:
         raise NotImplementedError
 
 
-def _validate_weights(weights: Sequence[float]) -> np.ndarray:
+def validate_weights(weights: Sequence[float]) -> np.ndarray:
+    """The probability-vector rule of the processes and of `validate`."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a nonempty vector")
@@ -108,7 +119,7 @@ class BernoulliOracle(MarginalOracle):
     """Product measure weights^(x G): iid coordinates."""
 
     def __init__(self, weights: Sequence[float], group: GroupSpec, alphabet: Optional[Alphabet] = None):
-        self.weights = _validate_weights(weights)
+        self.weights = validate_weights(weights)
         alpha = alphabet if alphabet is not None else Alphabet.of_size(self.weights.size)
         if alpha.size != self.weights.size:
             raise ValueError("alphabet size must match the weight vector")
@@ -200,7 +211,7 @@ class CosetIidOracle(MarginalOracle):
     def __init__(self, mu0: Sequence[float], group: GroupSpec, factor: int = 0):
         if group.kind != "free_product":
             raise ValueError("coset_iid is defined over free products")
-        self.mu0 = _validate_weights(mu0)
+        self.mu0 = validate_weights(mu0)
         self.factor = factor
         group.right_coset_key((), factor)  # validates the factor index
         super().__init__(Alphabet.of_size(self.mu0.size), group)
@@ -351,6 +362,7 @@ __all__ = [
     "coinduced",
     "product_process",
     "tv_distance",
+    "validate_weights",
     "pattern_count",
     "decode_patterns",
 ]

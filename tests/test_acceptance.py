@@ -13,12 +13,12 @@ from soficlab.experiments import REGISTRY, RunContext, run_experiment
 from soficlab.groups import GroupSpec, Window, coind_group
 from soficlab.models import (
     count_good_models_mc,
+    counts_over_elements,
     enumerate_good_models,
-    is_good_model,
+    good_mask,
     letter_frequency_count,
 )
-from soficlab.models import empirical_distribution
-from soficlab.processes import bernoulli, coset_iid
+from soficlab.processes import bernoulli, coset_iid, tv_distance
 from soficlab.randomness import derive_seed
 from soficlab.sofic import partitioned_random, random_uniform
 
@@ -149,10 +149,10 @@ def test_a6_coset_iid_example():
         sigma = partitioned_random(cfg5["n"], s)
         one_w = np.zeros(sigma.n, dtype=np.uint8)
         one_w[sigma.partition["W"]] = 1
-        emp = empirical_distribution(sigma, one_w, ident, nu.alphabet)
-        tv = emp.tv_to(nu.marginal_elems(ident.elements))
+        counts = counts_over_elements(sigma, one_w, ident.elements, nu.alphabet.size)
+        tv = tv_distance(counts / float(sigma.n), nu.marginal_elems(ident.elements))
         assert tv == 0.0, f"seed {s}: 1_W letter frequencies off by {tv}"
-        assert is_good_model(sigma, one_w, nu, ident, 0.05)
+        assert good_mask(sigma, nu, ident, one_w[None, :], 0.05)[0]
 
     # clause (ii): enumerated good models cluster at 1_W in >= 8/10 seeds
     r5 = REGISTRY["E5"](cfg5, RunContext())

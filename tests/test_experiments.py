@@ -87,10 +87,44 @@ def test_validate_enforces_schema_bounds_and_types(key, bad, path):
     assert problem.startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize(
+    "name, key",
+    [("e1.json", "sizes"), ("e4.json", "sizes"), ("e2.json", "deltas"), ("e3.json", "vertices"), ("e8.json", "ns")],
+)
+def test_validate_refuses_empty_lists(name, key):
+    """Empty lists that a run indexes; E8 with no sizes used to pass with no checks."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    (problem,) = validate_config({**cfg, key: []})
+    assert problem.startswith(f"{key}: ")
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [("e1.json", "weight_sets[1]"), ("e4.json", "weights"), ("e5.json", "mu0"), ("e6.json", "mu0")],
+)
+def test_validate_refuses_weights_that_are_not_a_law(name, path, tmp_path, capsys):
+    """validate applies the processes' probability-vector rule, so it refuses
+    what run would refuse, and accepts a sum within the run-time tolerance."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    key = path.split("[")[0]
+
+    def setting(weights):
+        return {**cfg, key: [cfg[key][0], weights] if key == "weight_sets" else weights}
+
+    (problem,) = validate_config(setting([0.7, 0.7]))
+    assert problem.startswith(f"{path}: ")
+    assert validate_config(setting([0.5, -0.5, 1.0])) != []
+    assert validate_config(setting([0.5, 0.5 + 1e-10])) == []
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**setting([0.7, 0.7]), "out_dir": str(tmp_path / "out")}))
+    assert main(["validate", str(cfg_path)]) == 1
+    assert f"invalid: {path}" in capsys.readouterr().err
+
+
 # the keywords validate_config interprets, and the annotations it may ignore
 INTERPRETED = {
     "type", "required", "properties", "enum", "const", "minimum", "maximum",
-    "exclusiveMinimum", "items", "allOf", "if", "then",
+    "exclusiveMinimum", "minItems", "items", "allOf", "if", "then",
 }
 ANNOTATIONS = {"$schema", "$id", "title", "description"}
 
@@ -124,6 +158,8 @@ def _violations(schema: dict, value):
         out.append(("maximum", schema["maximum"] + 1))
     if "exclusiveMinimum" in schema:
         out.append(("exclusiveMinimum", schema["exclusiveMinimum"]))
+    if "minItems" in schema:
+        out.append(("minItems", value[: schema["minItems"] - 1]))
     if "items" in schema and value:
         out += [(f"items {c}", [bad, *value[1:]]) for c, bad in _violations(schema["items"], value[0])]
     return out

@@ -15,57 +15,41 @@ from soficlab.models import (
     adjoint_shift,
     count_good_models_mc,
     counts_over_elements,
-    empirical_distribution,
     enumerate_good_models,
     good_mask,
-    is_good_model,
     letter_frequency_count,
     _good_mask,
     _window_codes,
 )
-from soficlab.processes import Alphabet, bernoulli, coset_iid, product_process, tree_markov
+from soficlab.processes import bernoulli, coset_iid, product_process, tree_markov
 from soficlab.sofic import partitioned_random, product, quotient_map, random_uniform
 
 Z = GroupSpec.integers()
 F2 = GroupSpec.free(2)
-BITS = Alphabet.of_size(2)
 
 
-def test_empirical_distribution_constant():
+def test_counts_over_elements():
     sigma = quotient_map(Z, 4)
-    emp = empirical_distribution(sigma, [0, 0, 0, 0], Window(Z, [()]), BITS)
-    np.testing.assert_allclose(emp.probs, [1.0, 0.0])
-
-
-def test_empirical_distribution_half():
-    sigma = quotient_map(Z, 4)
-    emp = empirical_distribution(sigma, [0, 0, 1, 1], Window(Z, [()]), BITS)
-    np.testing.assert_allclose(emp.probs, [0.5, 0.5])
-    assert emp.counts.sum() == 4
-
-
-def test_empirical_distribution_alternating_pair():
-    sigma = quotient_map(Z, 4)
-    emp = empirical_distribution(sigma, [0, 1, 0, 1], Window(Z, ((), (1,))), BITS)
+    np.testing.assert_array_equal(counts_over_elements(sigma, [0, 0, 0, 0], ((),), 2), [4, 0])
+    np.testing.assert_array_equal(counts_over_elements(sigma, [0, 0, 1, 1], ((),), 2), [2, 2])
     # every vertex sees either 01 or 10
-    np.testing.assert_allclose(emp.probs, [0.0, 0.5, 0.5, 0.0])
+    np.testing.assert_array_equal(counts_over_elements(sigma, [0, 1, 0, 1], ((), (1,)), 2), [0, 2, 2, 0])
     # a block gives one row of counts per configuration
     block = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.uint8)
     rows = counts_over_elements(sigma, block, ((), (1,)), 2)
     np.testing.assert_array_equal(rows, [counts_over_elements(sigma, x, ((), (1,)), 2) for x in block])
-    np.testing.assert_array_equal(rows[0], emp.counts)
+    np.testing.assert_array_equal(rows[0], [0, 2, 2, 0])
 
 
-def test_is_good_model():
+def test_good_mask_rows():
     sigma = quotient_map(Z, 4)
     mu = bernoulli((0.5, 0.5), Z)
     W = Window(Z, [()])
-    assert is_good_model(sigma, [0, 0, 0, 0], mu, W, 1.1)
-    assert is_good_model(sigma, [0, 0, 1, 1], mu, W, 0.3)
-    assert not is_good_model(sigma, [0, 0, 0, 0], mu, W, 0.3)
-    assert is_good_model(sigma, np.array([0, 1, 0, 1]), mu, W, 0.3)
+    rows = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]])
+    assert good_mask(sigma, mu, W, rows[:1], 1.1)[0]
+    assert good_mask(sigma, mu, W, rows, 0.3).tolist() == [False, True, True]
     with pytest.raises(ValueError):
-        is_good_model(sigma, [0, 0, 1, 1], mu, W, 0.0)
+        good_mask(sigma, mu, W, rows[1:2], 0.0)
 
 
 def test_enumerate_counts_fair_coin():
@@ -100,6 +84,7 @@ def test_enumerate_budget_refusal():
         enumerate_good_models(sigma, mu, Window(Z, [()]), 0.3, budget=16)
     assert exc.value.required == 32
     assert "budget" in str(exc.value)
+    assert "count_good_models_mc" not in str(exc.value)
 
 
 def test_enumerate_can_drop_configs():
@@ -177,7 +162,7 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
         assert enumerate_good_models(sigma, mu, window, eps, keep_configs=False).count == expect.shape[0]
         members = {tuple(row) for row in expect.tolist()}
         for x in drawn:
-            assert is_good_model(sigma, x, mu, window, eps) == (tuple(x.tolist()) in members)
+            assert good_mask(sigma, mu, window, x[None, :], eps)[0] == (tuple(x.tolist()) in members)
 
 
 def _good_mask_int64(block, perms, base, npat, target, n, eps):
@@ -254,7 +239,7 @@ def test_good_mask_over_sub_slices_matches_is_good_model(index):
     block[edges] = ties[np.arange(len(edges)) % ties.shape[0]]
     block[[1, step + 1, 3 * step]] = good[np.arange(3) % good.shape[0]]
     got = good_mask(sigma, mu, window, block, eps)
-    assert got.tolist() == [is_good_model(sigma, row, mu, window, eps) for row in block]
+    assert got.tolist() == [good_mask(sigma, mu, window, row[None, :], eps)[0] for row in block]
     assert not got[edges].any() and got[[1, step + 1, 3 * step]].all()
     assert good_mask(sigma, mu, window, block[edges], float(np.nextafter(eps, 2.0))).all()
 

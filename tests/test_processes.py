@@ -229,7 +229,15 @@ def _project(probs, base, m, positions):
     return np.transpose(reduced, axes=np.argsort(np.argsort(positions))).ravel()
 
 
-def test_pattern_distribution_project_and_tv():
+@given(
+    st.integers(1, 12),
+    st.integers(1, 400),
+    st.sampled_from(["C", "F", "sliced"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_pattern_distribution_project_and_tv(rows, npat, layout, stacked_q, seed):
     mu = bernoulli((0.75, 0.25), F2)
     W = Window(F2, ((), (1,), (2,)))
     probs = mu.marginal_elems(W.elements)
@@ -238,6 +246,24 @@ def test_pattern_distribution_project_and_tv():
     assert tuple(decode_patterns(2, len(W))[5]) == (1, 0, 1)
     assert tv_distance(probs, probs) == 0.0
     assert tv_distance(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == pytest.approx(1.0)
+    # row-wise over the last axis: each row's value is, bit for bit, the 1-D
+    # value of that row (half the sum of a contiguous |p - q|), whatever the
+    # layout of the block, and a 1-D call returns a Python float
+    gen = np.random.default_rng(seed)
+    p = gen.integers(0, 50, size=(rows, npat)) / 49.0
+    q = gen.dirichlet(np.ones(npat), size=rows if stacked_q else None)
+    if layout == "F":
+        p = np.asfortranarray(p)
+    elif layout == "sliced":
+        wide = np.zeros((2 * rows, npat + 3))
+        wide[::2, 1 : npat + 1] = p
+        p = wide[::2, 1 : npat + 1]
+    got = tv_distance(p, q)
+    assert got.shape == (rows,) and got.dtype == np.float64
+    qs = q if stacked_q else np.broadcast_to(q, p.shape)
+    one = [tv_distance(p[r], qs[r]) for r in range(rows)]
+    assert all(type(t) is float for t in one)
+    assert got.tolist() == one == [0.5 * float(np.abs(np.array(p[r]) - qs[r]).sum()) for r in range(rows)]
 
 
 def _shift_gap(mu, window, g):
