@@ -28,17 +28,30 @@ Z = GroupSpec.integers()
 F2 = GroupSpec.free(2)
 
 
-def test_counts_over_elements():
+def test_empirical_distribution_constant():
     sigma = quotient_map(Z, 4)
-    np.testing.assert_array_equal(counts_over_elements(sigma, [0, 0, 0, 0], ((),), 2), [4, 0])
-    np.testing.assert_array_equal(counts_over_elements(sigma, [0, 0, 1, 1], ((),), 2), [2, 2])
+    counts = counts_over_elements(sigma, [0, 0, 0, 0], ((),), 2)
+    np.testing.assert_array_equal(counts, [4, 0])
+    np.testing.assert_allclose(counts / float(sigma.n), [1.0, 0.0])
+
+
+def test_empirical_distribution_half():
+    sigma = quotient_map(Z, 4)
+    counts = counts_over_elements(sigma, [0, 0, 1, 1], ((),), 2)
+    np.testing.assert_allclose(counts / float(sigma.n), [0.5, 0.5])
+    assert counts.sum() == 4
+
+
+def test_empirical_distribution_alternating_pair():
+    sigma = quotient_map(Z, 4)
+    counts = counts_over_elements(sigma, [0, 1, 0, 1], ((), (1,)), 2)
     # every vertex sees either 01 or 10
-    np.testing.assert_array_equal(counts_over_elements(sigma, [0, 1, 0, 1], ((), (1,)), 2), [0, 2, 2, 0])
+    np.testing.assert_allclose(counts / float(sigma.n), [0.0, 0.5, 0.5, 0.0])
     # a block gives one row of counts per configuration
     block = np.array([[0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.uint8)
     rows = counts_over_elements(sigma, block, ((), (1,)), 2)
     np.testing.assert_array_equal(rows, [counts_over_elements(sigma, x, ((), (1,)), 2) for x in block])
-    np.testing.assert_array_equal(rows[0], [0, 2, 2, 0])
+    np.testing.assert_array_equal(rows[0], counts)
 
 
 def test_good_mask_rows():
