@@ -160,8 +160,8 @@ class DispersionReport:
     masses: List[float]
     centroids: List[np.ndarray]
     barycentre: np.ndarray
-    barycentre_tv: Optional[float] = None
-    threshold: float = 0.05
+    barycentre_tv: float
+    threshold: float
 
     @property
     def cluster_count(self) -> int:
@@ -171,16 +171,14 @@ class DispersionReport:
         return tv_distance(np.stack(self.centroids), target).tolist()
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "clusters": [
                 {"mass": m, "centroid": c.tolist()} for m, c in zip(self.masses, self.centroids)
             ],
             "barycentre": self.barycentre.tolist(),
+            "barycentre_tv": self.barycentre_tv,
             "threshold": self.threshold,
         }
-        if self.barycentre_tv is not None:
-            out["barycentre_tv"] = self.barycentre_tv
-        return out
 
 
 def dispersion(
@@ -188,13 +186,14 @@ def dispersion(
     nu: ModelMeasure,
     window: Window,
     base: int,
+    target: np.ndarray,
     samples: int = 0,
     seed: int = 0,
     threshold: float = 0.05,
-    target: Optional[np.ndarray] = None,
 ) -> DispersionReport:
     """Cluster the empirical F-marginals of nu's atoms (exact weights on
-    explicit supports) by single linkage at the given TV threshold."""
+    explicit supports) by single linkage at the given TV threshold, and
+    measure the barycentre's TV distance from the target mu_F."""
     configs, weights, _ = _atoms_of(nu, samples, seed, "dispersion")
     k = configs.shape[0]
     marginals = counts_over_elements(sigma, configs, window.elements, base) / float(sigma.n)
@@ -221,12 +220,11 @@ def dispersion(
         clusters.append((mass, centroid))
     clusters.sort(key=lambda mc: -mc[0])
     barycentre = (weights[:, None] * marginals).sum(axis=0)
-    tv = tv_distance(barycentre, target) if target is not None else None
     return DispersionReport(
         masses=[m for m, _ in clusters],
         centroids=[c for _, c in clusters],
         barycentre=barycentre,
-        barycentre_tv=tv,
+        barycentre_tv=tv_distance(barycentre, target),
         threshold=threshold,
     )
 
@@ -237,8 +235,8 @@ def pair_vertex_stat(
     mu: MarginalOracle,
     window: Window,
     eps: float,
-    vertex_pairs: int = 256,
-    seed: int = 0,
+    vertex_pairs: int,
+    seed: int,
 ) -> float:
     """Fraction of sampled vertex pairs (v, v') whose joint pushforward under
     an explicit-support nu on F x F is >= eps away from mu_F x mu_F in total

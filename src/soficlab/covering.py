@@ -24,18 +24,21 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .processes import validate_weights
 from .randomness import categorical, stream
 
 PACK_EPS_EXACT_BUDGET = 16
+HAMMING_BLOCK = 256
 
 
-def pairwise_hamming(a: np.ndarray, b: Optional[np.ndarray] = None, block: int = 256) -> np.ndarray:
-    """Normalized Hamming distances between rows of a and rows of b."""
+def pairwise_hamming(a: np.ndarray, b: Optional[np.ndarray] = None) -> np.ndarray:
+    """Normalized Hamming distances between rows of a and rows of b, computed
+    HAMMING_BLOCK rows of a at a time."""
     a = np.asarray(a)
     b = a if b is None else np.asarray(b)
     out = np.empty((a.shape[0], b.shape[0]))
-    for lo in range(0, a.shape[0], block):
-        hi = min(lo + block, a.shape[0])
+    for lo in range(0, a.shape[0], HAMMING_BLOCK):
+        hi = min(lo + HAMMING_BLOCK, a.shape[0])
         out[lo:hi] = (a[lo:hi, None, :] != b[None, :, :]).mean(axis=2)
     return out
 
@@ -51,21 +54,11 @@ class CovResult:
     method: str  # "exact" | "greedy"
 
 
-def _law(values, size: Optional[int], what: str) -> np.ndarray:
-    """A probability vector: 1-D (of the given size), nonnegative, summing to 1
-    within 1e-12; the rule for atom weights and for iid site weights."""
-    w = np.asarray(values, dtype=np.float64)
-    shaped = w.ndim == 1 and (size is None or w.size == size)
-    if not shaped or not np.all(w >= 0) or abs(float(w.sum()) - 1.0) > 1e-12:
-        length = "" if size is None else f" of length {size}"
-        raise ValueError(f"{what} must be a nonnegative vector{length} summing to 1")
-    return w
-
-
 class ModelMeasure:
     """A measure on X^V: explicit atoms with weights, or the iid product of
     site weights (see `iid`), whose per-vertex laws are computed without
-    sampling."""
+    sampling. Both weight vectors follow `processes.validate_weights` and are
+    kept as given, not renormalized."""
 
     def __init__(
         self,
@@ -77,26 +70,32 @@ class ModelMeasure:
         if (support is None) == (site_weights is None):
             raise ValueError("exactly one of support and site_weights is required")
         self.vertices = vertices
-        self.site_weights = None if site_weights is None else _law(site_weights, None, "site weights")
-        if support is not None:
-            sup = np.ascontiguousarray(support, dtype=np.uint8)
-            if sup.ndim != 2 or sup.shape[1] != vertices:
-                raise ValueError("support must be a (k, |V|) array")
-            if np.unique(sup, axis=0).shape[0] != sup.shape[0]:
-                raise ValueError("support entries must be distinct")
-            w = np.full(sup.shape[0], 1.0 / sup.shape[0]) if weights is None else _law(weights, sup.shape[0], "weights")
-            self.support: Optional[np.ndarray] = sup
-            self.weights: Optional[np.ndarray] = w
-        else:
-            self.support = None
-            self.weights = None
+        self.site_weights = None
+        self.support: Optional[np.ndarray] = None
+        self.weights: Optional[np.ndarray] = None
+        if site_weights is not None:
+            try:
+                validate_weights(site_weights)
+            except ValueError as err:
+                raise ValueError(f"site weights: {err}") from None
+            self.site_weights = np.asarray(site_weights, dtype=np.float64)
+            return
+        sup = np.ascontiguousarray(support, dtype=np.uint8)
+        if sup.ndim != 2 or sup.shape[1] != vertices:
+            raise ValueError("support must be a (k, |V|) array")
+        if np.unique(sup, axis=0).shape[0] != sup.shape[0]:
+            raise ValueError("support entries must be distinct")
+        if validate_weights(weights).size != sup.shape[0]:
+            raise ValueError("weights must have one entry per support atom")
+        self.support = sup
+        self.weights = np.asarray(weights, dtype=np.float64)
 
     @property
     def explicit(self) -> bool:
         return self.support is not None
 
     @staticmethod
-    def from_support(support, weights=None) -> "ModelMeasure":
+    def from_support(support, weights) -> "ModelMeasure":
         sup = np.ascontiguousarray(support, dtype=np.uint8)
         return ModelMeasure(sup.shape[1], support=sup, weights=weights)
 
@@ -361,20 +360,12 @@ def cov_eps_delta_matrix(
     return CovResult(picks, method)
 
 
-def cov_eps_delta(
-    nu: ModelMeasure,
-    eps: float,
-    delta: float,
-    method: str,
-    centers: Optional[np.ndarray] = None,
-) -> CovResult:
-    """Covering number of a measure; centers default to its own support.
-
-    Pass an explicit center pool (e.g. the full configuration space at toy
-    sizes) to realize the ambient-center definition exactly.
-    """
+def cov_eps_delta(nu: ModelMeasure, eps: float, delta: float, method: str, centers: np.ndarray) -> CovResult:
+    """Covering number of a measure with centers from the given pool; the
+    full configuration space (at toy sizes) realizes the ambient-center
+    definition exactly."""
     support, weights = nu.require_explicit("cov_eps_delta")
-    pool = support if centers is None else np.ascontiguousarray(centers, dtype=np.uint8)
+    pool = np.ascontiguousarray(centers, dtype=np.uint8)
     return cov_eps_delta_matrix(pairwise_hamming(pool, support), weights, eps, delta, method)
 
 
@@ -428,10 +419,10 @@ def pair_configs(xs: np.ndarray, ys: np.ndarray, base_y: int) -> np.ndarray:
     return np.asarray(xs, dtype=np.uint8) * (base_y % 256) + np.asarray(ys, dtype=np.uint8)
 
 
-def random_coupling(seed: int, mu_weights: np.ndarray, nu_weights: np.ndarray, label: str = "coupling") -> np.ndarray:
+def random_coupling(seed: int, mu_weights: np.ndarray, nu_weights: np.ndarray) -> np.ndarray:
     """A random exact coupling matrix via the northwest-corner rule on
     shuffled atom orders; marginals are exact up to float subtraction."""
-    gen = stream(seed, label)
+    gen = stream(seed, "coupling")
     wx = np.asarray(mu_weights, dtype=np.float64)
     wy = np.asarray(nu_weights, dtype=np.float64)
     ox = gen.permutation(wx.size)

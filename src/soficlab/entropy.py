@@ -13,14 +13,14 @@ from typing import List, Sequence
 import numpy as np
 
 from .models import letter_frequency_count
-from .processes import MarginalOracle
+from .processes import MarginalOracle, validate_weights
 
 
 def shannon_entropy(weights: Sequence[float]) -> float:
-    """-sum p log p in nats, with 0 log 0 = 0."""
+    """-sum p log p in nats, with 0 log 0 = 0, of weights that pass
+    `validate_weights` (taken as given, not renormalized)."""
+    validate_weights(weights)
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be a probability vector")
     pos = w[w > 0]
     return float(-(pos * np.log(pos)).sum())
 

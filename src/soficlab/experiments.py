@@ -126,11 +126,13 @@ def _svg_lines(series: Dict[str, List[Tuple[float, float]]], title: str) -> str:
     return "\n".join(parts)
 
 
-def _unique_configs(gen: np.random.Generator, count: int, vertices: int, base: int = 2) -> np.ndarray:
+def _unique_configs(gen: np.random.Generator, count: int, vertices: int) -> np.ndarray:
+    """`count` distinct binary configurations on `vertices` vertices, in draw
+    order; `validate_config` refuses a count above 2^vertices."""
     rows: List[tuple] = []
     seen = set()
     while len(rows) < count:
-        block = gen.integers(0, base, size=(count, vertices))
+        block = gen.integers(0, 2, size=(count, vertices))
         for r in map(tuple, block):
             if r not in seen:
                 seen.add(r)
@@ -323,12 +325,12 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
         nu = ModelMeasure.iid(n, mu.weights)
         for radius in (0, 1):
             window = Window(group, group.ball(radius))
-            lw = lw_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "lw", n, radius))
+            lw = lw_defect(sigma, nu, mu, window, eps)
             q = quenched_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "q", n, radius))
             dq = dq_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "dq", n, radius))
             disp = dispersion(
-                sigma, nu, window, mu.alphabet.size, cfg["dispersion_samples"],
-                derive_seed(seed, "disp", n, radius), target=mu.marginal_elems(window.elements),
+                sigma, nu, window, mu.alphabet.size, mu.marginal_elems(window.elements),
+                cfg["dispersion_samples"], derive_seed(seed, "disp", n, radius),
             )
             rows.append((n, sigma.n, radius, eps, lw, q, dq, disp.cluster_count))
             if n == cfg["sizes"][-1]:
@@ -506,8 +508,8 @@ def run_e8(cfg: dict, ctx: RunContext) -> ExperimentResult:
         ea = Window(group, [group.identity(), (1,)])
         pair = product_process(mu, mu)
         disp = dispersion(
-            sigma, ModelMeasure.from_support(*nu.pairs(2)), ea, 4, threshold=cfg["cluster_threshold"],
-            target=pair.marginal_elems(ea.elements),
+            sigma, ModelMeasure.from_support(*nu.pairs(2)), ea, 4, pair.marginal_elems(ea.elements),
+            threshold=cfg["cluster_threshold"],
         )
         stat = pair_vertex_stat(
             sigma, nu, mu, ea, cfg["pair_eps"], cfg["vertex_pairs"], seed=derive_seed(cfg["seed"], "e8", n)
@@ -521,7 +523,7 @@ def run_e8(cfg: dict, ctx: RunContext) -> ExperimentResult:
                 "two_clusters": disp.cluster_count == 2,
                 "masses_half": all(abs(m - 0.5) <= 1e-12 for m in disp.masses),
                 "centroid_tv_half": all(abs(t - 0.5) <= 1e-9 for t in ctvs),
-                "barycentre_matches": (disp.barycentre_tv or 0.0) <= 1e-9,
+                "barycentre_matches": disp.barycentre_tv <= 1e-9,
                 "pair_vertex_stat": stat >= cfg["pair_stat_threshold"],
             }
             disp_json = disp.to_json()
@@ -577,7 +579,7 @@ def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
     cross = Window(pg, [pg.identity(), ((1,), ()), ((), (1,))])
     ident_p = Window(pg, [pg.identity()])
     eps_p = cfg["preserve_eps"]
-    pair_draws = cfg.get("dq_pair_samples", 4096)
+    pair_draws = cfg["dq_pair_samples"]
     deltas: Dict[str, float] = {}
     for name, window in (("e", ident_p), ("cross", cross)):
         for kind, fn in (("lw", lw_defect), ("q", quenched_defect), ("dq", dq_defect)):
@@ -651,6 +653,8 @@ def _schema_problems(schema: dict, value, path: str) -> List[str]:
         problems.append(f"{where}: must be <= {schema['maximum']}, got {value!r}")
     if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
         problems.append(f"{where}: must be > {schema['exclusiveMinimum']}, got {value!r}")
+    if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
+        problems.append(f"{where}: must be < {schema['exclusiveMaximum']}, got {value!r}")
     if "minItems" in schema and len(value) < schema["minItems"]:
         problems.append(f"{where}: must have at least {schema['minItems']} items, got {value!r}")
     for key in schema.get("required", ()):
@@ -672,15 +676,19 @@ def _schema_problems(schema: dict, value, path: str) -> List[str]:
 
 def validate_config(cfg: dict) -> List[str]:
     """Problems of a config against schema.json, then against the rules it
-    cannot state: one epsilon per seed (E5, E6), and the probability-vector
-    rule that the processes apply at run time to E1 `weight_sets`, E4
-    `weights` and E5/E6 `mu0`. Empty when the config is valid."""
+    cannot state: one epsilon per seed (E5, E6), at most 2^vertices distinct
+    E2 configurations per draw, and the probability-vector rule that the
+    processes apply at run time to E1 `weight_sets`, E4 `weights` and E5/E6
+    `mu0`. Empty when the config is valid."""
     problems = _schema_problems(SCHEMA, cfg, "")
     if problems:
         return problems
     eps, seeds = cfg.get("epsilons"), cfg.get("seeds")
     if isinstance(eps, list) and isinstance(seeds, list) and len(eps) != len(seeds):
         problems.append(f"epsilons: must have one entry per seed, got {len(eps)} for {len(seeds)} seeds")
+    for name in ("set_size", "support_atoms") if cfg["experiment"] == "E2" else ():
+        if (cfg[name] - 1).bit_length() > cfg["vertices"]:  # count > 2^vertices, without 2^vertices
+            problems.append(f"{name}: must be <= 2^vertices = {2 ** cfg['vertices']}, got {cfg[name]}")
     key = {"E1": "weight_sets", "E4": "weights", "E5": "mu0", "E6": "mu0"}.get(cfg["experiment"])
     laws = {key: cfg[key]} if key in ("weights", "mu0") else {}
     if key == "weight_sets":
@@ -693,7 +701,7 @@ def validate_config(cfg: dict) -> List[str]:
     return problems
 
 
-def out_dir_for(cfg: dict, override: Optional[Path] = None) -> Path:
+def out_dir_for(cfg: dict, override: Optional[Path]) -> Path:
     """Where a run writes: the override, else the config's out_dir, else
     results/<experiment>. A config without a known experiment or a string
     out_dir still gets a directory, so a refusal can write its

@@ -31,7 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Element, Window
-from .processes import MarginalOracle, _tv_rows, pattern_count, tv_distance
+from .processes import MarginalOracle, _tv_rows, pattern_count, tv_distance, validate_weights
 from .randomness import _map, categorical, stream
 from .sofic import SoficMap
 
@@ -287,11 +287,13 @@ def count_good_models_mc(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    q = np.asarray(proposal, dtype=np.float64)
+    try:
+        q = validate_weights(proposal)
+    except ValueError as err:
+        raise ValueError(f"proposal: {err}") from None
     base = mu.alphabet.size
-    if q.shape != (base,) or np.any(q <= 0) or abs(float(q.sum()) - 1.0) > 1e-9:
+    if q.shape != (base,) or np.any(q <= 0):
         raise ValueError("proposal must be a strictly positive distribution on X")
-    q = q / float(q.sum())
     if samples < 2:
         raise ValueError("need at least 2 samples")
     target = mu.marginal_elems(window.elements)
@@ -343,10 +345,12 @@ def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) 
     For F = {e} membership depends only on the letter counts, so the count is
     a sum of multinomial coefficients over types with TV strictly below eps.
     The TV test is `tv_distance`, as in the exhaustive scan, so the two paths
-    make bitwise-identical decisions.
+    make bitwise-identical decisions. The weights must pass `validate_weights`
+    and are taken as given, not renormalized.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    validate_weights(weights)
     w = np.asarray(weights, dtype=np.float64)
     count = 0
     nf = float(vertices)

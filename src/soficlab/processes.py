@@ -12,7 +12,7 @@ an evaluation one pattern at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -106,24 +106,22 @@ class MarginalOracle:
 
 
 def validate_weights(weights: Sequence[float]) -> np.ndarray:
-    """The probability-vector rule of the processes and of `validate`."""
+    """The package's one probability-vector rule: a nonempty vector of finite,
+    nonnegative entries summing to 1 within 1e-9. Returns it renormalized."""
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size < 1:
         raise ValueError("weights must be a nonempty vector")
-    if np.any(w < 0) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be nonnegative and sum to 1")
+    if not (np.all(np.isfinite(w)) and np.all(w >= 0)) or abs(float(w.sum()) - 1.0) > 1e-9:
+        raise ValueError("weights must be finite, nonnegative and sum to 1")
     return w / float(w.sum())
 
 
 class BernoulliOracle(MarginalOracle):
     """Product measure weights^(x G): iid coordinates."""
 
-    def __init__(self, weights: Sequence[float], group: GroupSpec, alphabet: Optional[Alphabet] = None):
+    def __init__(self, weights: Sequence[float], group: GroupSpec):
         self.weights = validate_weights(weights)
-        alpha = alphabet if alphabet is not None else Alphabet.of_size(self.weights.size)
-        if alpha.size != self.weights.size:
-            raise ValueError("alphabet size must match the weight vector")
-        super().__init__(alpha, group)
+        super().__init__(Alphabet.of_size(self.weights.size), group)
 
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         pattern_count(self.alphabet.size, len(elements))
@@ -149,10 +147,11 @@ class TreeMarkovOracle(MarginalOracle):
         k = pi.size
         if P.shape != (k, k):
             raise ValueError("transition must be square and match the initial vector")
-        if np.any(P < 0) or np.any(np.abs(P.sum(axis=1) - 1.0) > 1e-10):
-            raise ValueError("transition must be row-stochastic")
-        if np.any(pi < 0) or abs(float(pi.sum()) - 1.0) > 1e-10:
-            raise ValueError("initial must be a probability vector")
+        for what, law in (("initial", pi), *((f"transition row {i}", row) for i, row in enumerate(P))):
+            try:
+                validate_weights(law)
+            except ValueError as err:
+                raise ValueError(f"{what}: {err}") from None
         if np.max(np.abs(pi @ P - pi)) > 1e-10:
             raise ValueError("initial vector is not stationary for the transition")
         balance = pi[:, None] * P - (pi[:, None] * P).T
@@ -206,21 +205,19 @@ class TreeMarkovOracle(MarginalOracle):
 
 
 class CosetIidOracle(MarginalOracle):
-    """Constant on right cosets of a free factor H, iid across cosets."""
+    """Constant on right cosets of the first free factor H, iid across cosets."""
 
-    def __init__(self, mu0: Sequence[float], group: GroupSpec, factor: int = 0):
+    def __init__(self, mu0: Sequence[float], group: GroupSpec):
         if group.kind != "free_product":
             raise ValueError("coset_iid is defined over free products")
         self.mu0 = validate_weights(mu0)
-        self.factor = factor
-        group.right_coset_key((), factor)  # validates the factor index
         super().__init__(Alphabet.of_size(self.mu0.size), group)
 
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         base = self.alphabet.size
         m = len(elements)
         total = pattern_count(base, m)
-        keys = [self.group.right_coset_key(g, self.factor) for g in elements]
+        keys = [self.group.right_coset_key(g, 0) for g in elements]
         classes: Dict[Tuple[int, ...], List[int]] = {}
         for pos, key in enumerate(keys):
             classes.setdefault(key, []).append(pos)
@@ -236,7 +233,7 @@ class CosetIidOracle(MarginalOracle):
 class PeriodicOrbitOracle(MarginalOracle):
     """Uniform measure on the shift orbit of a p-periodic point of X^Z."""
 
-    def __init__(self, pattern: str, group: GroupSpec, alphabet_size: Optional[int] = None):
+    def __init__(self, pattern: str, group: GroupSpec):
         if not group.is_integers():
             raise ValueError("periodic_orbit is defined over the integers")
         if not pattern or not pattern.isdigit():
@@ -246,12 +243,9 @@ class PeriodicOrbitOracle(MarginalOracle):
         for d in range(1, p):
             if p % d == 0 and all(symbols[i] == symbols[i % d] for i in range(p)):
                 raise ValueError(f"pattern has least period {d}, not {p}")
-        size = alphabet_size if alphabet_size is not None else max(max(symbols) + 1, 2)
-        if any(s >= size for s in symbols):
-            raise ValueError("pattern symbol out of alphabet range")
         self.symbols = symbols
         self.period = p
-        super().__init__(Alphabet.of_size(size), group)
+        super().__init__(Alphabet.of_size(max(max(symbols) + 1, 2)), group)
 
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         base = self.alphabet.size
@@ -330,8 +324,8 @@ def tree_markov(transition: Sequence[Sequence[float]], initial: Sequence[float],
     return TreeMarkovOracle(transition, initial, group)
 
 
-def coset_iid(mu0: Sequence[float], group: GroupSpec, factor: int = 0) -> CosetIidOracle:
-    return CosetIidOracle(mu0, group, factor)
+def coset_iid(mu0: Sequence[float], group: GroupSpec) -> CosetIidOracle:
+    return CosetIidOracle(mu0, group)
 
 
 def periodic_orbit(pattern: str, group: GroupSpec) -> PeriodicOrbitOracle:

@@ -172,13 +172,12 @@ class SpectralReport:
     vertices: int = field(default=0)
 
 
+SPECTRAL_TOL = 1e-9
+SPECTRAL_MAX_ITERS = 100_000
+
+
 def schreier_spectral_gap(
-    sigma: SoficMap,
-    generators: Sequence[str],
-    restriction: Optional[np.ndarray] = None,
-    seed: int = 0,
-    tol: float = 1e-9,
-    max_iters: int = 100_000,
+    sigma: SoficMap, generators: Sequence[str], restriction: np.ndarray, seed: int
 ) -> SpectralReport:
     """Power iteration for the second-largest eigenvalue of the normalized
     adjacency of the Schreier multigraph on the chosen generators.
@@ -188,15 +187,14 @@ def schreier_spectral_gap(
     with the constant vector at eigenvalue 1. That top vector is deflated by
     projection and the iteration runs on (M + I)/2, so it converges to the
     second-largest signed eigenvalue even when that eigenvalue is negative.
-    If `restriction` is given, only edges inside the subset are kept (the
-    intended use restricts to a block preserved by the chosen generators).
+    Only edges inside `restriction` are kept (the intended use restricts to a
+    block preserved by the chosen generators). It stops when the eigenvalue
+    estimate moves by less than SPECTRAL_TOL, or after SPECTRAL_MAX_ITERS
+    iterations.
     """
     if not generators:
         raise ValueError("generator set must be nonempty")
-    if restriction is None:
-        verts = np.arange(sigma.n, dtype=np.int64)
-    else:
-        verts = np.asarray(restriction, dtype=np.int64)
+    verts = np.asarray(restriction, dtype=np.int64)
     m = verts.size
     if m < 2:
         raise ValueError("need at least two vertices for a second eigenvalue")
@@ -226,10 +224,10 @@ def schreier_spectral_gap(
     lam = 0.0
     iterations = 0
     converged = False
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, SPECTRAL_MAX_ITERS + 1):
         mx = apply_m(x)
         lam = float(x @ mx)
-        if abs(lam - prev) < tol:
+        if abs(lam - prev) < SPECTRAL_TOL:
             converged = True
             break
         prev = lam

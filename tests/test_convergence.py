@@ -169,7 +169,7 @@ def test_h_average_identity_window():
     st_map = product(quotient_map(Z, 3), quotient_map(Z, 4))
     gen = np.random.default_rng(1)
     x = gen.integers(0, 2, size=12).astype(np.uint8)
-    theta = ModelMeasure.from_support(x[None, :])
+    theta = ModelMeasure.from_support(x[None, :], [1.0])
     out = h_average(st_map, theta, [()])
     np.testing.assert_array_equal(out.support, theta.support)
 
@@ -181,7 +181,7 @@ def test_h_average_full_cycle_orbit():
     grid[:, 0] = 1
     grid[0, 1] = 1
     x = grid.ravel()
-    theta = ModelMeasure.from_support(x[None, :])
+    theta = ModelMeasure.from_support(x[None, :], [1.0])
     elems = [(), (1,), (1, 1), (1, 1, 1)]
     out = h_average(st_map, theta, elems)
     assert out.support.shape == (4, 12)
@@ -200,8 +200,8 @@ def test_h_average_mass_and_linearity():
     elems = [(), (1,)]
     direct = h_average(st_map, mix, elems)
     assert direct.weights.sum() == pytest.approx(1.0)
-    part_a = h_average(st_map, ModelMeasure.from_support(a[None, :]), elems)
-    part_b = h_average(st_map, ModelMeasure.from_support(b[None, :]), elems)
+    part_a = h_average(st_map, ModelMeasure.from_support(a[None, :], [1.0]), elems)
+    part_b = h_average(st_map, ModelMeasure.from_support(b[None, :], [1.0]), elems)
     merged = {}
     for part, scale in ((part_a, 0.25), (part_b, 0.75)):
         for row, w in zip(part.support, part.weights):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from soficlab.covering import (
+    HAMMING_BLOCK,
     ModelMeasure,
     _conflict_masks,
     _partial_cover_exact,
@@ -36,11 +37,12 @@ def test_hamming_distance_basics():
 
 
 def test_pairwise_hamming_matches_scalar():
+    # more rows than HAMMING_BLOCK, so the blocks and their seam are checked
     gen = np.random.default_rng(0)
-    a = gen.integers(0, 3, size=(5, 7)).astype(np.uint8)
+    a = gen.integers(0, 3, size=(HAMMING_BLOCK + 44, 7)).astype(np.uint8)
     b = gen.integers(0, 3, size=(4, 7)).astype(np.uint8)
-    mat = pairwise_hamming(a, b, block=2)
-    for i in range(5):
+    mat = pairwise_hamming(a, b)
+    for i in range(a.shape[0]):
         for j in range(4):
             assert mat[i, j] == pytest.approx((a[i] != b[j]).mean())
     sym = pairwise_hamming(a)
@@ -66,14 +68,14 @@ def test_pack_delta_strict_separation():
 def test_cov_eps_delta_frozen_values():
     three = np.array([[0], [1], [2]], dtype=np.uint8)
     nu = ModelMeasure.from_support(three, (0.5, 0.3, 0.2))
-    assert cov_eps_delta(nu, 0.25, 0.1, method="exact").value == 2
-    assert cov_eps_delta(nu, 0.25, 1.0, method="exact").value == 1
+    assert cov_eps_delta(nu, 0.25, 0.1, method="exact", centers=three).value == 2
+    assert cov_eps_delta(nu, 0.25, 1.0, method="exact", centers=three).value == 1
 
 
 def test_exact_methods_need_explicit_support():
     nu = ModelMeasure.iid(4, [0.5, 0.5])
     with pytest.raises(ValueError):
-        cov_eps_delta(nu, 0.2, 0.3, method="exact")
+        cov_eps_delta(nu, 0.2, 0.3, method="exact", centers=_cube(4))
 
 
 def test_model_measure_validation():
@@ -186,11 +188,11 @@ def test_cov_result_reports_method():
 
 @pytest.mark.parametrize("method", ["exatc", "auto"])
 def test_unknown_method_raises(method):
-    nu = ModelMeasure.from_support(CUBE2)
+    nu = ModelMeasure.from_support(CUBE2, np.full(4, 0.25))
     for solve in (
         lambda: cov_delta(CUBE2, 0.5, method=method),
         lambda: pack_delta(CUBE2, 0.5, method=method),
-        lambda: cov_eps_delta(nu, 0.25, 0.5, method=method),
+        lambda: cov_eps_delta(nu, 0.25, 0.5, method=method, centers=CUBE2),
     ):
         with pytest.raises(ValueError, match="method"):
             solve()

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from soficlab.cli import main
+from soficlab.covering import PACK_EPS_EXACT_BUDGET
 from soficlab.experiments import (
     REGISTRY,
     SCHEMA,
@@ -121,10 +122,40 @@ def test_validate_refuses_weights_that_are_not_a_law(name, path, tmp_path, capsy
     assert f"invalid: {path}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "over, path",
+    [
+        ({"vertices": 1, "set_size": 3, "support_atoms": 2}, "set_size"),
+        ({"vertices": 2, "set_size": 4, "support_atoms": 5}, "support_atoms"),
+        ({"support_atoms": PACK_EPS_EXACT_BUDGET + 1}, "support_atoms"),
+        ({"eps": 1.5}, "eps"),
+        ({"eps": 1}, "eps"),
+        ({"deltas": [0.5, 0.0]}, "deltas[1]"),
+    ],
+)
+def test_validate_refuses_e2_configs_run_cannot_finish(over, path):
+    """Without these rules `run` drew distinct configurations forever
+    (set_size 3 on 1 vertex) or exited 1 (eps 1.5, support_atoms 17)."""
+    cfg = json.loads((CONFIG_DIR / "e2.json").read_text())
+    (problem,) = validate_config({**cfg, **over})
+    assert problem.startswith(f"{path}: ")
+    assert validate_config({**cfg, "vertices": 2, "set_size": 4, "support_atoms": 4}) == []
+    e2 = [b["then"] for b in SCHEMA["allOf"] if b["if"]["properties"]["experiment"]["const"] == "E2"][0]
+    assert e2["properties"]["support_atoms"]["maximum"] == PACK_EPS_EXACT_BUDGET
+
+
+def test_validate_refuses_e7_generators_outside_the_group():
+    """A label the partitioned model's group lacks used to end `run` in a bare KeyError."""
+    cfg = json.loads((CONFIG_DIR / "e7.json").read_text())
+    (problem,) = validate_config({**cfg, "generators": ["a", "z"]})
+    assert problem.startswith("generators[1]: ")
+    assert validate_config({**cfg, "generators": ["a", "b", "a'", "b'"]}) == []
+
+
 # the keywords validate_config interprets, and the annotations it may ignore
 INTERPRETED = {
     "type", "required", "properties", "enum", "const", "minimum", "maximum",
-    "exclusiveMinimum", "minItems", "items", "allOf", "if", "then",
+    "exclusiveMinimum", "exclusiveMaximum", "minItems", "items", "allOf", "if", "then",
 }
 ANNOTATIONS = {"$schema", "$id", "title", "description"}
 
@@ -158,6 +189,8 @@ def _violations(schema: dict, value):
         out.append(("maximum", schema["maximum"] + 1))
     if "exclusiveMinimum" in schema:
         out.append(("exclusiveMinimum", schema["exclusiveMinimum"]))
+    if "exclusiveMaximum" in schema:
+        out.append(("exclusiveMaximum", schema["exclusiveMaximum"]))
     if "minItems" in schema:
         out.append(("minItems", value[: schema["minItems"] - 1]))
     if "items" in schema and value:
@@ -193,7 +226,7 @@ def test_every_schema_violation_is_refused(name, tmp_path, monkeypatch, capsys):
         assert main(["run", str(path)]) == 1, label
         capsys.readouterr()
         written = [p.relative_to(cwd) for p in cwd.rglob("*") if p.is_file()]
-        assert written == [out_dir_for(bad) / "diagnostic.json"], label
+        assert written == [out_dir_for(bad, None) / "diagnostic.json"], label
 
 
 def test_run_experiment_writes_artifacts(tmp_path):

@@ -100,6 +100,11 @@ def test_right_coset_keys():
     reps = [(), (3,), (4,), (3, 2), (3, 1, 4)]
     keys = {G.right_coset_key(g, 0) for g in reps}
     assert len(keys) == len(reps)
+    # for the second factor H' = <a',b'>, e and a' share a coset, e and a do not
+    assert G.right_coset_key((3,), 1) == G.right_coset_key((), 1) == ()
+    assert G.right_coset_key((1,), 1) == (1,)
+    with pytest.raises(ValueError):
+        G.right_coset_key((), 2)
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8))

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficlab.covering import ModelMeasure
+from soficlab.entropy import shannon_entropy
 from soficlab.groups import GroupSpec, Window, coind_group
+from soficlab.models import count_good_models_mc, letter_frequency_count
 from soficlab.processes import (
     BernoulliOracle,
     CosetIidOracle,
@@ -19,7 +22,9 @@ from soficlab.processes import (
     product_process,
     tree_markov,
     tv_distance,
+    validate_weights,
 )
+from soficlab.sofic import quotient_map
 
 F2 = GroupSpec.free(2)
 Z = GroupSpec.integers()
@@ -56,6 +61,36 @@ def test_marginal_elems_refuses_repeated_elements(mu):
         mu.marginal_elems(((1,), (1,)))
     with pytest.raises(ValueError, match="distinct"):
         mu.marginal_elems(((), (1,), ()))
+
+
+# every entry point that takes a probability vector: (call, field its refusal names)
+LAW_ENTRY_POINTS = {
+    "validate_weights": (validate_weights, "weights"),
+    "bernoulli": (lambda w: bernoulli(w, F2), "weights"),
+    "coset_iid": (lambda w: coset_iid(w, CG), "weights"),
+    "ModelMeasure.iid": (lambda w: ModelMeasure.iid(3, w), "site weights"),
+    "ModelMeasure.from_support": (lambda w: ModelMeasure.from_support([[0], [1]], w), "weights"),
+    "tree_markov initial": (lambda w: tree_markov([[0.5, 0.5], [0.5, 0.5]], w, F2), "initial"),
+    "tree_markov transition": (lambda w: tree_markov([w, [0.5, 0.5]], [0.5, 0.5], F2), "transition row 0"),
+    "shannon_entropy": (shannon_entropy, "weights"),
+    "count_good_models_mc": (
+        lambda w: count_good_models_mc(quotient_map(Z, 4), bernoulli((0.5, 0.5), Z), Window(Z, [()]), 0.3, w, 2, 0),
+        "proposal",
+    ),
+    "letter_frequency_count": (lambda w: letter_frequency_count(w, 4, 0.3), "weights"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAW_ENTRY_POINTS))
+def test_probability_vectors_follow_one_rule(name):
+    """One rule, `validate_weights`, for every probability vector: finite,
+    nonnegative entries summing to 1 within 1e-9. A NaN entry used to pass
+    the sign and sum tests, since every comparison with NaN is false."""
+    law, field = LAW_ENTRY_POINTS[name]
+    for bad in ([np.nan, 1.0], [0.7, 0.7], [1.5, -0.5]):
+        with pytest.raises(ValueError, match=field):
+            law(bad)
+    law([0.5, 0.5 + 1e-10])
 
 
 def test_bernoulli_rejects_bad_weights():
@@ -140,17 +175,9 @@ def test_coset_iid_cross_coset():
     np.testing.assert_allclose(probs, [9 / 16, 3 / 16, 3 / 16, 1 / 16])
 
 
-def test_coset_iid_second_factor():
-    mu = coset_iid((0.75, 0.25), CG, factor=1)
-    probs = mu.marginal_elems(Window(CG, ((), (3,))).elements)
-    np.testing.assert_allclose(probs, [0.75, 0.0, 0.0, 0.25])
-
-
 def test_coset_iid_rejects_wrong_group():
     with pytest.raises(ValueError):
         coset_iid((0.5, 0.5), F2)
-    with pytest.raises(ValueError):
-        coset_iid((0.5, 0.5), CG, factor=2)
 
 
 def test_coinduced_same_fiber_recovers_base():
@@ -182,7 +209,7 @@ def test_product_of_bernoullis_is_bernoulli():
     p = bernoulli((0.75, 0.25), F2)
     q = bernoulli((0.5, 0.5), F2)
     pair = product_process(p, q)
-    joint = BernoulliOracle((0.375, 0.375, 0.125, 0.125), F2, alphabet=pair.alphabet)
+    joint = BernoulliOracle((0.375, 0.375, 0.125, 0.125), F2)
     W = Window(F2, ((), (1,), (2,)))
     assert tv_distance(pair.marginal_elems(W.elements), joint.marginal_elems(W.elements)) < 1e-12
 
@@ -365,11 +392,12 @@ def _tree_markov_loop(P, pi, elements):
     return probs
 
 
-def _coset_iid_loop(mu0, group, factor, elements):
-    """Per-pattern reference: coset classes tested one pattern at a time."""
+def _coset_iid_loop(mu0, group, elements):
+    """Per-pattern reference: coset classes of the first factor tested one
+    pattern at a time."""
     classes = {}
     for pos, g in enumerate(elements):
-        classes.setdefault(group.right_coset_key(g, factor), []).append(pos)
+        classes.setdefault(group.right_coset_key(g, 0), []).append(pos)
     patterns = decode_patterns(mu0.size, len(elements))
     probs = np.zeros(len(patterns))
     for idx, pat in enumerate(patterns):
@@ -417,9 +445,8 @@ def test_coset_iid_batched_equals_loop(data):
     base = data.draw(st.sampled_from((2, 3)))
     mu0 = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=base, max_size=base)))
     mu0 = mu0 / mu0.sum()
-    factor = data.draw(st.sampled_from((0, 1)))
     subsets = st.lists(st.sampled_from(CG.ball(2).elements), unique=True, min_size=1, max_size=MAX_ELEMENTS[base])
     ball1 = CG.ball(1).elements  # E5 and E6's window
     elements = tuple(data.draw(st.one_of(st.just(ball1), subsets) if base == 2 else subsets))
-    mu = CosetIidOracle(mu0, CG, factor)
-    assert np.array_equal(mu.marginal_elems(elements), _coset_iid_loop(mu.mu0, CG, factor, elements))
+    mu = CosetIidOracle(mu0, CG)
+    assert np.array_equal(mu.marginal_elems(elements), _coset_iid_loop(mu.mu0, CG, elements))

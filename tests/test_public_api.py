@@ -23,6 +23,20 @@ Methods are matched by name only, since the walk does not know the type of
 `DispersionReport.to_json`, which E8 writes, reaches every `to_json`, and a
 dict's `.values()` reaches every `values` method. A method that only a
 reached name of this kind covers is not caught here.
+
+Parameters get the same audit. Every defaulted parameter of a reached
+function or visited method must be passed by at least one call in reached
+code or in `tests/test_acceptance.py`, and omitted by at least one: a
+parameter no call sets is a knob that does nothing, and a default every call
+overrides never runs. A call counts toward a callable by name only: a
+function by its own name, `__init__` by its class's name, a method by its
+attribute name. A call with `*args` or `**kwargs` passes every parameter.
+So calls made through another name are not seen: E9 calls the three
+defects through a loop variable `fn`, and a function imported under an
+alias is called by the alias. Calls to two methods of one name are pooled,
+as with the method rule, and dataclass fields are not parameters here.
+`PARAMETER_ALLOWLIST` holds the exceptions, each with its reason, and an
+entry the rule no longer flags fails too.
 """
 
 import ast
@@ -194,3 +208,79 @@ def test_experiments_use_no_private_names_of_other_modules():
         and node.value.id in modules and node.attr.startswith("_")
     ]
     assert not private, private
+
+
+# (module, function or Class.method, parameter): why the parameter rule does
+# not apply to it
+PARAMETER_ALLOWLIST = {
+    ("cli", "main", "argv"): "the entry point: the console script passes nothing, tests and the benchmark pass argv",
+    ("convergence", "dq_defect", "pair_cap"): "perfbench/tracing.py `_defect_observer` reads it by name; it goes "
+    "in the benchmark revision of ROADMAP item 5",
+    ("convergence", "lw_defect", "samples"): "perfbench/tracing.py `_defect_observer` reads it by name, and with "
+    "`seed` it feeds the draw path for explicit supports above EXACT_SUPPORT_CAP",
+    ("convergence", "lw_defect", "seed"): "with `samples` it feeds the draw path for explicit supports above "
+    "EXACT_SUPPORT_CAP",
+}
+
+
+def _reached_code():
+    """The reached code, every reached top-level definition (a class without
+    its unreached public methods) plus `tests/test_acceptance.py`; and for
+    each reached top-level function and each visited method, (module,
+    qualified name, callee name, definition, 1 when a call leaves out the
+    first parameter `self` or `cls`, else 0)."""
+    seen, methods, tables = _reached()
+    code: List[ast.AST] = [ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())]
+    funcs = []
+    for module, name in sorted(seen):
+        node = tables[module][0].get(name)
+        if isinstance(node, ast.ClassDef):
+            held = _public_methods(node)
+            for part in node.body:
+                if part in held and (module, name, part.name) not in methods:
+                    continue
+                code.append(part)
+                if isinstance(part, ast.FunctionDef):
+                    static = any(getattr(d, "id", "") == "staticmethod" for d in part.decorator_list)
+                    callee = name if part.name == "__init__" else part.name
+                    funcs.append((module, f"{name}.{part.name}", callee, part, 0 if static else 1))
+        elif node is not None:  # None: the name is an import
+            code.append(node)
+            if isinstance(node, ast.FunctionDef):
+                funcs.append((module, name, name, node, 0))
+    return code, funcs
+
+
+def _passed(call: ast.Call, positional: List[str], skip: int) -> Set[str]:
+    """The parameters a call passes; a `*args` or `**kwargs` call passes all."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return {"*"}
+    return set(positional[skip : skip + len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def test_every_defaulted_parameter_is_set_and_omitted():
+    """A defaulted parameter of reached code is passed by some reached call
+    and omitted by another: one no call sets is a knob that does nothing, and
+    one every call passes has a default that never runs."""
+    code, funcs = _reached_code()
+    calls: Dict[str, List[ast.Call]] = {}
+    for node in code:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call):
+                callee = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
+                calls.setdefault(callee, []).append(sub)
+    found = {}
+    for module, qual, callee, fn, skip in funcs:
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults) :]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        sites = [_passed(call, positional, skip) for call in calls.get(callee, [])]
+        for param in defaulted:
+            passing = sum(param in s or "*" in s for s in sites)
+            if passing in (0, len(sites)):
+                found[(module, qual, param)] = "set by no call" if passing == 0 else "passed by every call"
+    unexpected = {f"{m}.{q}({p})": why for (m, q, p), why in found.items() if (m, q, p) not in PARAMETER_ALLOWLIST}
+    assert not unexpected, f"defaulted parameters whose default or whose knob never runs: {unexpected}"
+    stale = [key for key in PARAMETER_ALLOWLIST if key not in found]
+    assert not stale, f"allowlisted parameters the rule no longer flags: {stale}"

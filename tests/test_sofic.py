@@ -116,7 +116,7 @@ def test_product_defect_union_bound():
 def test_spectral_cycle():
     """Z/6 cycle: lambda_2 = cos(2*pi/6) = 1/2 exactly."""
     sigma = quotient_map(Z, 6)
-    rep = schreier_spectral_gap(sigma, ["a"])
+    rep = schreier_spectral_gap(sigma, ["a"], np.arange(sigma.n), seed=0)
     assert rep.converged
     assert rep.lambda2 == pytest.approx(0.5, abs=1e-6)
 
@@ -126,21 +126,21 @@ def test_spectral_complete_graph():
     # K4, second signed eigenvalue -1/(|V|-1)
     rotations = {lab: (np.arange(4) + k) % 4 for k, lab in enumerate("abc", start=1)}
     sigma = SoficMap(GroupSpec.free(3), rotations)
-    rep = schreier_spectral_gap(sigma, ["a", "b", "c"])
+    rep = schreier_spectral_gap(sigma, ["a", "b", "c"], np.arange(sigma.n), seed=0)
     assert rep.lambda2 == pytest.approx(1 / 3, abs=1e-6)
     assert rep.lambda2_signed == pytest.approx(-1 / 3, abs=1e-6)
 
 
 def test_spectral_disconnected():
     sigma = SoficMap(Z, {"a": np.array([1, 0, 3, 2])})
-    rep = schreier_spectral_gap(sigma, ["a"])
+    rep = schreier_spectral_gap(sigma, ["a"], np.arange(sigma.n), seed=0)
     assert rep.lambda2 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_spectral_restriction():
     sigma = partitioned_random(16, seed=20260821)
     for region in ("U", "W"):
-        rep = schreier_spectral_gap(sigma, ["a", "b"], restriction=sigma.partition[region])
+        rep = schreier_spectral_gap(sigma, ["a", "b"], restriction=sigma.partition[region], seed=0)
         assert rep.vertices == sigma.partition[region].size
         assert rep.converged
         assert rep.lambda2 < 1.0
