@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .experiments import RunContext, config_checksum, out_dir_for, run_experiment, validate_config
+from .experiments import RunContext, config_checksum, run_experiment, validate_config
 from .models import ENUM_BUDGET
 
 
@@ -66,15 +66,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
             cfg["seed"] = args.seed
         code = run_experiment(cfg, ctx)
     except Exception as exc:  # seed, budget and validation refusals land here
-        out = out_dir_for(cfg, args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        diag = {
-            "error": str(exc),
-            "type": type(exc).__name__,
-            "experiment": cfg.get("experiment"),
-            "config_checksum": config_checksum(cfg),
-        }
-        (out / "diagnostic.json").write_text(json.dumps(diag, sort_keys=True, indent=2) + "\n")
+        # only under --out: a config's own out_dir may be its golden results directory
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+            diag = {
+                "error": str(exc),
+                "type": type(exc).__name__,
+                "experiment": cfg.get("experiment"),
+                "config_checksum": config_checksum(cfg),
+            }
+            (args.out / "diagnostic.json").write_text(json.dumps(diag, sort_keys=True, indent=2) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         return 1
     verdict = "pass" if code == 0 else "threshold failure"

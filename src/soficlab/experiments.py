@@ -35,6 +35,7 @@ from .processes import (
     bernoulli,
     coinduced,
     coset_iid,
+    decode_patterns,
     periodic_orbit,
     product_process,
     tree_markov,
@@ -190,10 +191,7 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
         if not holds:
             all_hold = False
 
-    ambient = np.array(
-        [[(i >> (vertices - 1 - b)) & 1 for b in range(vertices)] for i in range(2**vertices)],
-        dtype=np.uint8,
-    )
+    ambient = decode_patterns(2, vertices)
     for i in range(cfg["instances"]):
         gen = stream(seed, "e2", i)
         points = _unique_configs(gen, cfg["set_size"], vertices)
@@ -702,15 +700,11 @@ def validate_config(cfg: dict) -> List[str]:
 
 
 def out_dir_for(cfg: dict, override: Optional[Path]) -> Path:
-    """Where a run writes: the override, else the config's out_dir, else
-    results/<experiment>. A config without a known experiment or a string
-    out_dir still gets a directory, so a refusal can write its
-    diagnostic.json there."""
+    """Where a run of a validated config writes: the override, else the
+    config's out_dir, else results/<experiment>."""
     if override is not None:
         return override
-    exp = str(cfg.get("experiment", "unknown")).lower()
-    out_dir = cfg.get("out_dir")
-    return Path(out_dir if isinstance(out_dir, str) else f"results/{exp}")
+    return Path(cfg.get("out_dir", f"results/{cfg['experiment'].lower()}"))
 
 
 def run_experiment(cfg: dict, ctx: RunContext) -> int:
@@ -720,9 +714,10 @@ def run_experiment(cfg: dict, ctx: RunContext) -> int:
         raise ValueError("; ".join(problems))
     exp = cfg["experiment"]
     checksum = config_checksum(cfg)
+    result = REGISTRY[exp](cfg, ctx)
+    # made only now, so that a refusal inside the experiment leaves no directory
     out = out_dir_for(cfg, ctx.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    result = REGISTRY[exp](cfg, ctx)
     for name, lines in result.tables.items():
         text = "\n".join([f"# config_checksum={checksum}"] + lines) + "\n"
         (out / name).write_text(text)

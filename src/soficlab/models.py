@@ -1,10 +1,10 @@
 """Pattern counts, good-model combinatorics, and the adjoint shift.
 
 Configurations are arrays of alphabet indices over the vertex set of a sofic
-approximation. Their pattern counts are taken over all vertices; a
-configuration is an (F, eps)-good model when its empirical F-marginal, the
-counts over n, is within TV distance strictly less than eps of the process
-marginal.
+approximation. Their pattern counts are taken over all vertices, each pattern
+at the index that `processes._pattern_codes` gives it; a configuration is an
+(F, eps)-good model when its empirical F-marginal, the counts over n, is
+within TV distance strictly less than eps of the process marginal.
 
 Exact enumeration is a depth-first branch and bound over X^V. Vertices are
 assigned one at a time; the pattern of a vertex is final once its whole window
@@ -31,7 +31,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Element, Window
-from .processes import MarginalOracle, _tv_rows, pattern_count, tv_distance, validate_weights
+from .processes import MarginalOracle, _pattern_codes, _tv_rows, pattern_count, tv_distance, validate_weights
 from .randomness import _map, categorical, stream
 from .sofic import SoficMap
 
@@ -100,22 +100,6 @@ class GoodModelCount:
     standard_error: Optional[float] = None
 
 
-def _window_codes(vals: np.ndarray, perms, base: int) -> np.ndarray:
-    """The pattern-code kernel: sum_i vals[perms[i]] * base^(m-1-i).
-
-    `vals` is vertex-major: (|V|,) for one configuration or (|V|, b) for a
-    block of b configurations, so with index-array rows in `perms` every
-    gather copies whole contiguous rows. Codes are built in place in the
-    narrowest unsigned dtype that holds base^m - 1; no partial code exceeds
-    it, and a letter array already in that dtype is not widened.
-    """
-    codes = vals[perms[0]].astype(np.min_scalar_type(base ** len(perms) - 1), copy=False)
-    for p in perms[1:]:
-        codes *= base
-        codes += vals[p]
-    return codes
-
-
 def _sub_slices(block: np.ndarray, npat: int) -> List[np.ndarray]:
     """The rows of a (rows, |V|) block in sub-slices of KERNEL_CELLS cells,
     which keep the code and histogram arrays of `_block_counts` in cache."""
@@ -126,12 +110,13 @@ def _sub_slices(block: np.ndarray, npat: int) -> List[np.ndarray]:
 def _block_counts(rows: np.ndarray, perms: np.ndarray, base: int, npat: int) -> np.ndarray:
     """Pattern counts of the rows of a (rows, |V|) letter block as one
     C-contiguous (rows, npat) int64 array. The rows are transposed to
-    vertex-major in the code dtype, coded by `_window_codes` and histogrammed
-    by one bincount with a row offset of npat; any integer letter dtype is
+    vertex-major in the code dtype, so that each window image gathers whole
+    contiguous rows, coded by `processes._pattern_codes` and histogrammed by
+    one bincount with a row offset of npat; any integer letter dtype is
     accepted. Callers pass one `_sub_slices` piece at a time and map the
     pieces over the worker pool of `randomness`."""
     sub = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(npat - 1))
-    codes = _window_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
+    codes = _pattern_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
     return np.bincount(codes.ravel(), minlength=sub.shape[1] * npat).reshape(-1, npat)
 
 
@@ -228,7 +213,7 @@ def enumerate_good_models(
         excess = np.repeat(excess, base)
         deficit = np.repeat(deficit, base)
         for v in closing[depth]:
-            code = _window_codes(rows.T, perms[:, v, None], base)[0]
+            code = _pattern_codes(rows.T, perms[:, v, None], base)[0]
             seen = (codes[:, :closed] == code[:, None]).sum(axis=1)
             t = target[code]
             before, after = seen / float(n), (seen + 1) / float(n)

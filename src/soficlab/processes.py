@@ -4,7 +4,10 @@ Every process is represented by its alphabet and a function from finite
 windows F to the exact marginal distribution on X^F, stored as a dense vector
 of |X|^|F| doubles. Pattern indexing is mixed-radix with window position 0
 most significant: pattern (x_0, ..., x_{m-1}) has index sum x_i |X|^(m-1-i).
-Each marginal is computed for all patterns at once, as array operations over
+This module holds the package's only encoder of that index, `_pattern_codes`,
+and its inverse, `decode_patterns`; the oracles here, the good-model kernel
+of `models` and the defects of `convergence` all index patterns through
+them. Each marginal is computed for all patterns at once, as array operations over
 the decoded pattern matrix, with the same floating-point operation order as
 an evaluation one pattern at a time.
 """
@@ -61,6 +64,27 @@ def decode_patterns(base: int, length: int) -> np.ndarray:
     return out
 
 
+def _pattern_codes(symbols: np.ndarray, rows, base: int) -> np.ndarray:
+    """The package's one pattern encoder, the inverse of `decode_patterns`:
+    sum_i symbols[rows[i]] * base^(m-1-i) over the m entries of `rows`.
+
+    `symbols` is position-major and of an unsigned dtype. An entry of `rows`
+    is a position, which gathers one row, or an index array, which gathers
+    whole rows at once (the window images of `models`). Codes are built in
+    place by Horner steps in the narrowest unsigned dtype that holds
+    base^m - 1; no partial code exceeds it, and symbols already in that dtype
+    are not widened. A position gathers a view of `symbols`, which is copied
+    before the first step writes to it.
+    """
+    codes = symbols[rows[0]].astype(np.min_scalar_type(base ** len(rows) - 1), copy=False)
+    if np.may_share_memory(codes, symbols):
+        codes = codes.copy()
+    for r in rows[1:]:
+        codes *= base
+        codes += symbols[r]
+    return codes
+
+
 def tv_distance(p, q):
     """Total variation distance over the last axis: a Python float for two
     vectors, one value per row for a block, each bit for bit a 1-D call's."""
@@ -89,8 +113,8 @@ class MarginalOracle:
 
     def marginal_elems(self, elements: Tuple[Element, ...]) -> np.ndarray:
         key = tuple(elements)
-        if len(set(key)) != len(key):
-            raise ValueError("marginal elements must be distinct")
+        if not key or len(set(key)) != len(key):
+            raise ValueError("marginal elements must be nonempty and distinct")
         hit = self._cache.get(key)
         if hit is None:
             hit = self._compute(key)
@@ -250,14 +274,13 @@ class PeriodicOrbitOracle(MarginalOracle):
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         base = self.alphabet.size
         m = len(elements)
-        total = pattern_count(base, m)
-        offsets = [sum(1 if s > 0 else -1 for s in w) for w in elements]
-        powers = [base ** (m - 1 - i) for i in range(m)]
-        probs = np.zeros(total)
+        probs = np.zeros(pattern_count(base, m))
         p = self.period
-        for shift in range(p):
-            idx = sum(self.symbols[(off + shift) % p] * pw for off, pw in zip(offsets, powers))
-            probs[idx] += 1.0 / p
+        offsets = np.array([sum(1 if s > 0 else -1 for s in w) for w in elements])
+        # orbit[i, shift]: the symbol at position i of the pattern seen at shift
+        orbit = np.array(self.symbols, dtype=np.uint8)[(offsets[:, None] + np.arange(p)) % p]
+        # add.at adds the shifts in order, as a loop over them would
+        np.add.at(probs, _pattern_codes(orbit, range(m), base), 1.0 / p)
         return probs
 
 
@@ -279,13 +302,10 @@ class CoinducedOracle(MarginalOracle):
         for h, positions in fibers.items():
             g_parts = tuple(elements[q][0] for q in positions)
             fiber_data.append((positions, self.base.marginal_elems(g_parts)))
-        patterns = decode_patterns(basealpha, m)
+        patterns = decode_patterns(basealpha, m).T
         probs = np.ones(total)
         for positions, local in fiber_data:
-            local_m = len(positions)
-            powers = basealpha ** np.arange(local_m - 1, -1, -1, dtype=np.int64)
-            local_idx = patterns[:, positions] @ powers
-            probs *= local[local_idx]
+            probs *= local[_pattern_codes(patterns, positions, basealpha)]
         return probs
 
 
@@ -307,10 +327,8 @@ class ProductOracle(MarginalOracle):
         pm = self.mu.marginal_elems(elements)
         pn = self.nu.marginal_elems(elements)
         # by is 256 when bx is 1, and a uint8 array cannot be divided by 256
-        x_digits, y_digits = np.divmod(decode_patterns(bx * by, m), np.uint16(by))
-        powx = bx ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        powy = by ** np.arange(m - 1, -1, -1, dtype=np.int64)
-        return pm[x_digits @ powx] * pn[y_digits @ powy]
+        x_digits, y_digits = np.divmod(decode_patterns(bx * by, m).T, np.uint16(by))
+        return pm[_pattern_codes(x_digits, range(m), bx)] * pn[_pattern_codes(y_digits, range(m), by)]
 
 
 # -- constructor helpers -----------------------------------------------------------

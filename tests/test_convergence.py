@@ -16,7 +16,8 @@ from soficlab.convergence import (
 )
 from soficlab.covering import ModelMeasure
 from soficlab.groups import GroupSpec, Window
-from soficlab.processes import bernoulli, periodic_orbit, product_process
+from soficlab.processes import bernoulli, periodic_orbit, product_process, tv_distance
+from soficlab.randomness import stream
 from soficlab.sofic import product, quotient_map, random_uniform
 
 Z = GroupSpec.integers()
@@ -219,3 +220,41 @@ def test_h_average_refuses_sampler():
     with pytest.raises(ValueError):
         h_average(st_map, nu, [()])
 
+
+
+def _pair_vertex_tvs(sigma, nu, mu, window, vertex_pairs, seed):
+    """The TV of each sampled vertex pair's joint law, one pair at a time,
+    from int64 pattern codes."""
+    base = mu.alphabet.size
+    mu_f = mu.marginal_elems(window.elements)
+    npat = mu_f.size
+    codes = np.zeros((sigma.n, nu.support.shape[0]), dtype=np.int64)
+    for p in sigma.window_perms(window):
+        codes = codes * base + nu.support.T[p]
+    gen = stream(seed, "pair-vertex-choice")
+    vs = gen.integers(0, sigma.n, size=vertex_pairs)
+    ws = gen.integers(0, sigma.n, size=vertex_pairs)
+    joint_target = np.outer(mu_f, mu_f).ravel()
+    return [
+        tv_distance(np.bincount(codes[v] * npat + codes[w], weights=nu.weights, minlength=npat * npat), joint_target)
+        for v, w in zip(vs, ws)
+    ]
+
+
+@given(st.integers(2, 3), st.integers(4, 10), st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_pair_vertex_stat_matches_pair_loop(base, n, k, vertex_pairs, seed):
+    """Non-dyadic atom weights, and every eps a pair's TV or the next float
+    above it, so a change in any pair's summation order moves a decision."""
+    gen = np.random.default_rng(seed)
+    support = np.unique(gen.integers(0, base, size=(k, n), dtype=np.uint8), axis=0)
+    weights = gen.random(support.shape[0]) + 0.1
+    nu = ModelMeasure.from_support(support, weights / weights.sum())
+    w = gen.random(base) + 0.1
+    mu = bernoulli(w / w.sum(), Z)
+    sigma = quotient_map(Z, n)
+    window = Window(Z, ((), (1,)))
+    tvs = _pair_vertex_tvs(sigma, nu, mu, window, vertex_pairs, seed)
+    for eps in sorted({*tvs, *(float(np.nextafter(t, 2.0)) for t in tvs)} - {0.0}):
+        expect = sum(tv >= eps for tv in tvs) / vertex_pairs
+        assert pair_vertex_stat(sigma, nu, mu, window, eps, vertex_pairs, seed) == expect

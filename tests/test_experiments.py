@@ -9,11 +9,13 @@ from soficlab.experiments import (
     REGISTRY,
     SCHEMA,
     RunContext,
+    _coind_setup,
     config_checksum,
-    out_dir_for,
     run_experiment,
     validate_config,
 )
+from soficlab.models import enumerate_good_models
+from soficlab.processes import product_process
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 RESULTS_DIR = CONFIG_DIR.parent / "results"
@@ -219,14 +221,13 @@ def test_every_schema_violation_is_refused(name, tmp_path, monkeypatch, capsys):
         path.write_text(json.dumps(bad))
         assert main(["validate", str(path)]) == 1, label
         assert f"invalid: {key}" in capsys.readouterr().err, label
-        # run refuses it too, writing nothing but its diagnostic
+        # run refuses it too, writing nothing without --out
         cwd = tmp_path / f"run{i}"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         assert main(["run", str(path)]) == 1, label
         capsys.readouterr()
-        written = [p.relative_to(cwd) for p in cwd.rglob("*") if p.is_file()]
-        assert written == [out_dir_for(bad, None) / "diagnostic.json"], label
+        assert not list(cwd.iterdir()), label
 
 
 def test_run_experiment_writes_artifacts(tmp_path):
@@ -261,6 +262,21 @@ def test_e6_hps_row_not_certified_when_pairs_are_good(tmp_path):
     assert sum(int(line.split(",")[4]) for line in search) > 0
     hps = (tmp_path / "e6_hps.csv").read_text().splitlines()
     assert hps[2] == "2,4,1,0.15,,,not-certified"
+
+
+@pytest.mark.parametrize("seed", [20260821, 20260822])
+def test_e6_certificate_implies_no_direct_pair_good_model(seed):
+    """E6's certified-empty row is backed by a direct search of the pair
+    alphabet, 4^16 configurations at n = 4, at the committed pair_eps. Only
+    this direction holds: E6's pair test is the F = {e} relaxation, so it can
+    say not-certified where the direct set is empty too."""
+    cfg = json.loads((CONFIG_DIR / "e6.json").read_text())
+    hps = (RESULTS_DIR / "e6" / "e6_hps.csv").read_text().splitlines()
+    assert hps[2].split(",")[3:] == [str(cfg["pair_eps"]), "-inf", "-inf", "certified-empty"]
+    sigma, nu, _, window = _coind_setup(cfg, seed)
+    pair = product_process(nu, nu)
+    got = enumerate_good_models(sigma, pair, window, cfg["pair_eps"], budget=4**16, keep_configs=False)
+    assert got.count == 0
 
 
 def test_run_experiment_rejects_invalid_config():
@@ -315,10 +331,12 @@ def test_cli_seed_refused_without_seed_field(tmp_path, capsys):
     cfg["out_dir"] = str(tmp_path / "e5")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", str(cfg_path), "--seed", "5"]) == 1
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--seed", "5", "--out", str(out)]) == 1
     assert "seed" in capsys.readouterr().err
-    assert sorted(p.name for p in (tmp_path / "e5").iterdir()) == ["diagnostic.json"]
-    diag = json.loads((tmp_path / "e5" / "diagnostic.json").read_text())
+    assert sorted(p.name for p in out.iterdir()) == ["diagnostic.json"]
+    assert not (tmp_path / "e5").exists()
+    diag = json.loads((out / "diagnostic.json").read_text())
     assert diag["experiment"] == "E5"
     assert diag["config_checksum"] == config_checksum(cfg)
 
@@ -328,13 +346,32 @@ def test_cli_budget_refusal_writes_diagnostic(tmp_path, capsys):
     cfg["out_dir"] = str(tmp_path / "e5")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["run", str(cfg_path), "--budget", "100"]) == 1
+    out = tmp_path / "out"
+    assert main(["run", str(cfg_path), "--budget", "100", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "budget" in err
-    diag = json.loads((tmp_path / "e5" / "diagnostic.json").read_text())
+    diag = json.loads((out / "diagnostic.json").read_text())
     assert diag["type"] == "BudgetExceededError"
     assert "budget" in diag["error"]
     assert diag["experiment"] == "E5"
+    assert not (tmp_path / "e5").exists()
+
+
+def test_refusal_never_writes_into_the_committed_out_dir(tmp_path, monkeypatch, capsys):
+    """Run from a working directory holding the committed config, whose
+    relative out_dir is its golden directory: a refusal writes nothing there,
+    and its diagnostic goes only under --out."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "e5.json").write_bytes((CONFIG_DIR / "e5.json").read_bytes())
+    assert main(["run", "configs/e5.json", "--budget", "100"]) == 1
+    assert "budget" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["configs"]
+    assert main(["run", "configs/e5.json", "--budget", "100", "--out", "refused"]) == 1
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["configs", "refused"]
+    diag = json.loads((tmp_path / "refused" / "diagnostic.json").read_text())
+    assert diag["type"] == "BudgetExceededError"
 
 
 def _assert_same_as_results(out: Path, exp: str, extra=()) -> None:

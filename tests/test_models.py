@@ -19,9 +19,8 @@ from soficlab.models import (
     good_mask,
     letter_frequency_count,
     _good_mask,
-    _window_codes,
 )
-from soficlab.processes import bernoulli, coset_iid, product_process, tree_markov
+from soficlab.processes import _pattern_codes, bernoulli, coset_iid, product_process, tree_markov
 from soficlab.sofic import partitioned_random, product, quotient_map, random_uniform
 
 Z = GroupSpec.integers()
@@ -221,7 +220,7 @@ def test_kernel_matches_int64_row_major(m, base, n, extra, uniform, seed):
         return codes, float(0.5 * np.abs(counts / float(n) - target[None, :]).sum(axis=1)[0])
 
     codes, _ = codes_and_tv(block[0])
-    np.testing.assert_array_equal(_window_codes(block[0].astype(np.uint8), perms, base), codes)
+    np.testing.assert_array_equal(_pattern_codes(block[0].astype(np.uint8), perms, base), codes)
     # ties: the float TV of drawn rows, and the next float above it
     drawn = [codes_and_tv(block[r])[1] for r in gen.integers(0, rows, size=3)]
     for eps in sorted({*drawn, *(float(np.nextafter(t, 2.0)) for t in drawn)}):

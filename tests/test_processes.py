@@ -13,6 +13,7 @@ from soficlab.processes import (
     BernoulliOracle,
     CosetIidOracle,
     TreeMarkovOracle,
+    _pattern_codes,
     bernoulli,
     coinduced,
     coset_iid,
@@ -61,6 +62,9 @@ def test_marginal_elems_refuses_repeated_elements(mu):
         mu.marginal_elems(((1,), (1,)))
     with pytest.raises(ValueError, match="distinct"):
         mu.marginal_elems(((), (1,), ()))
+    # nor is an empty tuple a window: it has no position to encode
+    with pytest.raises(ValueError, match="nonempty"):
+        mu.marginal_elems(())
 
 
 # every entry point that takes a probability vector: (call, field its refusal names)
@@ -235,6 +239,18 @@ def test_pattern_count_and_decode():
     assert np.array_equal(decode_patterns(256, 2)[-1], [255, 255])
     with pytest.raises(ValueError):
         pattern_count(2, 64)
+
+
+@pytest.mark.parametrize("base", [1, 2, 3, 4])
+def test_pattern_codes_invert_decode_patterns(base):
+    for m in range(1, 7):
+        patterns = decode_patterns(base, m)
+        before = patterns.copy()
+        # range(m) gathers rows of the transposed matrix as views of it
+        codes = _pattern_codes(patterns.T, range(m), base)
+        assert np.array_equal(codes, np.arange(base**m))
+        assert codes.dtype == np.min_scalar_type(base**m - 1)
+        assert np.array_equal(patterns, before)
 
 
 def test_decode_patterns_memory():
@@ -450,3 +466,93 @@ def test_coset_iid_batched_equals_loop(data):
     elements = tuple(data.draw(st.one_of(st.just(ball1), subsets) if base == 2 else subsets))
     mu = CosetIidOracle(mu0, CG)
     assert np.array_equal(mu.marginal_elems(elements), _coset_iid_loop(mu.mu0, CG, elements))
+
+
+# -- marginals through the pattern encoder against place-value references -------
+
+
+def _product_place_value(mu, nu, elements):
+    """Per-pattern indices of both factors as int64 place values, the way the
+    product oracle coded them before it shared the encoder."""
+    bx, by, m = mu.alphabet.size, nu.alphabet.size, len(elements)
+    x_digits, y_digits = np.divmod(decode_patterns(bx * by, m), np.uint16(by))
+    powx = bx ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    powy = by ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    return mu.marginal_elems(elements)[x_digits @ powx] * nu.marginal_elems(elements)[y_digits @ powy]
+
+
+def _coinduced_place_value(base, elements):
+    """Fiber marginals indexed by int64 place values, fibers in order of
+    first appearance."""
+    b, m = base.alphabet.size, len(elements)
+    fibers = {}
+    for pos, (_, h) in enumerate(elements):
+        fibers.setdefault(h, []).append(pos)
+    patterns = decode_patterns(b, m)
+    probs = np.ones(b**m)
+    for positions in fibers.values():
+        local = base.marginal_elems(tuple(elements[q][0] for q in positions))
+        powers = b ** np.arange(len(positions) - 1, -1, -1, dtype=np.int64)
+        probs *= local[patterns[:, positions] @ powers]
+    return probs
+
+
+def _periodic_orbit_loop(symbols, elements):
+    """One shift of the orbit at a time, its pattern index summed in Python."""
+    base, m, p = max(max(symbols) + 1, 2), len(elements), len(symbols)
+    offsets = [sum(1 if s > 0 else -1 for s in w) for w in elements]
+    powers = [base ** (m - 1 - i) for i in range(m)]
+    probs = np.zeros(base**m)
+    for shift in range(p):
+        idx = sum(symbols[(off + shift) % p] * pw for off, pw in zip(offsets, powers))
+        probs[idx] += 1.0 / p
+    return probs
+
+
+def _z_process(data, max_base):
+    """A Bernoulli process with non-dyadic weights or a periodic orbit over Z."""
+    base = data.draw(st.integers(1, max_base))
+    if data.draw(st.booleans()):
+        w = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=base, max_size=base)))
+        return bernoulli(w / w.sum(), Z)
+    return periodic_orbit(_primitive_word(data, max(base, 2)), Z)
+
+
+def _primitive_word(data, base):
+    while True:
+        word = "".join(map(str, data.draw(st.lists(st.integers(0, base - 1), min_size=1, max_size=7))))
+        if not any(len(word) % d == 0 and word == word[:d] * (len(word) // d) for d in range(1, len(word))):
+            return word
+
+
+def _distinct(data, elements, max_size):
+    return tuple(data.draw(st.lists(st.sampled_from(elements), unique=True, min_size=1, max_size=max_size)))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_periodic_orbit_equals_loop(data):
+    word = _primitive_word(data, data.draw(st.integers(2, 4)))
+    mu = periodic_orbit(word, Z)
+    elements = _distinct(data, Z.ball(3).elements, 6)
+    assert np.array_equal(mu.marginal_elems(elements), _periodic_orbit_loop(mu.symbols, elements))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_product_equals_place_value(data):
+    mu, nu = _z_process(data, 3), _z_process(data, 3)
+    most = int(np.log(1 << 14) / np.log(max(mu.alphabet.size * nu.alphabet.size, 2)))
+    elements = _distinct(data, Z.ball(3).elements, min(most, 7))
+    pair = product_process(mu, nu)
+    assert np.array_equal(pair.marginal_elems(elements), _product_place_value(mu, nu, elements))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_coinduced_equals_place_value(data):
+    base = _z_process(data, 3)
+    mu = coinduced(base, Z)
+    most = int(np.log(1 << 14) / np.log(max(base.alphabet.size, 2)))
+    elements = _distinct(data, mu.group.ball(2).elements, min(most, 9))
+    assert np.array_equal(mu.marginal_elems(elements), _coinduced_place_value(base, elements))

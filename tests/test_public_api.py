@@ -251,6 +251,11 @@ def _reached_code():
     return code, funcs
 
 
+def _callee(call: ast.Call):
+    """The name a call is made by: a function's own name, a method's attribute."""
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
 def _passed(call: ast.Call, positional: List[str], skip: int) -> Set[str]:
     """The parameters a call passes; a `*args` or `**kwargs` call passes all."""
     if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
@@ -267,8 +272,7 @@ def test_every_defaulted_parameter_is_set_and_omitted():
     for node in code:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
-                callee = getattr(sub.func, "id", None) or getattr(sub.func, "attr", None)
-                calls.setdefault(callee, []).append(sub)
+                calls.setdefault(_callee(sub), []).append(sub)
     found = {}
     for module, qual, callee, fn, skip in funcs:
         args = fn.args
@@ -284,3 +288,23 @@ def test_every_defaulted_parameter_is_set_and_omitted():
     assert not unexpected, f"defaulted parameters whose default or whose knob never runs: {unexpected}"
     stale = [key for key in PARAMETER_ALLOWLIST if key not in found]
     assert not stale, f"allowlisted parameters the rule no longer flags: {stale}"
+
+
+def test_one_pattern_encoder():
+    """The mixed-radix pattern index is built only by `processes._pattern_codes`,
+    the inverse of `processes.decode_patterns`: no module computes place values
+    (`base ** arange(...)`) or enumerates patterns with `indices`."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.stem}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+                if isinstance(node.right, ast.Call) and _callee(node.right) == "arange":
+                    found.append(f"{where} place values `** arange`")
+            elif isinstance(node, ast.Call) and _callee(node) == "indices":
+                found.append(f"{where} a call of `indices`")
+            elif isinstance(node, ast.FunctionDef) and node.name == "_pattern_codes" and path.stem != "processes":
+                found.append(f"{where} `_pattern_codes` defined outside processes")
+            if "_window_codes" in {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}:
+                found.append(f"{where} `_window_codes`")
+    assert not found, found
