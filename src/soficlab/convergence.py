@@ -184,9 +184,8 @@ class DispersionReport:
 def dispersion(
     sigma: SoficMap,
     nu: ModelMeasure,
+    mu: MarginalOracle,
     window: Window,
-    base: int,
-    target: np.ndarray,
     samples: int = 0,
     seed: int = 0,
     threshold: float = 0.05,
@@ -196,7 +195,7 @@ def dispersion(
     measure the barycentre's TV distance from the target mu_F."""
     configs, weights, _ = _atoms_of(nu, samples, seed, "dispersion")
     k = configs.shape[0]
-    marginals = counts_over_elements(sigma, configs, window.elements, base) / float(sigma.n)
+    marginals = counts_over_elements(sigma, configs, window.elements, mu.alphabet.size) / float(sigma.n)
     # single linkage: connected components of the TV < threshold graph
     parent = list(range(k))
 
@@ -224,7 +223,7 @@ def dispersion(
         masses=[m for m, _ in clusters],
         centroids=[c for _, c in clusters],
         barycentre=barycentre,
-        barycentre_tv=tv_distance(barycentre, target),
+        barycentre_tv=tv_distance(barycentre, mu.marginal_elems(window.elements)),
         threshold=threshold,
     )
 
@@ -277,11 +276,7 @@ def h_average(st: SoficMap, theta: ModelMeasure, elements: Sequence[Element]) ->
     elems = list(elements)
     if not elems:
         raise ValueError("need at least one averaging element")
-    shifted = []
-    for h in elems:
-        for row in support:
-            shifted.append(adjoint_shift(st, h, row))
-    block = np.asarray(shifted, dtype=np.uint8)
+    block = np.concatenate([adjoint_shift(st, h, support) for h in elems])
     big_weights = np.tile(weights, len(elems)) / len(elems)
     uniq, inverse = np.unique(block, axis=0, return_inverse=True)
     merged = np.zeros(uniq.shape[0])

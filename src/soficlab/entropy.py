@@ -28,9 +28,7 @@ def shannon_entropy(weights: Sequence[float]) -> float:
 @dataclass
 class EntropyRow:
     n: int
-    vertices: int
-    log_count: float  # nats; -inf when the good-model set is empty
-    value: float  # log_count / vertices
+    value: float  # log |Omega| / n in nats; -inf when the good-model set is empty
 
 
 @dataclass
@@ -51,7 +49,7 @@ def entropy_curve(mu: MarginalOracle, eps: float, sizes: Sequence[int]) -> Entro
     curve = EntropyCurve(mu.alphabet.size)
     for n in sizes:
         got = letter_frequency_count(mu.one_dim(), n, eps)
-        curve.append(EntropyRow(n, n, got.log_count_nats, got.log_count_nats / n))
+        curve.append(EntropyRow(n, got.log_count_nats / n))
     return curve
 
 

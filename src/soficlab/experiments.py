@@ -161,8 +161,8 @@ def run_e1(cfg: dict, ctx: RunContext) -> ExperimentResult:
         label = "/".join(repr(float(w)) for w in weights)
         for row in curve.rows:
             err = abs(row.value - target)
-            rows.append((label, row.n, row.vertices, 0, eps, row.value, target, err, "letter-exact"))
-            series.setdefault(label, []).append((row.vertices, row.value))
+            rows.append((label, row.n, row.n, 0, eps, row.value, target, err, "letter-exact"))
+            series.setdefault(label, []).append((row.n, row.value))
         final_err = abs(curve.rows[-1].value - target)
         if final_err > tol:
             passed = False
@@ -327,8 +327,7 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
             q = quenched_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "q", n, radius))
             dq = dq_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "dq", n, radius))
             disp = dispersion(
-                sigma, nu, window, mu.alphabet.size, mu.marginal_elems(window.elements),
-                cfg["dispersion_samples"], derive_seed(seed, "disp", n, radius),
+                sigma, nu, mu, window, cfg["dispersion_samples"], derive_seed(seed, "disp", n, radius)
             )
             rows.append((n, sigma.n, radius, eps, lw, q, dq, disp.cluster_count))
             if n == cfg["sizes"][-1]:
@@ -506,8 +505,7 @@ def run_e8(cfg: dict, ctx: RunContext) -> ExperimentResult:
         ea = Window(group, [group.identity(), (1,)])
         pair = product_process(mu, mu)
         disp = dispersion(
-            sigma, ModelMeasure.from_support(*nu.pairs(2)), ea, 4, pair.marginal_elems(ea.elements),
-            threshold=cfg["cluster_threshold"],
+            sigma, ModelMeasure.from_support(*nu.pairs(2)), pair, ea, threshold=cfg["cluster_threshold"]
         )
         stat = pair_vertex_stat(
             sigma, nu, mu, ea, cfg["pair_eps"], cfg["vertex_pairs"], seed=derive_seed(cfg["seed"], "e8", n)

@@ -89,7 +89,6 @@ class GroupSpec:
             kind="free_product",
             labels=tuple(labels),
             factor_ranks=tuple(len(f.labels) for f in factors),
-            factors=tuple(factors),
         )
 
     @staticmethod
@@ -154,9 +153,8 @@ class GroupSpec:
         return max(left.word_length(a[0]), right.word_length(a[1]))
 
     def _check_word(self, w: Element) -> None:
-        n = 2 * self.rank if self.kind == "free" else 2 * sum(self.factor_ranks)
         for s in w:
-            if s == 0 or abs(s) > n // 2:
+            if s == 0 or abs(s) > self.rank:
                 raise ValueError(f"letter {s} is not a declared generator")
 
     def sort_key(self, a: Element):
@@ -182,7 +180,7 @@ class GroupSpec:
         if radius < 0:
             raise ValueError("radius must be >= 0")
         if self.kind in ("free", "free_product"):
-            k = self.rank if self.kind == "free" else sum(self.factor_ranks)
+            k = self.rank
             letters = sorted(range(-k, k + 1), key=lambda s: _letter_key(s) if s else -1)
             letters = [s for s in letters if s != 0]
             frontier: List[FreeWord] = [()]

@@ -8,18 +8,18 @@ within TV distance strictly less than eps of the process marginal.
 
 Exact enumeration is a depth-first branch and bound over X^V. Vertices are
 assigned one at a time; the pattern of a vertex is final once its whole window
-image is assigned. With c_p the counts of the final patterns, t = mu_F and r
-the number of vertices whose pattern is still open, the final TV is at least
+image is assigned. With t = mu_F, the final TV of a complete configuration
+with pattern counts c is P - (1 - sum(t)) / 2, P = sum_p max(0, c_p/n - t_p),
+since every vertex ends with exactly one pattern, so the counts sum to n.
+Counts only grow as vertices close, so P is at least the running excess
 
-    LB - |1 - sum(t)| / 2,   LB = A + max(0, r/n - D),
-    A = sum_p max(0, c_p/n - t_p),   D = sum_p max(0, t_p - c_p/n),
+    A = sum_p max(0, c_p/n - t_p)
 
-since the open vertices add r/n of mass that can cancel at most D of deficit
-before it adds to the excess. A partial configuration is pruned when
-LB >= eps + |1 - sum(t)| / 2 + PRUNE_SLACK, where PRUNE_SLACK covers the float
-rounding of LB and of the exact test; every configuration that reaches full
-depth goes through the strict float test ``TV < eps`` of the flat scan, so the
-decisions at float ties are those of the flat scan.
+over the counts c of the patterns already final. A partial configuration is
+pruned when A >= eps + (1 - sum(t)) / 2 + PRUNE_SLACK, where PRUNE_SLACK
+covers the float rounding of A and of the exact test; every configuration
+that reaches full depth goes through the strict float test ``TV < eps`` of
+the flat scan, so the decisions at float ties are those of the flat scan.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ class BudgetExceededError(RuntimeError):
             f"exact enumeration spans {required} configurations, over the budget of {budget}; "
             "raise it with --budget"
         )
-        self.required = required
-        self.budget = budget
 
 
 def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: int) -> np.ndarray:
@@ -196,33 +194,31 @@ def enumerate_good_models(
     npat = pattern_count(base, len(window))
     n = sigma.n
     order, closing = _vertex_order(perms)
-    cut = eps + 0.5 * abs(1.0 - float(target.sum())) + PRUNE_SLACK
+    cut = eps + 0.5 * (1.0 - float(target.sum())) + PRUNE_SLACK
     code_type = np.min_scalar_type(npat - 1)
     letters = np.arange(base, dtype=np.uint8)
     count = 0
     kept: List[np.ndarray] = []
 
-    def grow(depth: int, rows: np.ndarray, codes: np.ndarray, excess: np.ndarray, deficit: np.ndarray, closed: int) -> None:
+    def grow(depth: int, rows: np.ndarray, codes: np.ndarray, excess: np.ndarray, closed: int) -> None:
         # rows: (b, n) uint8 with order[:depth] assigned; codes[:, :closed]
-        # holds the final pattern codes, excess/deficit the running A and D
+        # holds the final pattern codes, excess the running A
         nonlocal count
         b = rows.shape[0]
         rows = np.repeat(rows, base, axis=0)
         rows[:, order[depth]] = np.tile(letters, b)
         codes = np.repeat(codes, base, axis=0)
         excess = np.repeat(excess, base)
-        deficit = np.repeat(deficit, base)
         for v in closing[depth]:
             code = _pattern_codes(rows.T, perms[:, v, None], base)[0]
             seen = (codes[:, :closed] == code[:, None]).sum(axis=1)
             t = target[code]
             before, after = seen / float(n), (seen + 1) / float(n)
             excess += np.maximum(0.0, after - t) - np.maximum(0.0, before - t)
-            deficit += np.maximum(0.0, t - after) - np.maximum(0.0, t - before)
             codes[:, closed] = code
             closed += 1
-        live = excess + np.maximum(0.0, (n - closed) / float(n) - deficit) < cut
-        rows, codes, excess, deficit = rows[live], codes[live], excess[live], deficit[live]
+        live = excess < cut
+        rows, codes, excess = rows[live], codes[live], excess[live]
         if not rows.shape[0]:
             return
         if depth == n - 1:
@@ -233,14 +229,13 @@ def enumerate_good_models(
             return
         for lo in range(0, rows.shape[0], ENUM_ROWS):
             hi = lo + ENUM_ROWS
-            grow(depth + 1, rows[lo:hi], codes[lo:hi], excess[lo:hi], deficit[lo:hi], closed)
+            grow(depth + 1, rows[lo:hi], codes[lo:hi], excess[lo:hi], closed)
 
     grow(
         0,
         np.zeros((1, n), dtype=np.uint8),
         np.zeros((1, n), dtype=code_type),
         np.zeros(1),
-        np.full(1, float(np.maximum(target, 0.0).sum())),
         0,
     )
     configs = None
@@ -352,16 +347,17 @@ def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) 
 
 
 def adjoint_shift(st: SoficMap, h: Element, x) -> np.ndarray:
-    """rho^h on configurations over V x W: permute columns by tau^{h^{-1}}."""
+    """rho^h on configurations over V x W: permute columns by tau^{h^{-1}}.
+    `x` is one configuration (|V x W|,) or a (..., |V x W|) block of them."""
     if st.product_of is None:
         raise ValueError("adjoint_shift needs a product sofic approximation")
     left, right = st.product_of
     vals = np.ascontiguousarray(x, dtype=np.uint8)
-    if vals.shape != (st.n,):
+    if vals.shape[-1] != st.n:
         raise ValueError("configuration length must equal |V x W|")
     tw = right.perm_of(right.group.inverse(h))
-    grid = vals.reshape(left.n, right.n)
-    return np.ascontiguousarray(grid[:, tw]).ravel()
+    grid = vals.reshape(vals.shape[:-1] + (left.n, right.n))
+    return grid[..., tw].reshape(vals.shape)
 
 
 __all__ = [

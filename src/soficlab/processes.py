@@ -27,22 +27,10 @@ PATTERN_CAP = 1 << 24
 @dataclass(frozen=True)
 class Alphabet:
     size: int
-    labels: Tuple[str, ...]
 
     def __post_init__(self) -> None:
         if not (1 <= self.size <= 256):
             raise ValueError("alphabet size must be in 1..256")
-        if len(self.labels) != self.size or len(set(self.labels)) != self.size:
-            raise ValueError("need one distinct label per symbol")
-
-    @staticmethod
-    def of_size(size: int) -> "Alphabet":
-        return Alphabet(size, tuple(str(i) for i in range(size)))
-
-    def pair_with(self, other: "Alphabet") -> "Alphabet":
-        size = self.size * other.size
-        labels = tuple(a + b for a in self.labels for b in other.labels)
-        return Alphabet(size, labels)
 
 
 def pattern_count(base: int, length: int) -> int:
@@ -145,7 +133,7 @@ class BernoulliOracle(MarginalOracle):
 
     def __init__(self, weights: Sequence[float], group: GroupSpec):
         self.weights = validate_weights(weights)
-        super().__init__(Alphabet.of_size(self.weights.size), group)
+        super().__init__(Alphabet(self.weights.size), group)
 
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         pattern_count(self.alphabet.size, len(elements))
@@ -183,7 +171,7 @@ class TreeMarkovOracle(MarginalOracle):
             raise ValueError("transition violates detailed balance beyond 1e-10")
         self.P = P
         self.pi = pi
-        super().__init__(Alphabet.of_size(k), group)
+        super().__init__(Alphabet(k), group)
 
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         base = self.alphabet.size
@@ -235,7 +223,7 @@ class CosetIidOracle(MarginalOracle):
         if group.kind != "free_product":
             raise ValueError("coset_iid is defined over free products")
         self.mu0 = validate_weights(mu0)
-        super().__init__(Alphabet.of_size(self.mu0.size), group)
+        super().__init__(Alphabet(self.mu0.size), group)
 
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         base = self.alphabet.size
@@ -269,7 +257,7 @@ class PeriodicOrbitOracle(MarginalOracle):
                 raise ValueError(f"pattern has least period {d}, not {p}")
         self.symbols = symbols
         self.period = p
-        super().__init__(Alphabet.of_size(max(max(symbols) + 1, 2)), group)
+        super().__init__(Alphabet(max(max(symbols) + 1, 2)), group)
 
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         base = self.alphabet.size
@@ -317,7 +305,7 @@ class ProductOracle(MarginalOracle):
             raise ValueError("product_process requires a common group")
         self.mu = mu
         self.nu = nu
-        super().__init__(mu.alphabet.pair_with(nu.alphabet), mu.group)
+        super().__init__(Alphabet(mu.alphabet.size * nu.alphabet.size), mu.group)
 
     def _compute(self, elements: Tuple[Element, ...]) -> np.ndarray:
         bx = self.mu.alphabet.size

@@ -7,7 +7,7 @@ graph of a chosen generator set exposes a spectral-gap estimate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -169,7 +169,6 @@ class SpectralReport:
     converged: bool
     iterations: int
     residual: float
-    vertices: int = field(default=0)
 
 
 SPECTRAL_TOL = 1e-9
@@ -251,7 +250,6 @@ def schreier_spectral_gap(
         converged=converged,
         iterations=iterations,
         residual=residual,
-        vertices=m,
     )
 
 

@@ -51,7 +51,7 @@ def test_orbit_dispersion_two_clusters():
     pair = product_process(mu, mu)
     pair_nu = ModelMeasure.from_support(*nu.pairs(2))
     target = pair.marginal_elems(ea.elements)
-    disp = dispersion(sigma, pair_nu, ea, 4, target=target)
+    disp = dispersion(sigma, pair_nu, pair, ea)
     assert disp.cluster_count == 2
     np.testing.assert_allclose(disp.masses, [0.5, 0.5])
     assert all(tv == pytest.approx(0.5) for tv in disp.centroid_tvs(target))
@@ -151,8 +151,7 @@ def test_barycentre_tv_bounded_by_lw(seed, eps):
     mu = bernoulli((0.6, 0.4), Z)
     nu = models_to_measure(gen.integers(0, 2, size=(7, vertices)).astype(np.uint8))
     W = Window(Z, [()])
-    target = mu.marginal_elems(W.elements)
-    disp = dispersion(sigma, nu, W, 2, target=target)
+    disp = dispersion(sigma, nu, mu, W)
     lw = lw_defect(sigma, nu, mu, W, eps)
     assert disp.barycentre_tv <= lw + eps + 1e-12
 

@@ -94,7 +94,7 @@ def test_enumerate_budget_refusal():
     mu = bernoulli((0.5, 0.5), Z)
     with pytest.raises(BudgetExceededError) as exc:
         enumerate_good_models(sigma, mu, Window(Z, [()]), 0.3, budget=16)
-    assert exc.value.required == 32
+    assert "spans 32 configurations" in str(exc.value)
     assert "budget" in str(exc.value)
     assert "count_good_models_mc" not in str(exc.value)
 
@@ -109,7 +109,7 @@ def test_enumerate_can_drop_configs():
 
 class _ScaledOracle:
     """A process marginal times a constant: its target mass is not 1, which
-    the pruning bound must absorb through its |1 - sum(t)| / 2 slack."""
+    the pruning bound must absorb through its signed (1 - sum(t)) / 2 term."""
 
     def __init__(self, mu, scale):
         self.alphabet = mu.alphabet
@@ -356,6 +356,12 @@ def test_adjoint_shift_is_an_action():
     np.testing.assert_array_equal(once, twice)
     back = adjoint_shift(st_map, (-1,), adjoint_shift(st_map, (1,), x))
     np.testing.assert_array_equal(back, x)
+    # a block shifts each configuration in it
+    block = gen.integers(0, 2, size=(2, 5, 12)).astype(np.uint8)
+    shifted = adjoint_shift(st_map, (1,), block)
+    assert shifted.shape == block.shape
+    rows = [adjoint_shift(st_map, (1,), row) for row in block.reshape(10, 12)]
+    np.testing.assert_array_equal(shifted.reshape(10, 12), rows)
 
 
 def test_adjoint_shift_requires_product():

@@ -202,11 +202,21 @@ def test_coinduced_cross_fiber_product():
 def test_product_pair_alphabet_row_major():
     mu = coset_iid((0.75, 0.25), CG)
     pair = product_process(mu, mu)
-    assert pair.alphabet.labels == ("00", "01", "10", "11")
+    assert pair.alphabet.size == 4
     probs = pair.marginal_elems(((),))
     # independent coordinates: P((1, 0)) sits at code 1*2+0
     assert probs[2] == pytest.approx(3 / 16)
     np.testing.assert_allclose(probs, [9 / 16, 3 / 16, 3 / 16, 1 / 16])
+
+
+@pytest.mark.parametrize("k", [12, 16])
+def test_product_of_large_alphabets(k):
+    # k * k letters is within the 256 cap; the product must not refuse it
+    gen = np.random.default_rng(k)
+    wx, wy = gen.dirichlet(np.ones(k)), gen.dirichlet(np.ones(k))
+    pair = product_process(bernoulli(wx, F2), bernoulli(wy, F2))
+    assert pair.alphabet.size == k * k
+    np.testing.assert_array_equal(pair.marginal_elems(((),)), np.outer(wx / wx.sum(), wy / wy.sum()).ravel())
 
 
 def test_product_of_bernoullis_is_bernoulli():
