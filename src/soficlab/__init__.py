@@ -2,6 +2,8 @@
 shift processes over explicit sofic approximations.
 
 Library layout:
+  config       schema.json, its interpreter and the probability-vector rule
+               (standard library only: validate and report load nothing else)
   groups       free, free-product and direct-product specs, balls, coset keys
   randomness   seeded Philox streams, permutation and categorical draws
   sofic        sofic approximations sigma: G -> Sym(V), Schreier spectra
@@ -13,8 +15,6 @@ Library layout:
   experiments  the E1..E9 batch experiments behind the CLI
 """
 
-from .groups import GroupSpec, Window, coind_group
-
 __version__ = "0.1.0"
 
-__all__ = ["GroupSpec", "Window", "coind_group", "__version__"]
+__all__ = ["__version__"]

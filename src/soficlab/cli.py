@@ -3,7 +3,8 @@
 Subcommands: run (validate, then execute one JSON config), validate (check a
 config against the package's schema.json and the rules beside it, one
 problem a line), report
-(tabulate the summary.json verdicts under a results directory).
+(tabulate the summary.json verdicts under a results directory). Only run
+imports numpy and the compute modules.
 Exit codes: 0 all pass thresholds met, 2 a threshold failed, 1 error.
 """
 
@@ -15,8 +16,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .experiments import RunContext, config_checksum, run_experiment, validate_config
-from .models import ENUM_BUDGET
+from .config import config_checksum, validate_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,6 +49,10 @@ def _load_config(path: Path) -> dict:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    # deferred: only run needs the compute modules, and importing them loads numpy
+    from .experiments import RunContext, run_experiment
+    from .models import ENUM_BUDGET
+
     try:
         cfg = _load_config(args.config)
     except (OSError, ValueError) as exc:

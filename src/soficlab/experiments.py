@@ -7,7 +7,6 @@ pass/fail verdict, and is byte-deterministic for a fixed config.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -18,6 +17,7 @@ import numpy as np
 
 from . import covering as cov
 from . import models as mod
+from .config import config_checksum, validate_config
 from .convergence import (
     dispersion,
     dq_defect,
@@ -40,7 +40,6 @@ from .processes import (
     product_process,
     tree_markov,
     tv_distance,
-    validate_weights,
 )
 from .randomness import categorical, derive_seed, stream
 from .sofic import (
@@ -52,11 +51,6 @@ from .sofic import (
 )
 
 CONV_HEADER = "n,vertices,F_radius,epsilon,lw_defect,q_defect,dq_defect,dispersion_clusters"
-
-
-def config_checksum(cfg: dict) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.blake2b(canon.encode(), digest_size=6).hexdigest()
 
 
 @dataclass
@@ -617,86 +611,6 @@ REGISTRY: Dict[str, Callable[[dict, RunContext], ExperimentResult]] = {
     "E9": run_e9,
 }
 
-SCHEMA = json.loads(Path(__file__).with_name("schema.json").read_text())
-
-# stricter than draft-07: integer takes no float, not even 1.0 (the experiments
-# call range() on integer fields), and no type takes a bool
-_TYPES: Dict[str, Callable[[object], bool]] = {
-    "object": lambda v: isinstance(v, dict),
-    "array": lambda v: isinstance(v, list),
-    "string": lambda v: isinstance(v, str),
-    "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
-}
-
-
-def _schema_problems(schema: dict, value, path: str) -> List[str]:
-    """Problems of a value against a node of schema.json, each led by its field
-    path; interprets only the keywords the file uses. allOf applies once the
-    node's own keywords hold: a config without an experiment meets every
-    branch's `if` vacuously, and must get one problem, not one per branch."""
-    where = path or "config"
-    if "type" in schema and not _TYPES[schema["type"]](value):
-        return [f"{where}: expected {schema['type']}, got {value!r}"]
-    problems = []
-    if "const" in schema and value != schema["const"]:
-        problems.append(f"{where}: must be {schema['const']!r}, got {value!r}")
-    if "enum" in schema and value not in schema["enum"]:
-        problems.append(f"{where}: must be one of {schema['enum']}, got {value!r}")
-    if "minimum" in schema and value < schema["minimum"]:
-        problems.append(f"{where}: must be >= {schema['minimum']}, got {value!r}")
-    if "maximum" in schema and value > schema["maximum"]:
-        problems.append(f"{where}: must be <= {schema['maximum']}, got {value!r}")
-    if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
-        problems.append(f"{where}: must be > {schema['exclusiveMinimum']}, got {value!r}")
-    if "exclusiveMaximum" in schema and value >= schema["exclusiveMaximum"]:
-        problems.append(f"{where}: must be < {schema['exclusiveMaximum']}, got {value!r}")
-    if "minItems" in schema and len(value) < schema["minItems"]:
-        problems.append(f"{where}: must have at least {schema['minItems']} items, got {value!r}")
-    for key in schema.get("required", ()):
-        if key not in value:
-            problems.append(f"{path}.{key}".lstrip(".") + ": missing required field")
-    for key, sub in schema.get("properties", {}).items():
-        if key in value:
-            problems += _schema_problems(sub, value[key], f"{path}.{key}".lstrip("."))
-    if "items" in schema:
-        for i, item in enumerate(value):
-            problems += _schema_problems(schema["items"], item, f"{path}[{i}]")
-    if problems:
-        return problems
-    for branch in schema.get("allOf", ()):
-        if not _schema_problems(branch["if"], value, path):
-            problems += _schema_problems(branch["then"], value, path)
-    return problems
-
-
-def validate_config(cfg: dict) -> List[str]:
-    """Problems of a config against schema.json, then against the rules it
-    cannot state: one epsilon per seed (E5, E6), at most 2^vertices distinct
-    E2 configurations per draw, and the probability-vector rule that the
-    processes apply at run time to E1 `weight_sets`, E4 `weights` and E5/E6
-    `mu0`. Empty when the config is valid."""
-    problems = _schema_problems(SCHEMA, cfg, "")
-    if problems:
-        return problems
-    eps, seeds = cfg.get("epsilons"), cfg.get("seeds")
-    if isinstance(eps, list) and isinstance(seeds, list) and len(eps) != len(seeds):
-        problems.append(f"epsilons: must have one entry per seed, got {len(eps)} for {len(seeds)} seeds")
-    for name in ("set_size", "support_atoms") if cfg["experiment"] == "E2" else ():
-        if (cfg[name] - 1).bit_length() > cfg["vertices"]:  # count > 2^vertices, without 2^vertices
-            problems.append(f"{name}: must be <= 2^vertices = {2 ** cfg['vertices']}, got {cfg[name]}")
-    key = {"E1": "weight_sets", "E4": "weights", "E5": "mu0", "E6": "mu0"}.get(cfg["experiment"])
-    laws = {key: cfg[key]} if key in ("weights", "mu0") else {}
-    if key == "weight_sets":
-        laws = {f"{key}[{i}]": w for i, w in enumerate(cfg[key])}
-    for path, weights in laws.items():
-        try:
-            validate_weights(weights)
-        except ValueError as err:
-            problems.append(f"{path}: {err}, got {weights!r}")
-    return problems
-
-
 def out_dir_for(cfg: dict, override: Optional[Path]) -> Path:
     """Where a run of a validated config writes: the override, else the
     config's out_dir, else results/<experiment>."""
@@ -739,8 +653,6 @@ __all__ = [
     "RunContext",
     "ExperimentResult",
     "REGISTRY",
-    "config_checksum",
-    "validate_config",
     "run_experiment",
     "out_dir_for",
 ]

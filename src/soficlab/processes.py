@@ -19,6 +19,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .config import check_weights
 from .groups import Element, GroupSpec
 
 PATTERN_CAP = 1 << 24
@@ -118,13 +119,11 @@ class MarginalOracle:
 
 
 def validate_weights(weights: Sequence[float]) -> np.ndarray:
-    """The package's one probability-vector rule: a nonempty vector of finite,
-    nonnegative entries summing to 1 within 1e-9. Returns it renormalized."""
+    """`config.check_weights`, the package's one probability-vector rule (a
+    nonempty 1-D vector of finite, nonnegative entries whose `math.fsum` is
+    within 1e-9 of 1), then the vector renormalized by its numpy sum."""
+    check_weights(weights)
     w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("weights must be a nonempty vector")
-    if not (np.all(np.isfinite(w)) and np.all(w >= 0)) or abs(float(w.sum()) - 1.0) > 1e-9:
-        raise ValueError("weights must be finite, nonnegative and sum to 1")
     return w / float(w.sum())
 
 

@@ -1,19 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from soficlab.cli import main
+from soficlab.config import SCHEMA, config_checksum, validate_config
 from soficlab.covering import PACK_EPS_EXACT_BUDGET
-from soficlab.experiments import (
-    REGISTRY,
-    SCHEMA,
-    RunContext,
-    _coind_setup,
-    config_checksum,
-    run_experiment,
-    validate_config,
-)
+from soficlab.experiments import REGISTRY, RunContext, _coind_setup, run_experiment
 from soficlab.models import enumerate_good_models
 from soficlab.processes import product_process
 
@@ -133,15 +129,22 @@ def test_validate_refuses_weights_that_are_not_a_law(name, path, tmp_path, capsy
         ({"eps": 1.5}, "eps"),
         ({"eps": 1}, "eps"),
         ({"deltas": [0.5, 0.0]}, "deltas[1]"),
+        ({"vertices": 10, "support_atoms": 16}, "vertices"),
+        ({"vertices": 12, "support_atoms": 16}, "vertices"),
+        ({"vertices": 9, "support_atoms": 5}, "vertices"),
     ],
 )
 def test_validate_refuses_e2_configs_run_cannot_finish(over, path):
     """Without these rules `run` drew distinct configurations forever
-    (set_size 3 on 1 vertex) or exited 1 (eps 1.5, support_atoms 17)."""
+    (set_size 3 on 1 vertex), exited 1 (eps 1.5, support_atoms 17), or built
+    a 2.1 GB product distance matrix (vertices 10, support_atoms 16; 34 GB at
+    vertices 12)."""
     cfg = json.loads((CONFIG_DIR / "e2.json").read_text())
     (problem,) = validate_config({**cfg, **over})
     assert problem.startswith(f"{path}: ")
+    assert validate_config(cfg) == []
     assert validate_config({**cfg, "vertices": 2, "set_size": 4, "support_atoms": 4}) == []
+    assert validate_config({**cfg, "vertices": 9, "support_atoms": 4}) == []  # at the cell cap
     e2 = [b["then"] for b in SCHEMA["allOf"] if b["if"]["properties"]["experiment"]["const"] == "E2"][0]
     assert e2["properties"]["support_atoms"]["maximum"] == PACK_EPS_EXACT_BUDGET
 
@@ -397,6 +400,31 @@ def test_cli_run_plot(tmp_path, capsys):
     capsys.readouterr()
     _assert_same_as_results(out, "e1", extra=["e1_entropy.svg"])
     assert (out / "e1_entropy.svg").read_text().startswith("<svg")
+
+
+def test_validate_and_report_load_no_compute_module():
+    """`validate` and `report` need only the config layer: a fresh process
+    that validates every committed config and reports `results/` has not
+    imported numpy or a compute module, and `import soficlab` alone imports
+    no submodule."""
+    configs = sorted(str(p) for p in CONFIG_DIR.glob("e*.json"))
+    code = (
+        "import json, sys, soficlab\n"
+        "bare = sorted(m for m in sys.modules if m.startswith('soficlab.'))\n"
+        "from soficlab.cli import main\n"
+        f"codes = [main(['validate', c]) for c in {configs!r}] + [main(['report', {str(RESULTS_DIR)!r}])]\n"
+        "print(json.dumps([bare, codes, sorted(sys.modules)]))\n"
+    )
+    src = str(CONFIG_DIR.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    bare, codes, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert bare == []
+    assert codes == [0] * (len(configs) + 1)
+    compute = ["numpy"] + [f"soficlab.{m}" for m in (
+        "experiments", "models", "processes", "covering", "convergence", "sofic", "randomness", "entropy", "groups",
+    )]
+    assert [m for m in compute if m in loaded] == []
 
 
 def test_cli_report_table(tmp_path, capsys):

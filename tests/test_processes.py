@@ -1,10 +1,13 @@
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficlab.config import validate_config
 from soficlab.covering import ModelMeasure
 from soficlab.entropy import shannon_entropy
 from soficlab.groups import GroupSpec, Window, coind_group
@@ -67,15 +70,27 @@ def test_marginal_elems_refuses_repeated_elements(mu):
         mu.marginal_elems(())
 
 
+E4 = json.loads((Path(__file__).resolve().parent.parent / "configs" / "e4.json").read_text())
+
+
+def _e4_weights(w):
+    """validate_config on the E4 config with these weights, raising its problems."""
+    problems = validate_config({**E4, "weights": list(w)})
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 # every entry point that takes a probability vector: (call, field its refusal names)
 LAW_ENTRY_POINTS = {
     "validate_weights": (validate_weights, "weights"),
+    "validate_config E4": (_e4_weights, "weights"),
     "bernoulli": (lambda w: bernoulli(w, F2), "weights"),
     "coset_iid": (lambda w: coset_iid(w, CG), "weights"),
     "ModelMeasure.iid": (lambda w: ModelMeasure.iid(3, w), "site weights"),
     "ModelMeasure.from_support": (lambda w: ModelMeasure.from_support([[0], [1]], w), "weights"),
     "tree_markov initial": (lambda w: tree_markov([[0.5, 0.5], [0.5, 0.5]], w, F2), "initial"),
-    "tree_markov transition": (lambda w: tree_markov([w, [0.5, 0.5]], [0.5, 0.5], F2), "transition row 0"),
+    # row 0 carries no initial mass, so any row is stationary and in balance
+    "tree_markov transition": (lambda w: tree_markov([w, [0.0, 1.0]], [0.0, 1.0], F2), "transition row 0"),
     "shannon_entropy": (shannon_entropy, "weights"),
     "count_good_models_mc": (
         lambda w: count_good_models_mc(quotient_map(Z, 4), bernoulli((0.5, 0.5), Z), Window(Z, [()]), 0.3, w, 2, 0),
@@ -87,14 +102,25 @@ LAW_ENTRY_POINTS = {
 
 @pytest.mark.parametrize("name", sorted(LAW_ENTRY_POINTS))
 def test_probability_vectors_follow_one_rule(name):
-    """One rule, `validate_weights`, for every probability vector: finite,
-    nonnegative entries summing to 1 within 1e-9. A NaN entry used to pass
-    the sign and sum tests, since every comparison with NaN is false."""
+    """One rule, `config.check_weights`, for every probability vector: a 1-D
+    vector of finite, nonnegative entries summing to 1 within 1e-9, whether
+    given as a list or a numpy array. A NaN entry used to pass the sign and
+    sum tests, since every comparison with NaN is false."""
     law, field = LAW_ENTRY_POINTS[name]
-    for bad in ([np.nan, 1.0], [0.7, 0.7], [1.5, -0.5]):
-        with pytest.raises(ValueError, match=field):
-            law(bad)
-    law([0.5, 0.5 + 1e-10])
+    for kind in (list, np.array):
+        for bad in ([np.nan, 1.0], [0.7, 0.7], [1.5, -0.5], [np.inf, 0.0]):
+            with pytest.raises(ValueError, match=field):
+                law(kind(bad))
+        # a 2-D row makes tree_markov's transition ragged, which numpy refuses
+        # before any row reaches the rule
+        with pytest.raises(ValueError, match=None if name == "tree_markov transition" else field):
+            law(kind([[0.5, 0.5]]))
+        for total in (1 + 1.1e-9, 1 - 1.1e-9):
+            with pytest.raises(ValueError, match=field):
+                law(kind([total / 2, total / 2]))
+        for total in (1 + 0.9e-9, 1 - 0.9e-9):
+            law(kind([total / 2, total / 2]))
+        law(kind([0.5, 0.5 + 1e-10]))
 
 
 def test_bernoulli_rejects_bad_weights():

@@ -4,8 +4,8 @@ criterion.
 
 The walk is static. It parses each submodule, maps every top-level name to
 the statement that defines or imports it, and follows references from the
-roots: `experiments.REGISTRY`, `run_experiment`, `validate_config`,
-`config_checksum`, `cli.main`, and every soficlab name that
+roots: `experiments.REGISTRY` and `run_experiment`, `config.validate_config`
+and `config_checksum`, `cli.main`, and every soficlab name that
 `tests/test_acceptance.py` imports. A reached name that is an import
 (`from .x import a as b`, `from . import x as y`) reaches its target; a
 reached definition reaches every top-level name it mentions, directly or
@@ -48,8 +48,8 @@ PACKAGE = ROOT / "src" / "soficlab"
 ROOTS = (
     ("experiments", "REGISTRY"),
     ("experiments", "run_experiment"),
-    ("experiments", "validate_config"),
-    ("experiments", "config_checksum"),
+    ("config", "validate_config"),
+    ("config", "config_checksum"),
     ("cli", "main"),
 )
 
