@@ -15,11 +15,13 @@ Counts only grow as vertices close, so P is at least the running excess
 
     A = sum_p max(0, c_p/n - t_p)
 
-over the counts c of the patterns already final. A partial configuration is
-pruned when A >= eps + (1 - sum(t)) / 2 + PRUNE_SLACK, where PRUNE_SLACK
-covers the float rounding of A and of the exact test; every configuration
-that reaches full depth goes through the strict float test ``TV < eps`` of
-the flat scan, so the decisions at float ties are those of the flat scan.
+over the counts c of the patterns already final. With
+cut = eps + (1 - sum(t)) / 2 + PRUNE_SLACK, where PRUNE_SLACK covers the float
+rounding of A and of the exact test, a partial configuration is pruned when
+A >= cut. At full depth every pattern is final, so A = P, and by the same
+rounding argument a configuration with A < cut - 2 * PRUNE_SLACK is good. Only
+those in the band between go through the strict float test ``TV < eps`` of the
+flat scan, so the decisions at float ties are those of the flat scan.
 """
 
 from __future__ import annotations
@@ -177,10 +179,11 @@ def enumerate_good_models(
 ) -> GoodModelCount:
     """Exact |Omega(F, eps, sigma)| by branch and bound over X^V.
 
-    Partial configurations are pruned by the TV lower bound of the module
-    docstring; complete ones get the strict TV test of the flat scan, so the
-    count and the kept configurations (lexicographic order, vertex 0 most
-    significant) are those of testing every point of X^V. The budget is
+    Configurations are pruned at `cut` by the TV lower bound of the module
+    docstring. Complete ones are accepted below cut - 2 * PRUNE_SLACK, and
+    only those in the band between get the strict TV test of the flat scan,
+    so the count and the kept configurations (lexicographic order, vertex 0
+    most significant) are those of testing every point of X^V. The budget is
     checked against |X|^|V| before any work.
     """
     if eps <= 0:
@@ -195,8 +198,13 @@ def enumerate_good_models(
     n = sigma.n
     order, closing = _vertex_order(perms)
     cut = eps + 0.5 * (1.0 - float(target.sum())) + PRUNE_SLACK
+    accept = cut - 2 * PRUNE_SLACK
     code_type = np.min_scalar_type(npat - 1)
+    seen_type = np.min_scalar_type(n)  # holds seen + 1 <= n
     letters = np.arange(base, dtype=np.uint8)
+    # rise[p, s]: the step of A when pattern p closes on a row with s earlier copies
+    frac = np.arange(n + 1) / float(n)
+    rise = np.maximum(0.0, frac[1:] - target[:, None]) - np.maximum(0.0, frac[:-1] - target[:, None])
     count = 0
     kept: List[np.ndarray] = []
 
@@ -211,21 +219,25 @@ def enumerate_good_models(
         excess = np.repeat(excess, base)
         for v in closing[depth]:
             code = _pattern_codes(rows.T, perms[:, v, None], base)[0]
-            seen = (codes[:, :closed] == code[:, None]).sum(axis=1)
-            t = target[code]
-            before, after = seen / float(n), (seen + 1) / float(n)
-            excess += np.maximum(0.0, after - t) - np.maximum(0.0, before - t)
+            seen = np.zeros(code.shape, dtype=seen_type)
+            for j in range(closed):
+                seen += codes[:, j] == code
+            excess += rise[code, seen]
             codes[:, closed] = code
             closed += 1
         live = excess < cut
-        rows, codes, excess = rows[live], codes[live], excess[live]
+        rows, codes, excess = (np.compress(live, a, axis=0) for a in (rows, codes, excess))
         if not rows.shape[0]:
             return
         if depth == n - 1:
-            good = _good_mask(rows, perms, base, npat, target, n, eps)
+            # every pattern is final, so excess is P (module docstring)
+            good = excess < accept
+            band = ~good
+            if band.any():
+                good[band] = _good_mask(np.compress(band, rows, axis=0), perms, base, npat, target, n, eps)
             count += int(good.sum())
             if keep_configs:
-                kept.append(rows[good])
+                kept.append(np.compress(good, rows, axis=0))
             return
         for lo in range(0, rows.shape[0], ENUM_ROWS):
             hi = lo + ENUM_ROWS

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficlab import models
 from soficlab.groups import GroupSpec, Window, coind_group
 from soficlab.models import (
     KERNEL_CELLS,
     MC_CHUNK,
+    PRUNE_SLACK,
     BudgetExceededError,
     adjoint_shift,
     count_good_models_mc,
@@ -160,10 +162,12 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
         mu = bernoulli(gen.dirichlet(np.ones(base)), group)
     if scale != 1.0:
         mu = _ScaledOracle(mu, scale)
-    # ties: the float TV of drawn configurations, and the next float above it
+    # ties: the float TV of drawn configurations, the next float above it, and
+    # the edges of the band in which full-depth rows get the strict test
     drawn = [gen.integers(0, base, size=n) for _ in range(3)]
     tvs = [_float_tv(sigma, mu, window, x) for x in drawn]
-    for eps in sorted({*tvs, *(np.nextafter(t, 2.0) for t in tvs), 0.35}):
+    edges = [t + k * PRUNE_SLACK for t in tvs for k in (-2.0, -0.5, 0.5, 2.0)]
+    for eps in sorted({*tvs, *(np.nextafter(t, 2.0) for t in tvs), *edges, 0.35}):
         if eps <= 0:
             continue
         expect = _flat_scan(sigma, mu, window, eps)
@@ -175,6 +179,36 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
         members = {tuple(row) for row in expect.tolist()}
         for x in drawn:
             assert good_mask(sigma, mu, window, x[None, :], eps)[0] == (tuple(x.tolist()) in members)
+
+
+def test_enumerate_sends_only_the_band_to_the_strict_test(monkeypatch):
+    """Full-depth rows whose running excess is below the cut by more than
+    2 * PRUNE_SLACK are accepted without the strict test; a configuration whose
+    TV ties eps is still decided by it, as the flat scan decides it."""
+    sigma, mu = quotient_map(Z, 8), bernoulli((0.7, 0.3), Z)
+    window = Window(Z, Z.ball(1))
+    strict = []
+
+    def spy(block, *args):
+        strict.append(np.array(block))
+        return _good_mask(block, *args)
+
+    monkeypatch.setattr(models, "_good_mask", spy)
+    tie = np.array([0, 0, 1, 0, 0, 0, 1, 0])
+    flat = np.array(list(itertools.product((0, 1), repeat=sigma.n)), dtype=np.uint8)
+    flat_tvs = np.array([_float_tv(sigma, mu, window, x) for x in flat])
+    assert np.abs(flat_tvs - 0.35).min() > 1e-6
+    for eps, reaches_strict in ((_float_tv(sigma, mu, window, tie), True), (0.35, False)):
+        strict.clear()
+        expect = _flat_scan(sigma, mu, window, eps)
+        got = enumerate_good_models(sigma, mu, window, eps)
+        assert got.count == expect.shape[0] > 0
+        np.testing.assert_array_equal(got.configs, expect)
+        tested = {tuple(row) for block in strict for row in block.tolist()}
+        if reaches_strict:
+            assert tuple(tie.tolist()) in tested
+        else:
+            assert not tested
 
 
 def _good_mask_int64(block, perms, base, npat, target, n, eps):
