@@ -25,10 +25,10 @@ def config_checksum(cfg: dict) -> str:
 def check_weights(weights: Sequence[float]) -> None:
     """The package's one probability-vector rule: a nonempty 1-D vector of
     finite, nonnegative entries whose `math.fsum` is within 1e-9 of 1; raises
-    ValueError otherwise. Takes a list or a numpy array."""
+    ValueError otherwise. Takes a list or a numpy array; a bool is no entry."""
     w = weights.tolist() if hasattr(weights, "tolist") else weights  # numpy: nested lists by axis
-    if not (isinstance(w, (list, tuple)) and w and all(isinstance(x, (int, float)) for x in w)):
-        raise ValueError("weights must be a nonempty vector")
+    if not (isinstance(w, (list, tuple)) and w and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in w)):
+        raise ValueError("weights must be a nonempty vector of numbers")
     # NaN fails both comparisons; no entry of a sum near 1 exceeds 2, so fsum cannot overflow
     if not all(0.0 <= x <= 2.0 for x in w) or abs(math.fsum(w) - 1.0) > 1e-9:
         raise ValueError("weights must be finite, nonnegative and sum to 1")

@@ -284,18 +284,16 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
         pair = product_process(mu, nu)
         window = Window(group, group.ball(radius))
         got = mod.enumerate_good_models(sigma, pair, window, eps, budget=ctx.budget)
-        count_x = mod.enumerate_good_models(sigma, mu, window, 2 * eps, budget=ctx.budget, keep_configs=False).count
-        count_y = mod.enumerate_good_models(sigma, nu, window, 2 * eps, budget=ctx.budget, keep_configs=False).count
-        violations = 0
-        if got.count:
-            ny = nu.alphabet.size
-            gx = mod.good_mask(sigma, mu, window, got.configs // ny, 2 * eps)
-            gy = mod.good_mask(sigma, nu, window, got.configs % ny, 2 * eps)
-            violations = int((~gx | ~gy).sum())
-        subadd = got.count <= count_x * count_y
-        ok = violations == 0 and subadd
-        passed = passed and ok
-        rows.append((i, vertices, radius, eps, got.count, count_x, count_y, violations, int(subadd)))
+        good_x = mod.enumerate_good_models(sigma, mu, window, 2 * eps, budget=ctx.budget)
+        good_y = mod.enumerate_good_models(sigma, nu, window, 2 * eps, budget=ctx.budget)
+        # a pair model violates inclusion when a projection is outside its 2eps set
+        nx, ny = mu.alphabet.size, nu.alphabet.size
+        in_x = np.isin(mod.config_codes(got.configs // ny, nx), mod.config_codes(good_x.configs, nx))
+        in_y = np.isin(mod.config_codes(got.configs % ny, ny), mod.config_codes(good_y.configs, ny))
+        violations = int((~(in_x & in_y)).sum())
+        subadd = got.count <= good_x.count * good_y.count
+        passed = passed and violations == 0 and subadd
+        rows.append((i, vertices, radius, eps, got.count, good_x.count, good_y.count, violations, int(subadd)))
     table = _csv("instance,vertices,F_radius,epsilon,pair_count,mu_count_2eps,nu_count_2eps,inclusion_violations,subadd_holds", rows)
     return ExperimentResult(passed, {"e3_subadditivity.csv": table}, {})
 

@@ -6,11 +6,12 @@ at the index that `processes._pattern_codes` gives it; a configuration is an
 (F, eps)-good model when its empirical F-marginal, the counts over n, is
 within TV distance strictly less than eps of the process marginal.
 
-Exact enumeration is a depth-first branch and bound over X^V. Vertices are
-assigned one at a time; the pattern of a vertex is final once its whole window
-image is assigned. With t = mu_F, the final TV of a complete configuration
-with pattern counts c is P - (1 - sum(t)) / 2, P = sum_p max(0, c_p/n - t_p),
-since every vertex ends with exactly one pattern, so the counts sum to n.
+Exact enumeration, a depth-first branch and bound over X^V, keeps every good
+configuration; `config_codes` makes each one integer, for set membership.
+Vertices are assigned one at a time; the pattern of a vertex is final once its
+whole window image is assigned. With t = mu_F, the final TV of a complete
+configuration with pattern counts c is P - (1 - sum(t)) / 2, where P is
+sum_p max(0, c_p/n - t_p), since every vertex ends with exactly one pattern.
 Counts only grow as vertices close, so P is at least the running excess
 
     A = sum_p max(0, c_p/n - t_p)
@@ -80,6 +81,13 @@ def good_mask(sigma: SoficMap, mu: MarginalOracle, window: Window, configs, eps:
     )
 
 
+def config_codes(configs: np.ndarray, base: int) -> np.ndarray:
+    """Each row of a (rows, |V|) configuration block as one integer, vertex 0
+    most significant, by `processes._pattern_codes`: equal rows share a code,
+    so membership in an enumerated set is `np.isin` on codes."""
+    return _pattern_codes(configs.T, range(configs.shape[1]), base)
+
+
 def _exp_nats_to_int(log_value: float) -> int:
     """Round exp(log_value) to an integer without float overflow."""
     if log_value == float("-inf"):
@@ -96,7 +104,7 @@ def _exp_nats_to_int(log_value: float) -> int:
 class GoodModelCount:
     count: int
     log_count_nats: float
-    configs: Optional[np.ndarray] = None  # (count, |V|) uint8 when kept
+    configs: Optional[np.ndarray] = None  # (count, |V|) uint8 from the exact enumeration
     standard_error: Optional[float] = None
 
 
@@ -175,16 +183,15 @@ def enumerate_good_models(
     window: Window,
     eps: float,
     budget: int = ENUM_BUDGET,
-    keep_configs: bool = True,
 ) -> GoodModelCount:
-    """Exact |Omega(F, eps, sigma)| by branch and bound over X^V.
+    """Omega(F, eps, sigma) by branch and bound over X^V: its configurations,
+    in lexicographic order with vertex 0 most significant, and their count.
 
     Configurations are pruned at `cut` by the TV lower bound of the module
     docstring. Complete ones are accepted below cut - 2 * PRUNE_SLACK, and
     only those in the band between get the strict TV test of the flat scan,
-    so the count and the kept configurations (lexicographic order, vertex 0
-    most significant) are those of testing every point of X^V. The budget is
-    checked against |X|^|V| before any work.
+    so the set is the one that testing every point of X^V gives. The budget
+    is checked against |X|^|V| before any work.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -205,13 +212,11 @@ def enumerate_good_models(
     # rise[p, s]: the step of A when pattern p closes on a row with s earlier copies
     frac = np.arange(n + 1) / float(n)
     rise = np.maximum(0.0, frac[1:] - target[:, None]) - np.maximum(0.0, frac[:-1] - target[:, None])
-    count = 0
     kept: List[np.ndarray] = []
 
     def grow(depth: int, rows: np.ndarray, codes: np.ndarray, excess: np.ndarray, closed: int) -> None:
         # rows: (b, n) uint8 with order[:depth] assigned; codes[:, :closed]
         # holds the final pattern codes, excess the running A
-        nonlocal count
         b = rows.shape[0]
         rows = np.repeat(rows, base, axis=0)
         rows[:, order[depth]] = np.tile(letters, b)
@@ -227,17 +232,13 @@ def enumerate_good_models(
             closed += 1
         live = excess < cut
         rows, codes, excess = (np.compress(live, a, axis=0) for a in (rows, codes, excess))
-        if not rows.shape[0]:
-            return
         if depth == n - 1:
             # every pattern is final, so excess is P (module docstring)
             good = excess < accept
             band = ~good
             if band.any():
                 good[band] = _good_mask(np.compress(band, rows, axis=0), perms, base, npat, target, n, eps)
-            count += int(good.sum())
-            if keep_configs:
-                kept.append(np.compress(good, rows, axis=0))
+            kept.append(np.compress(good, rows, axis=0))
             return
         for lo in range(0, rows.shape[0], ENUM_ROWS):
             hi = lo + ENUM_ROWS
@@ -250,13 +251,11 @@ def enumerate_good_models(
         np.zeros(1),
         0,
     )
-    configs = None
-    if keep_configs:
-        configs = np.concatenate(kept, axis=0) if kept else np.zeros((0, n), dtype=np.uint8)
-        if order != list(range(n)):
-            configs = configs[np.lexsort(configs.T[::-1])]
-    log = math.log(count) if count > 0 else float("-inf")
-    return GoodModelCount(count, log, configs)
+    configs = np.concatenate(kept, axis=0) if kept else np.zeros((0, n), dtype=np.uint8)
+    if order != list(range(n)):
+        configs = configs[np.lexsort(configs.T[::-1])]
+    log = math.log(len(configs)) if len(configs) else float("-inf")
+    return GoodModelCount(len(configs), log, configs)
 
 
 MC_CHUNK = 1 << 14
@@ -377,6 +376,7 @@ __all__ = [
     "BudgetExceededError",
     "counts_over_elements",
     "good_mask",
+    "config_codes",
     "enumerate_good_models",
     "count_good_models_mc",
     "letter_frequency_count",

@@ -158,7 +158,8 @@ class TreeMarkovOracle(MarginalOracle):
         k = pi.size
         if P.shape != (k, k):
             raise ValueError("transition must be square and match the initial vector")
-        for what, law in (("initial", pi), *((f"transition row {i}", row) for i, row in enumerate(P))):
+        # the rule sees the given entries: a float64 copy would turn a bool into 1.0
+        for what, law in (("initial", initial), *((f"transition row {i}", row) for i, row in enumerate(transition))):
             try:
                 validate_weights(law)
             except ValueError as err:

@@ -68,7 +68,7 @@ def test_a2_counting_cross_checks():
         sigma = random_uniform(F2, n, derive_seed(20260821, "a2", i))
         mu = bernoulli((p, 1 - p), F2)
         window = Window(F2, F2.ball(radius))
-        exact = enumerate_good_models(sigma, mu, window, 0.25, keep_configs=False)
+        exact = enumerate_good_models(sigma, mu, window, 0.25)
         if radius == 0:
             typed = letter_frequency_count((p, 1 - p), n, 0.25)
             assert typed.count == exact.count, f"instance {i}: type count disagrees"

@@ -278,8 +278,18 @@ def test_e6_certificate_implies_no_direct_pair_good_model(seed):
     assert hps[2].split(",")[3:] == [str(cfg["pair_eps"]), "-inf", "-inf", "certified-empty"]
     sigma, nu, _, window = _coind_setup(cfg, seed)
     pair = product_process(nu, nu)
-    got = enumerate_good_models(sigma, pair, window, cfg["pair_eps"], budget=4**16, keep_configs=False)
+    got = enumerate_good_models(sigma, pair, window, cfg["pair_eps"], budget=4**16)
     assert got.count == 0
+
+
+def test_e3_empty_pair_set_has_no_violations():
+    """At 8 vertices the Z instance has no eps-good pair model while both 2 eps
+    factor sets are nonempty: an empty pair set has no projection outside them."""
+    cfg = {**json.loads((CONFIG_DIR / "e3.json").read_text()), "instances": 2, "vertices": [8]}
+    result = REGISTRY["E3"](cfg, RunContext())
+    rows = [line.split(",") for line in result.tables["e3_subadditivity.csv"][1:]]
+    assert [row[4:] for row in rows] == [["0", "32", "24", "0", "1"], ["2800", "210", "162", "0", "1"]]
+    assert result.passed
 
 
 def test_run_experiment_rejects_invalid_config():

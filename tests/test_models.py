@@ -15,6 +15,7 @@ from soficlab.models import (
     PRUNE_SLACK,
     BudgetExceededError,
     adjoint_shift,
+    config_codes,
     count_good_models_mc,
     counts_over_elements,
     enumerate_good_models,
@@ -101,14 +102,6 @@ def test_enumerate_budget_refusal():
     assert "count_good_models_mc" not in str(exc.value)
 
 
-def test_enumerate_can_drop_configs():
-    sigma = quotient_map(Z, 4)
-    mu = bernoulli((0.5, 0.5), Z)
-    got = enumerate_good_models(sigma, mu, Window(Z, [()]), 0.3, keep_configs=False)
-    assert got.count == 14
-    assert got.configs is None
-
-
 class _ScaledOracle:
     """A process marginal times a constant: its target mass is not 1, which
     the pruning bound must absorb through its signed (1 - sum(t)) / 2 term."""
@@ -175,10 +168,47 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
         assert got.count == expect.shape[0]
         assert got.configs.dtype == np.uint8
         np.testing.assert_array_equal(got.configs, expect)
-        assert enumerate_good_models(sigma, mu, window, eps, keep_configs=False).count == expect.shape[0]
         members = {tuple(row) for row in expect.tolist()}
         for x in drawn:
             assert good_mask(sigma, mu, window, x[None, :], eps)[0] == (tuple(x.tolist()) in members)
+
+
+@given(st.sampled_from(["Z-r1", "F2-r0", "F2-r1"]), st.integers(2, 3), st.integers(3, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_code_membership_is_good_mask(shape, base, n, seed):
+    """Membership of config codes in the codes of an enumerated set decides
+    each row as `good_mask` does: drawn rows and kept rows, at the float TV of
+    the drawn rows, the next float above it and the edges of the strict-test
+    band. The Z-cycle at radius 1 and F2 at radius 0 (E3's shapes) keep the
+    vertex order of the identity; F2 at radius 1 is drawn until its order is
+    another, so its kept set is the lexsorted one. Kept codes rise strictly:
+    lexicographic order is code order."""
+    n = min(n, {2: 8, 3: 6}[base])
+    gen = np.random.default_rng(seed)
+    group, radius = (Z, 1) if shape == "Z-r1" else (F2, int(shape[-1]))
+    window = Window(group, group.ball(radius))
+    sigma = quotient_map(Z, n) if group is Z else random_uniform(F2, n, seed)
+    while shape == "F2-r1" and models._vertex_order(sigma.window_perms(window))[0] == list(range(n)):
+        seed += 1
+        sigma = random_uniform(F2, n, seed)
+    mu = bernoulli(gen.dirichlet(np.ones(base)), group)
+    drawn = gen.integers(0, base, size=(4, n), dtype=np.uint8)
+    tvs = [_float_tv(sigma, mu, window, x) for x in drawn]
+    edges = [t + k * PRUNE_SLACK for t in tvs for k in (-2.0, -0.5, 0.5, 2.0)]
+    outcomes = set()
+    for eps in sorted({*tvs, *(np.nextafter(t, 2.0) for t in tvs), *edges}):
+        if eps <= 0:
+            continue
+        kept = enumerate_good_models(sigma, mu, window, eps).configs
+        codes = config_codes(kept, base)
+        assert (np.diff(codes.astype(np.int64)) > 0).all()
+        block = np.concatenate([drawn, kept[gen.integers(0, len(kept), size=min(len(kept), 4))]])
+        member = np.isin(config_codes(block, base), codes)
+        np.testing.assert_array_equal(member, good_mask(sigma, mu, window, block, eps))
+        outcomes.update(member[: len(drawn)].tolist())
+    # the float TV of a drawn row is an eps at which it is not a member, its
+    # next float one at which it is
+    assert outcomes == {False, True}
 
 
 def test_enumerate_sends_only_the_band_to_the_strict_test(monkeypatch):
@@ -315,7 +345,7 @@ def test_letter_frequency_agrees_with_scan(n, tenths, eps):
     p = tenths / 10.0
     sigma = quotient_map(Z, n)
     mu = bernoulli((p, 1 - p), Z)
-    scan = enumerate_good_models(sigma, mu, Window(Z, [()]), eps, keep_configs=False)
+    scan = enumerate_good_models(sigma, mu, Window(Z, [()]), eps)
     assert letter_frequency_count((p, 1 - p), n, eps).count == scan.count
 
 
@@ -421,7 +451,7 @@ def test_good_sets_shrink_with_window():
 def test_good_sets_shrink_with_eps():
     sigma = quotient_map(Z, 6)
     mu = bernoulli((0.5, 0.5), Z)
-    tight = enumerate_good_models(sigma, mu, Window(Z, [()]), 0.1, keep_configs=False)
-    loose = enumerate_good_models(sigma, mu, Window(Z, [()]), 0.4, keep_configs=False)
+    tight = enumerate_good_models(sigma, mu, Window(Z, [()]), 0.1)
+    loose = enumerate_good_models(sigma, mu, Window(Z, [()]), 0.4)
     assert tight.count <= loose.count
 

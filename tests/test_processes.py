@@ -108,7 +108,7 @@ def test_probability_vectors_follow_one_rule(name):
     sum tests, since every comparison with NaN is false."""
     law, field = LAW_ENTRY_POINTS[name]
     for kind in (list, np.array):
-        for bad in ([np.nan, 1.0], [0.7, 0.7], [1.5, -0.5], [np.inf, 0.0]):
+        for bad in ([np.nan, 1.0], [0.7, 0.7], [1.5, -0.5], [np.inf, 0.0], [True, False]):
             with pytest.raises(ValueError, match=field):
                 law(kind(bad))
         # a 2-D row makes tree_markov's transition ragged, which numpy refuses
