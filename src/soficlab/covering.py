@@ -20,7 +20,7 @@ distances first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -290,7 +290,8 @@ def _partial_cover_exact(cover: np.ndarray, weights: np.ndarray, need: float) ->
     order = np.argsort(-(cover @ weights), kind="stable")
     # bit j of a mask is atom j; equal masks keep their first (heaviest) row
     packed = np.packbits(cover[order], axis=1, bitorder="little")
-    _, first = np.unique(packed, axis=0, return_index=True)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first = np.unique(rows, return_index=True)
     masks = [int.from_bytes(packed[i].tobytes(), "little") for i in np.sort(first)]
     # dominated removal: keep only masks not contained in an earlier (heavier) one
     kept: List[int] = []
@@ -301,8 +302,13 @@ def _partial_cover_exact(cover: np.ndarray, weights: np.ndarray, need: float) ->
     if not masks:
         raise ValueError("no candidate center covers any atom")
 
+    masses: Dict[int, float] = {}
+
     def covered_mass(m: int) -> float:
-        return sum(weights[j] for j in range(k) if m >> j & 1)
+        got = masses.get(m)
+        if got is None:
+            got = masses[m] = sum(weights[j] for j in range(k) if m >> j & 1)
+        return got
 
     tops = sorted((covered_mass(m) for m in masks), reverse=True)
     for size in range(1, len(masks) + 1):

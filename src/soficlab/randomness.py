@@ -85,15 +85,16 @@ def fisher_yates(gen: np.random.Generator, n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("permutation size must be >= 1")
-    perm = np.arange(n, dtype=np.int64)
     if n == 1:
-        return perm
-    # One bounded draw per position, high side exclusive: j ~ U{0..i}.
-    draws = gen.integers(0, np.arange(n, 1, -1, dtype=np.int64))
-    for idx, i in enumerate(range(n - 1, 0, -1)):
-        j = draws[idx]
+        return np.zeros(1, dtype=np.int64)
+    # One bounded draw per position, high side exclusive: j ~ U{0..i}. The
+    # swaps run on Python lists: swapping numpy scalars costs about three
+    # times as much.
+    draws = gen.integers(0, np.arange(n, 1, -1, dtype=np.int64)).tolist()
+    perm = list(range(n))
+    for j, i in zip(draws, range(n - 1, 0, -1)):
         perm[i], perm[j] = perm[j], perm[i]
-    return perm
+    return np.array(perm, dtype=np.int64)
 
 
 def partitioned_permutation(gen: np.random.Generator, blocks: list[np.ndarray], n: int) -> np.ndarray:

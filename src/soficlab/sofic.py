@@ -2,7 +2,8 @@
 
 A SoficMap stores one permutation per group generator; sigma^g for a general
 element is composed on the fly along the canonical word of g. The Schreier
-graph of a chosen generator set exposes a spectral-gap estimate.
+graph of a chosen generator set exposes a spectral-gap estimate, computed for
+many (map, vertex block) pairs in one batched power iteration.
 """
 
 from __future__ import annotations
@@ -175,82 +176,132 @@ SPECTRAL_TOL = 1e-9
 SPECTRAL_MAX_ITERS = 100_000
 
 
-def schreier_spectral_gap(
-    sigma: SoficMap, generators: Sequence[str], restriction: np.ndarray, seed: int
-) -> SpectralReport:
+def schreier_spectral_gaps(
+    blocks: Sequence[Tuple[SoficMap, np.ndarray, int]], generators: Sequence[str]
+) -> List[SpectralReport]:
     """Power iteration for the second-largest eigenvalue of the normalized
-    adjacency of the Schreier multigraph on the chosen generators.
+    adjacency of each block's Schreier multigraph on the chosen generators.
 
-    Each generator contributes the undirected edges {v, pi_s(v)}, giving a
-    2k-regular multigraph; the normalized adjacency has spectrum in [-1, 1]
-    with the constant vector at eigenvalue 1. That top vector is deflated by
-    projection and the iteration runs on (M + I)/2, so it converges to the
-    second-largest signed eigenvalue even when that eigenvalue is negative.
-    Only edges inside `restriction` are kept (the intended use restricts to a
-    block preserved by the chosen generators). It stops when the eigenvalue
-    estimate moves by less than SPECTRAL_TOL, or after SPECTRAL_MAX_ITERS
-    iterations.
+    A block is (sigma, restriction, seed); one SpectralReport is returned per
+    block, in order. Each generator contributes the undirected edges
+    {v, pi_s(v)}, giving a 2k-regular multigraph; the normalized adjacency has
+    spectrum in [-1, 1] with the constant vector at eigenvalue 1. That top
+    vector is deflated by projection and the iteration runs on (M + I)/2, so
+    it converges to the second-largest signed eigenvalue even when that
+    eigenvalue is negative. Only edges inside `restriction` are kept (the
+    intended use restricts to a block preserved by the chosen generators).
+    A block stops when its eigenvalue estimate moves by less than
+    SPECTRAL_TOL, when its iterate vanishes, or after SPECTRAL_MAX_ITERS
+    iterations. The iteration starts from a standard normal vector drawn from
+    the block's seed.
+
+    Blocks of equal size are iterated together, one row each, and a row
+    leaves at the step where its own iteration stops. Every row operation
+    (neighbour sums in a fixed order, row dot products, row means) gives the
+    floats that iterating the block alone would, so a report does not depend
+    on the other blocks of the call.
     """
     if not generators:
         raise ValueError("generator set must be nonempty")
+    reports: List[Optional[SpectralReport]] = [None] * len(blocks)
+    by_size: Dict[int, List[int]] = {}
+    tables = []
+    for i, (sigma, restriction, _) in enumerate(blocks):
+        table = _neighbour_table(sigma, generators, restriction)
+        tables.append(table)
+        by_size.setdefault(table.shape[1], []).append(i)
+    for m, members in by_size.items():
+        x0 = np.empty((len(members), m))
+        for row, i in enumerate(members):
+            x = stream(blocks[i][2], "spectral").standard_normal(m)
+            x -= x.mean()
+            x0[row] = x / np.linalg.norm(x)
+        found = _power_iterate(np.stack([tables[i] for i in members], axis=1), x0, 2.0 * len(generators))
+        for i, report in zip(members, found):
+            reports[i] = report
+    return reports
+
+
+def _neighbour_table(sigma: SoficMap, generators: Sequence[str], restriction: np.ndarray) -> np.ndarray:
+    """(2 * |generators|, m) positions of each restricted vertex's neighbours:
+    the forward then the backward image under each generator. A neighbour
+    outside the restriction is m, the index of a zero slot after the block."""
     verts = np.asarray(restriction, dtype=np.int64)
     m = verts.size
     if m < 2:
         raise ValueError("need at least two vertices for a second eigenvalue")
-    pos = -np.ones(sigma.n, dtype=np.int64)
+    pos = np.full(sigma.n, m, dtype=np.int64)
     pos[verts] = np.arange(m)
-
-    rows_list: List[np.ndarray] = []
-    cols_list: List[np.ndarray] = []
+    table = []
     for lab in generators:
-        img = pos[sigma.perms[lab][verts]]
-        src = np.arange(m, dtype=np.int64)
-        keep = img >= 0
-        rows_list.extend([src[keep], img[keep]])
-        cols_list.extend([img[keep], src[keep]])
-    rows = np.concatenate(rows_list)
-    cols = np.concatenate(cols_list)
-    deg = 2.0 * len(generators)
+        table.append(pos[sigma.perms[lab][verts]])
+        table.append(pos[sigma.inv_perms[lab][verts]])
+    return np.stack(table)
 
-    def apply_m(x: np.ndarray) -> np.ndarray:
-        return np.bincount(rows, weights=x[cols], minlength=m) / deg
 
-    gen = stream(seed, "spectral")
-    x = gen.standard_normal(m)
-    x -= x.mean()
-    x /= np.linalg.norm(x)
-    prev = np.inf
-    lam = 0.0
-    iterations = 0
-    converged = False
+def _power_iterate(tables: np.ndarray, x: np.ndarray, deg: float) -> List[SpectralReport]:
+    """The iteration of schreier_spectral_gaps on k blocks of m vertices at
+    once. tables is (2 * |generators|, k, m), the k tables of _neighbour_table
+    side by side, and x the (k, m) unit start vectors; returns the k reports
+    in row order."""
+    k, m = x.shape
+    reports: List[Optional[SpectralReport]] = [None] * k
+    rows = np.arange(k)  # the block of each row still iterating
+    prev = np.full(k, np.inf)
+    # the iterate with each row's zero slot: x[r, v] is xp.ravel()[r * (m + 1) + v]
+    xp = np.zeros((k, m + 1))
+    xp[:, :m] = x
+
+    def gather_index() -> np.ndarray:
+        return tables + (np.arange(rows.size) * (m + 1))[:, None]
+
+    def apply_m() -> np.ndarray:
+        # each neighbour sum starts at 0.0 and adds in the order np.bincount
+        # adds one block's edge list
+        mx = np.add.reduce(xp.take(index), axis=0, initial=0.0)
+        mx /= deg
+        return mx
+
+    def finish(which: np.ndarray, lam: np.ndarray, mx: np.ndarray, converged: bool, iterations: int) -> None:
+        res = mx[which] - lam[which, None] * xp[which, :m]
+        res -= res.mean(axis=1, keepdims=True)
+        residual = np.sqrt(np.vecdot(res, res))
+        for row, value, r in zip(rows[which], lam[which].tolist(), residual.tolist()):
+            reports[row] = SpectralReport(
+                lambda2=abs(value),
+                lambda2_signed=value,
+                cheeger_lower=(1.0 - value) / 2.0,
+                converged=converged,
+                iterations=iterations,
+                residual=r,
+            )
+
+    index = gather_index()
     for iterations in range(1, SPECTRAL_MAX_ITERS + 1):
-        mx = apply_m(x)
-        lam = float(x @ mx)
-        if abs(lam - prev) < SPECTRAL_TOL:
-            converged = True
-            break
-        prev = lam
+        x = xp[:, :m]
+        mx = apply_m()
+        lam = np.vecdot(x, mx)
+        stop = np.abs(lam - prev) < SPECTRAL_TOL
         y = 0.5 * (mx + x)
-        y -= y.mean()
-        norm = np.linalg.norm(y)
-        if norm < 1e-300:
-            # x was (numerically) in the kernel of (M+I)/2 on the mean-zero
-            # subspace. The Rayleigh quotient is already exact there.
-            converged = True
-            break
-        x = y / norm
-    mx = apply_m(x)
-    res_vec = mx - lam * x
-    res_vec -= res_vec.mean()
-    residual = float(np.linalg.norm(res_vec))
-    return SpectralReport(
-        lambda2=abs(lam),
-        lambda2_signed=lam,
-        cheeger_lower=(1.0 - lam) / 2.0,
-        converged=converged,
-        iterations=iterations,
-        residual=residual,
-    )
+        y -= y.mean(axis=1, keepdims=True)
+        norm = np.sqrt(np.vecdot(y, y))
+        # a vanishing y means x was (numerically) in the kernel of (M+I)/2 on
+        # the mean-zero subspace; the Rayleigh quotient is already exact there
+        stop |= norm < 1e-300
+        if stop.any():
+            finish(stop, lam, mx, True, iterations)
+            go = ~stop
+            rows, lam, y, norm = rows[go], lam[go], y[go], norm[go]
+            if not rows.size:
+                return reports
+            tables = tables[:, go]
+            index = gather_index()
+            xp = np.zeros((rows.size, m + 1))
+        prev = lam
+        np.divide(y, norm[:, None], out=xp[:, :m])
+    # at the cap, the last update moved x after lam was measured
+    finish(np.ones(rows.size, dtype=bool), lam, apply_m(), False, SPECTRAL_MAX_ITERS)
+    return reports
 
 
 __all__ = [
@@ -260,5 +311,5 @@ __all__ = [
     "partitioned_random",
     "quotient_map",
     "product",
-    "schreier_spectral_gap",
+    "schreier_spectral_gaps",
 ]

@@ -56,6 +56,29 @@ def test_fisher_yates_uniform_on_three():
         fisher_yates(stream(0), 0)
 
 
+def _fisher_yates_scalar_loop(gen, n):
+    """Reference: fisher_yates as it swapped numpy scalars in an int64 array."""
+    perm = np.arange(n, dtype=np.int64)
+    if n == 1:
+        return perm
+    draws = gen.integers(0, np.arange(n, 1, -1, dtype=np.int64))
+    for idx, i in enumerate(range(n - 1, 0, -1)):
+        j = draws[idx]
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 1024, 4096])
+def test_fisher_yates_matches_scalar_loop(n):
+    for seed in (0, 1, 20260821, 2**32 - 1):
+        gen, ref = stream(seed, "fy", n), stream(seed, "fy", n)
+        perm = fisher_yates(gen, n)
+        expect = _fisher_yates_scalar_loop(ref, n)
+        assert perm.dtype == np.int64
+        np.testing.assert_array_equal(perm, expect)
+        assert gen.random() == ref.random()  # the stream is left where the loop left it
+
+
 def test_partitioned_permutation_preserves_blocks():
     blocks = [np.array([0, 1, 2]), np.array([3, 4, 5, 6, 7])]
     perm = partitioned_permutation(stream(5, "pp"), blocks, 8)
