@@ -29,12 +29,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .groups import Element, Window
-from .processes import MarginalOracle, _pattern_codes, _tv_rows, pattern_count, tv_distance, validate_weights
+from .processes import MarginalOracle, _pattern_codes, _tv_rows, pattern_count, validate_weights
 from .randomness import _map, categorical, stream
 from .sofic import SoficMap
 
@@ -321,13 +321,17 @@ def count_good_models_mc(
     return GoodModelCount(_exp_nats_to_int(log_est), log_est, None, se)
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _compositions(total: int, parts: int) -> np.ndarray:
+    """Every composition of `total` into `parts` nonnegative parts, one per
+    row, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([total], dtype=np.int64)
+    for _ in range(parts - 1):
+        reps = rem + 1
+        head = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0), head])
+        rem = np.repeat(rem, reps) - head
+    return np.column_stack([rows, rem])
 
 
 def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) -> GoodModelCount:
@@ -335,24 +339,34 @@ def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) 
 
     For F = {e} membership depends only on the letter counts, so the count is
     a sum of multinomial coefficients over types with TV strictly below eps.
-    The TV test is `tv_distance`, as in the exhaustive scan, so the two paths
-    make bitwise-identical decisions. The weights must pass `validate_weights`
-    and are taken as given, not renormalized.
+    The TV test is `tv_distance`'s row-wise form, as in the exhaustive scan, so
+    the two paths make bitwise-identical decisions. The weights must pass
+    `validate_weights` and are taken as given, not renormalized.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     validate_weights(weights)
     w = np.asarray(weights, dtype=np.float64)
-    count = 0
-    nf = float(vertices)
-    for comp in _compositions(vertices, w.size):
-        if tv_distance(np.asarray(comp, dtype=np.float64) / nf, w) < eps:
-            coeff = 1
-            rem = vertices
-            for c in comp[:-1]:
-                coeff *= math.comb(rem, c)
-                rem -= c
-            count += coeff
+    comps = _compositions(vertices, w.size)
+    good = (_tv_rows(comps / float(vertices), w) < eps).tolist()
+    if w.size == 1:
+        count = int(good[0])
+    else:
+        count = 0
+        # types that differ only in their last two parts are consecutive rows,
+        # the second-to-last part c stepping 0..rem: step comb(rem, c) along them
+        for start in np.flatnonzero(comps[:, -2] == 0).tolist():
+            *head, _, rem = comps[start].tolist()
+            inner, coeff = 0, 1
+            for c in range(rem + 1):
+                if good[start + c]:
+                    inner += coeff
+                coeff = coeff * (rem - c) // (c + 1)
+            left = vertices
+            for c in head:
+                inner *= math.comb(left, c)
+                left -= c
+            count += inner
     log = math.log(count) if count > 0 else float("-inf")
     return GoodModelCount(count, log)
 

@@ -2,8 +2,8 @@
 
 A SoficMap stores one permutation per group generator; sigma^g for a general
 element is composed on the fly along the canonical word of g. The Schreier
-graph of a chosen generator set exposes a spectral-gap estimate, computed for
-many (map, vertex block) pairs in one batched power iteration.
+graph of a chosen generator set exposes its second eigenvalue, computed by a
+dense symmetric eigensolve for each (map, vertex block) pair.
 """
 
 from __future__ import annotations
@@ -167,140 +167,52 @@ class SpectralReport:
     lambda2: float
     lambda2_signed: float
     cheeger_lower: float
-    converged: bool
-    iterations: int
-    residual: float
-
-
-SPECTRAL_TOL = 1e-9
-SPECTRAL_MAX_ITERS = 100_000
 
 
 def schreier_spectral_gaps(
-    blocks: Sequence[Tuple[SoficMap, np.ndarray, int]], generators: Sequence[str]
+    blocks: Sequence[Tuple[SoficMap, np.ndarray]], generators: Sequence[str]
 ) -> List[SpectralReport]:
-    """Power iteration for the second-largest eigenvalue of the normalized
-    adjacency of each block's Schreier multigraph on the chosen generators.
+    """The second-largest eigenvalue of the normalized adjacency of each
+    block's Schreier multigraph on the chosen generators, by a dense solve.
 
-    A block is (sigma, restriction, seed); one SpectralReport is returned per
-    block, in order. Each generator contributes the undirected edges
-    {v, pi_s(v)}, giving a 2k-regular multigraph; the normalized adjacency has
-    spectrum in [-1, 1] with the constant vector at eigenvalue 1. That top
-    vector is deflated by projection and the iteration runs on (M + I)/2, so
-    it converges to the second-largest signed eigenvalue even when that
-    eigenvalue is negative. Only edges inside `restriction` are kept (the
-    intended use restricts to a block preserved by the chosen generators).
-    A block stops when its eigenvalue estimate moves by less than
-    SPECTRAL_TOL, when its iterate vanishes, or after SPECTRAL_MAX_ITERS
-    iterations. The iteration starts from a standard normal vector drawn from
-    the block's seed.
+    A block is (sigma, restriction); one SpectralReport is returned per block,
+    in order. Each generator contributes the undirected edges {v, pi_s(v)},
+    giving a 2k-regular multigraph; the normalized adjacency M has spectrum in
+    [-1, 1] with the constant vector at eigenvalue 1. Only edges inside
+    `restriction` are kept (the intended use restricts to a block preserved by
+    the chosen generators), so M need not be regular; the value reported is
+    the top eigenvalue of M compressed to the mean-zero vectors.
 
-    Blocks of equal size are iterated together, one row each, and a row
-    leaves at the step where its own iteration stops. Every row operation
-    (neighbour sums in a fixed order, row dot products, row means) gives the
-    floats that iterating the block alone would, so a report does not depend
-    on the other blocks of the call.
+    The signed value is rounded to 10 decimal places before the report is
+    derived from it: the last bits of a dense solve move with the BLAS thread
+    count, the rounded value does not. The rounding is absolute, like the
+    solver's error on a spectrum in [-1, 1]: a relative rounding would keep
+    the noise of an eigenvalue that is exactly 0.
     """
     if not generators:
         raise ValueError("generator set must be nonempty")
-    reports: List[Optional[SpectralReport]] = [None] * len(blocks)
-    by_size: Dict[int, List[int]] = {}
-    tables = []
-    for i, (sigma, restriction, _) in enumerate(blocks):
-        table = _neighbour_table(sigma, generators, restriction)
-        tables.append(table)
-        by_size.setdefault(table.shape[1], []).append(i)
-    for m, members in by_size.items():
-        x0 = np.empty((len(members), m))
-        for row, i in enumerate(members):
-            x = stream(blocks[i][2], "spectral").standard_normal(m)
-            x -= x.mean()
-            x0[row] = x / np.linalg.norm(x)
-        found = _power_iterate(np.stack([tables[i] for i in members], axis=1), x0, 2.0 * len(generators))
-        for i, report in zip(members, found):
-            reports[i] = report
-    return reports
-
-
-def _neighbour_table(sigma: SoficMap, generators: Sequence[str], restriction: np.ndarray) -> np.ndarray:
-    """(2 * |generators|, m) positions of each restricted vertex's neighbours:
-    the forward then the backward image under each generator. A neighbour
-    outside the restriction is m, the index of a zero slot after the block."""
-    verts = np.asarray(restriction, dtype=np.int64)
-    m = verts.size
-    if m < 2:
-        raise ValueError("need at least two vertices for a second eigenvalue")
-    pos = np.full(sigma.n, m, dtype=np.int64)
-    pos[verts] = np.arange(m)
-    table = []
-    for lab in generators:
-        table.append(pos[sigma.perms[lab][verts]])
-        table.append(pos[sigma.inv_perms[lab][verts]])
-    return np.stack(table)
-
-
-def _power_iterate(tables: np.ndarray, x: np.ndarray, deg: float) -> List[SpectralReport]:
-    """The iteration of schreier_spectral_gaps on k blocks of m vertices at
-    once. tables is (2 * |generators|, k, m), the k tables of _neighbour_table
-    side by side, and x the (k, m) unit start vectors; returns the k reports
-    in row order."""
-    k, m = x.shape
-    reports: List[Optional[SpectralReport]] = [None] * k
-    rows = np.arange(k)  # the block of each row still iterating
-    prev = np.full(k, np.inf)
-    # the iterate with each row's zero slot: x[r, v] is xp.ravel()[r * (m + 1) + v]
-    xp = np.zeros((k, m + 1))
-    xp[:, :m] = x
-
-    def gather_index() -> np.ndarray:
-        return tables + (np.arange(rows.size) * (m + 1))[:, None]
-
-    def apply_m() -> np.ndarray:
-        # each neighbour sum starts at 0.0 and adds in the order np.bincount
-        # adds one block's edge list
-        mx = np.add.reduce(xp.take(index), axis=0, initial=0.0)
-        mx /= deg
-        return mx
-
-    def finish(which: np.ndarray, lam: np.ndarray, mx: np.ndarray, converged: bool, iterations: int) -> None:
-        res = mx[which] - lam[which, None] * xp[which, :m]
-        res -= res.mean(axis=1, keepdims=True)
-        residual = np.sqrt(np.vecdot(res, res))
-        for row, value, r in zip(rows[which], lam[which].tolist(), residual.tolist()):
-            reports[row] = SpectralReport(
-                lambda2=abs(value),
-                lambda2_signed=value,
-                cheeger_lower=(1.0 - value) / 2.0,
-                converged=converged,
-                iterations=iterations,
-                residual=r,
-            )
-
-    index = gather_index()
-    for iterations in range(1, SPECTRAL_MAX_ITERS + 1):
-        x = xp[:, :m]
-        mx = apply_m()
-        lam = np.vecdot(x, mx)
-        stop = np.abs(lam - prev) < SPECTRAL_TOL
-        y = 0.5 * (mx + x)
-        y -= y.mean(axis=1, keepdims=True)
-        norm = np.sqrt(np.vecdot(y, y))
-        # a vanishing y means x was (numerically) in the kernel of (M+I)/2 on
-        # the mean-zero subspace; the Rayleigh quotient is already exact there
-        stop |= norm < 1e-300
-        if stop.any():
-            finish(stop, lam, mx, True, iterations)
-            go = ~stop
-            rows, lam, y, norm = rows[go], lam[go], y[go], norm[go]
-            if not rows.size:
-                return reports
-            tables = tables[:, go]
-            index = gather_index()
-            xp = np.zeros((rows.size, m + 1))
-        prev = lam
-        np.divide(y, norm[:, None], out=xp[:, :m])
-    # at the cap, the last update moved x after lam was measured
-    finish(np.ones(rows.size, dtype=bool), lam, apply_m(), False, SPECTRAL_MAX_ITERS)
+    reports = []
+    for sigma, restriction in blocks:
+        verts = np.asarray(restriction, dtype=np.int64)
+        m = verts.size
+        if m < 2:
+            raise ValueError("need at least two vertices for a second eigenvalue")
+        pos = np.full(sigma.n, m, dtype=np.int64)
+        pos[verts] = np.arange(m)
+        adj = np.zeros((m, m + 1))  # edge counts; column m collects the dropped edges
+        for lab in generators:
+            for perm in (sigma.perms[lab], sigma.inv_perms[lab]):
+                # one image per vertex, so no cell is hit twice by one update
+                adj[np.arange(m), pos[perm[verts]]] += 1.0
+        M = adj[:, :m] / (2.0 * len(generators))
+        u = M.sum(axis=1)
+        s = u.sum()
+        # P M P - 2J/m with P the projection onto the mean-zero vectors: the
+        # constant vector moves to eigenvalue -2, below the compression's
+        # spectrum in [-1, 1]
+        A = M - (u[:, None] + u[None, :]) / m + (s / m**2 - 2.0 / m)
+        value = round(float(np.linalg.eigvalsh(A)[-1]), 10) + 0.0  # + 0.0 turns -0.0 into 0.0
+        reports.append(SpectralReport(lambda2=abs(value), lambda2_signed=value, cheeger_lower=(1.0 - value) / 2.0))
     return reports
 
 

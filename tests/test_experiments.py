@@ -149,6 +149,15 @@ def test_validate_refuses_e2_configs_run_cannot_finish(over, path):
     assert e2["properties"]["support_atoms"]["maximum"] == PACK_EPS_EXACT_BUDGET
 
 
+def test_validate_refuses_e7_sizes_past_the_dense_spectrum():
+    """E7's largest block has 3n vertices and a dense m x m solve: n = 512 is
+    the largest size accepted."""
+    cfg = json.loads((CONFIG_DIR / "e7.json").read_text())
+    assert validate_config({**cfg, "ns": [64, 512]}) == []
+    (problem,) = validate_config({**cfg, "ns": [513]})
+    assert problem.startswith("ns[0]: ")
+
+
 def test_validate_refuses_e7_generators_outside_the_group():
     """A label the partitioned model's group lacks used to end `run` in a bare KeyError."""
     cfg = json.loads((CONFIG_DIR / "e7.json").read_text())
@@ -393,6 +402,22 @@ def _assert_same_as_results(out: Path, exp: str, extra=()) -> None:
     assert sorted(f.name for f in out.iterdir()) == sorted([*names, *extra])
     for name in names:
         assert (out / name).read_bytes() == (golden / name).read_bytes(), f"{exp}/{name} differs from results/"
+
+
+def test_e7_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """E7 under one BLAS thread writes `results/e7`, which the suite's other
+    runs regenerate under the default thread count."""
+    src = str(CONFIG_DIR.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+    out = tmp_path / "e7"
+    cmd = [sys.executable, "-m", "soficlab.cli", "run", str(CONFIG_DIR / "e7.json"), "--out", str(out)]
+    subprocess.run(cmd, capture_output=True, env=env, check=True)
+    _assert_same_as_results(out, "e7")
 
 
 def test_cli_run_removes_stale_diagnostic(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from soficlab.models import (
     letter_frequency_count,
     _good_mask,
 )
-from soficlab.processes import _pattern_codes, bernoulli, coset_iid, product_process, tree_markov
+from soficlab.processes import _pattern_codes, bernoulli, coset_iid, product_process, tree_markov, tv_distance
 from soficlab.sofic import partitioned_random, product, quotient_map, random_uniform
 
 Z = GroupSpec.integers()
@@ -324,6 +325,45 @@ def test_letter_frequency_matches_enumeration():
     assert letter_frequency_count((0.5, 0.5), 4, 0.3).count == 14
     assert letter_frequency_count((0.75, 0.25), 4, 0.3).count == 11
     assert letter_frequency_count((0.5, 0.5), 4, 2.0).count == 16
+
+
+def _compositions_loop(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in _compositions_loop(total - head, parts - 1):
+            yield (head,) + rest
+
+
+def _letter_frequency_loop(weights, vertices, eps):
+    """Reference: one `tv_distance` call and one product of binomials per
+    composition, compositions in lexicographic order."""
+    w = np.asarray(weights, dtype=np.float64)
+    count = 0
+    for comp in _compositions_loop(vertices, w.size):
+        if tv_distance(np.asarray(comp, dtype=np.float64) / float(vertices), w) < eps:
+            coeff, rem = 1, vertices
+            for c in comp[:-1]:
+                coeff *= math.comb(rem, c)
+                rem -= c
+            count += coeff
+    return count
+
+
+@pytest.mark.parametrize(
+    "weights", [(0.5, 0.5), (0.75, 0.25), (0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4), (1.0,), (1.0, 0.0)]
+)
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_letter_frequency_matches_composition_loop(weights, n):
+    """Every epsilon of a sweep, each type's exact TV (a tie, which the strict
+    test excludes) and the next float above it give the loop's count."""
+    w = np.asarray(weights, dtype=np.float64)
+    ties = sorted({tv_distance(np.array(c, dtype=np.float64) / n, w) for c in _compositions_loop(n, w.size)} - {0.0})
+    step = max(1, len(ties) // 12)
+    epsilons = [0.02, 0.1, 0.3, 1.5] + [e for t in ties[::step] for e in (t, float(np.nextafter(t, 2.0)))]
+    for eps in epsilons:
+        assert letter_frequency_count(weights, n, eps).count == _letter_frequency_loop(weights, n, eps), eps
 
 
 def test_letter_frequency_point_mass():
