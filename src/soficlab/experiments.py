@@ -288,8 +288,11 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
         good_y = mod.enumerate_good_models(sigma, nu, window, 2 * eps, budget=ctx.budget)
         # a pair model violates inclusion when a projection is outside its 2eps set
         nx, ny = mu.alphabet.size, nu.alphabet.size
-        in_x = np.isin(mod.config_codes(got.configs // ny, nx), mod.config_codes(good_x.configs, nx))
-        in_y = np.isin(mod.config_codes(got.configs % ny, ny), mod.config_codes(good_y.configs, ny))
+        # the remainder by subtraction: uint8 % costs several times //, and q * ny <= configs
+        proj_x = got.configs // ny
+        proj_y = got.configs - proj_x * ny
+        in_x = np.isin(mod.config_codes(proj_x, nx), mod.config_codes(good_x.configs, nx))
+        in_y = np.isin(mod.config_codes(proj_y, ny), mod.config_codes(good_y.configs, ny))
         violations = int((~(in_x & in_y)).sum())
         subadd = got.count <= good_x.count * good_y.count
         passed = passed and violations == 0 and subadd

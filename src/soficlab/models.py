@@ -6,13 +6,17 @@ at the index that `processes._pattern_codes` gives it; a configuration is an
 (F, eps)-good model when its empirical F-marginal, the counts over n, is
 within TV distance strictly less than eps of the process marginal.
 
-Exact enumeration, a depth-first branch and bound over X^V, keeps every good
-configuration; `config_codes` makes each one integer, for set membership.
-Vertices are assigned one at a time; the pattern of a vertex is final once its
-whole window image is assigned. With t = mu_F, the final TV of a complete
-configuration with pattern counts c is P - (1 - sum(t)) / 2, where P is
-sum_p max(0, c_p/n - t_p), since every vertex ends with exactly one pattern.
-Counts only grow as vertices close, so P is at least the running excess
+Exact enumeration keeps every good configuration; `config_codes` makes each
+one integer, for set membership. A one-element window {g} is decided by letter
+type: sigma^g is a bijection, so the pattern counts are the letter counts, and
+the good set is built from the types of two halves of the vertex set, which
+meet in the middle. Any other window goes through a depth-first branch and
+bound over X^V. Vertices are assigned one at a time; the pattern of a vertex
+is final once its whole window image is assigned. With t = mu_F, the final TV
+of a complete configuration with pattern counts c is P - (1 - sum(t)) / 2,
+where P is sum_p max(0, c_p/n - t_p), since every vertex ends with exactly one
+pattern. Counts only grow as vertices close, so P is at least the running
+excess
 
     A = sum_p max(0, c_p/n - t_p)
 
@@ -34,7 +38,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Element, Window
-from .processes import MarginalOracle, _pattern_codes, _tv_rows, pattern_count, validate_weights
+from .processes import MarginalOracle, _pattern_codes, _tv_rows, decode_patterns, pattern_count, validate_weights
 from .randomness import _map, categorical, stream
 from .sofic import SoficMap
 
@@ -184,14 +188,14 @@ def enumerate_good_models(
     eps: float,
     budget: int = ENUM_BUDGET,
 ) -> GoodModelCount:
-    """Omega(F, eps, sigma) by branch and bound over X^V: its configurations,
-    in lexicographic order with vertex 0 most significant, and their count.
+    """Omega(F, eps, sigma): its configurations, in lexicographic order with
+    vertex 0 most significant, and their count.
 
-    Configurations are pruned at `cut` by the TV lower bound of the module
-    docstring. Complete ones are accepted below cut - 2 * PRUNE_SLACK, and
-    only those in the band between get the strict TV test of the flat scan,
-    so the set is the one that testing every point of X^V gives. The budget
-    is checked against |X|^|V| before any work.
+    The budget is checked against |X|^|V| before any work. A one-element
+    window is decided by letter type (`_type_class_models`); any other goes
+    through the branch and bound of the module docstring. Either way each
+    decision is the strict TV test of the flat scan, so the set is the one
+    that testing every point of X^V gives.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -200,9 +204,56 @@ def enumerate_good_models(
     if total > budget:
         raise BudgetExceededError(total, budget)
     target = mu.marginal_elems(window.elements)
-    perms = sigma.window_perms(window)
-    npat = pattern_count(base, len(window))
-    n = sigma.n
+    if len(window) == 1:
+        configs = _type_class_models(base, sigma.n, target, eps)
+    else:
+        configs = _branch_and_bound(sigma.window_perms(window), base, target, sigma.n, eps)
+    log = math.log(len(configs)) if len(configs) else float("-inf")
+    return GoodModelCount(len(configs), log, configs)
+
+
+def _type_class_models(base: int, n: int, target: np.ndarray, eps: float) -> np.ndarray:
+    """The good configurations of a one-element window {g}, by letter type.
+
+    sigma^g is a bijection of V, so the pattern counts of x are its letter
+    counts, and membership depends on the letter type alone. The vertices are
+    split into a prefix of h = n // 2 and a suffix, each decoded in full and
+    grouped by letter type. Each sum of a prefix type and a suffix type is
+    decided by the row `_good_mask` computes for it, `_tv_rows(counts / n,
+    target) < eps`, so the decisions at float ties are the flat scan's. The
+    rows come out prefix-major, each prefix followed by its good suffixes in
+    ascending order: lexicographic order. Beside the output, this holds the
+    half rows and one good block of suffixes per prefix type, no larger than
+    the output rows of any prefix of that type.
+    """
+    h = n // 2
+    prefix, suffix = decode_patterns(base, h), decode_patterns(base, n - h)
+    ptypes, pinv = np.unique(_block_counts(prefix, np.arange(h)[None, :], base, base), axis=0, return_inverse=True)
+    stypes, sinv = np.unique(_block_counts(suffix, np.arange(n - h)[None, :], base, base), axis=0, return_inverse=True)
+    pinv, sinv = pinv.ravel().tolist(), sinv.ravel()  # numpy 2.0.0 gives the inverse as a column
+    step = max(1, KERNEL_CELLS // (len(stypes) * base))
+    good = np.concatenate([
+        _tv_rows((ptypes[lo : lo + step, None, :] + stypes).reshape(-1, base) / float(n), target) < eps
+        for lo in range(0, len(ptypes), step)
+    ]).reshape(len(ptypes), len(stypes))
+    blocks = [suffix[good[t, sinv]] for t in range(len(ptypes))]
+    out = np.empty((sum(len(blocks[t]) for t in pinv), n), dtype=np.uint8)
+    lo = 0
+    for row, t in zip(prefix, pinv):
+        hi = lo + len(blocks[t])
+        out[lo:hi, :h] = row
+        out[lo:hi, h:] = blocks[t]
+        lo = hi
+    return out
+
+
+def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, eps: float) -> np.ndarray:
+    """The good configurations of the window whose (|F|, |V|) permutations are
+    `perms`, by the branch and bound of the module docstring, in lexicographic
+    order. Configurations are pruned at `cut`; complete ones are accepted below
+    cut - 2 * PRUNE_SLACK, and only those in the band between get the strict
+    TV test of the flat scan."""
+    npat = pattern_count(base, perms.shape[0])
     order, closing = _vertex_order(perms)
     cut = eps + 0.5 * (1.0 - float(target.sum())) + PRUNE_SLACK
     accept = cut - 2 * PRUNE_SLACK
@@ -254,8 +305,7 @@ def enumerate_good_models(
     configs = np.concatenate(kept, axis=0) if kept else np.zeros((0, n), dtype=np.uint8)
     if order != list(range(n)):
         configs = configs[np.lexsort(configs.T[::-1])]
-    log = math.log(len(configs)) if len(configs) else float("-inf")
-    return GoodModelCount(len(configs), log, configs)
+    return configs
 
 
 MC_CHUNK = 1 << 14

@@ -24,7 +24,7 @@ from soficlab.models import (
     letter_frequency_count,
     _good_mask,
 )
-from soficlab.processes import _pattern_codes, bernoulli, coset_iid, product_process, tree_markov, tv_distance
+from soficlab.processes import _pattern_codes, bernoulli, coset_iid, decode_patterns, product_process, tree_markov, tv_distance
 from soficlab.sofic import partitioned_random, product, quotient_map, random_uniform
 
 Z = GroupSpec.integers()
@@ -172,6 +172,74 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
         members = {tuple(row) for row in expect.tolist()}
         for x in drawn:
             assert good_mask(sigma, mu, window, x[None, :], eps)[0] == (tuple(x.tolist()) in members)
+
+
+def _single_window(g):
+    """The one-element window {g}. `Window` puts the identity first, so it
+    builds no such window for g other than e; the letter-type path of
+    `enumerate_good_models` holds for any g, since sigma^g is a bijection."""
+    window = object.__new__(Window)
+    window.elements = (g,)
+    return window
+
+
+@given(
+    st.sampled_from([(), (1,), (1, 2)]),
+    st.integers(2, 4),
+    st.integers(1, 12),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 0.93]),
+)
+@settings(max_examples=60, deadline=None)
+def test_type_path_matches_flat_scan(g, base, n, seed, scale):
+    """One-element windows are decided by letter type, meeting in the middle:
+    the identity and two other elements of F2, n = 1, odd n (halves of
+    unequal length) and bases 2-4, at the float TV of drawn rows, the next
+    float above it and an eps (the least TV of X^V) that leaves the set empty."""
+    n = min(n, {2: 12, 3: 7, 4: 6}[base])  # at most 4096 rows for the flat reference
+    gen = np.random.default_rng(seed)
+    sigma = random_uniform(F2, n, seed)
+    window = _single_window(g)
+    mu = bernoulli(gen.dirichlet(np.ones(base)), F2)
+    if scale != 1.0:
+        mu = _ScaledOracle(mu, scale)
+    flat = np.array(list(itertools.product(range(base), repeat=n)), dtype=np.uint8)
+    counts = counts_over_elements(sigma, flat, window.elements, base)
+    least = float(np.min(0.5 * np.abs(counts / float(n) - mu.marginal_elems(window.elements)).sum(axis=1)))
+    drawn = [gen.integers(0, base, size=n) for _ in range(3)]
+    tvs = [_float_tv(sigma, mu, window, x) for x in drawn]
+    for eps in sorted({*tvs, *(np.nextafter(t, 2.0) for t in tvs), least, 0.35}):
+        if eps <= 0:
+            continue
+        expect = _flat_scan(sigma, mu, window, eps)
+        got = enumerate_good_models(sigma, mu, window, eps)
+        assert got.count == expect.shape[0]
+        assert got.configs.dtype == np.uint8 and got.configs.shape == (got.count, n)
+        np.testing.assert_array_equal(got.configs, expect)
+        if eps == least:
+            assert got.count == 0 and got.log_count_nats == float("-inf")
+
+
+def test_type_path_at_e3_pair_shape(monkeypatch):
+    """E3's F2 radius-0 pair call at n = 10 on the 4-letter pair alphabet,
+    against `_good_mask` over every point of X^V, at E3's eps, at a tie and the
+    next float above it; the branch and bound is not reached."""
+
+    def refuse(*args):
+        raise AssertionError("a one-element window reached the branch and bound")
+
+    monkeypatch.setattr(models, "_branch_and_bound", refuse)
+    sigma = random_uniform(F2, 10, 20260821)
+    chain = tree_markov([[0.7, 0.3], [0.45, 0.55]], [0.6, 0.4], F2)
+    mu = product_process(bernoulli((0.35, 0.65), F2), chain)
+    window = Window(F2, F2.ball(0))
+    flat = decode_patterns(4, 10)
+    tie = _float_tv(sigma, mu, window, flat[123456])
+    for eps in (0.12, 0.24, tie, float(np.nextafter(tie, 2.0))):
+        expect = flat[good_mask(sigma, mu, window, flat, eps)]
+        got = enumerate_good_models(sigma, mu, window, eps)
+        assert got.count == expect.shape[0] > 0
+        np.testing.assert_array_equal(got.configs, expect)
 
 
 @given(st.sampled_from(["Z-r1", "F2-r0", "F2-r1"]), st.integers(2, 3), st.integers(3, 8), st.integers(0, 2**32 - 1))
