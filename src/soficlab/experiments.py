@@ -288,7 +288,7 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
         good_y = mod.enumerate_good_models(sigma, nu, window, 2 * eps, budget=ctx.budget)
         # a pair model violates inclusion when a projection is outside its 2eps set
         nx, ny = mu.alphabet.size, nu.alphabet.size
-        # the remainder by subtraction: uint8 % costs several times //, and q * ny <= configs
+        # the remainder by subtraction: uint8 % costs several times //, and proj_x * ny <= configs
         proj_x = got.configs // ny
         proj_y = got.configs - proj_x * ny
         in_x = np.isin(mod.config_codes(proj_x, nx), mod.config_codes(good_x.configs, nx))
