@@ -287,13 +287,9 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
         good_x = mod.enumerate_good_models(sigma, mu, window, 2 * eps, budget=ctx.budget)
         good_y = mod.enumerate_good_models(sigma, nu, window, 2 * eps, budget=ctx.budget)
         # a pair model violates inclusion when a projection is outside its 2eps set
-        nx, ny = mu.alphabet.size, nu.alphabet.size
-        # the remainder by subtraction: uint8 % costs several times //, and proj_x * ny <= configs
-        proj_x = got.configs // ny
-        proj_y = got.configs - proj_x * ny
-        in_x = np.isin(mod.config_codes(proj_x, nx), mod.config_codes(good_x.configs, nx))
-        in_y = np.isin(mod.config_codes(proj_y, ny), mod.config_codes(good_y.configs, ny))
-        violations = int((~(in_x & in_y)).sum())
+        violations = mod.projections_outside(
+            got.configs, good_x.configs, good_y.configs, mu.alphabet.size, nu.alphabet.size
+        )
         subadd = got.count <= good_x.count * good_y.count
         passed = passed and violations == 0 and subadd
         rows.append((i, vertices, radius, eps, got.count, good_x.count, good_y.count, violations, int(subadd)))

@@ -20,13 +20,28 @@ excess
 
     A = sum_p max(0, c_p/n - t_p)
 
-over the counts c of the patterns already final. With
-cut = eps + (1 - sum(t)) / 2 + PRUNE_SLACK, where PRUNE_SLACK covers the float
-rounding of A and of the exact test, a partial configuration is pruned when
-A >= cut. At full depth every pattern is final, so A = P, and by the same
-rounding argument a configuration with A < cut - 2 * PRUNE_SLACK is good. Only
-those in the band between go through the strict float test ``TV < eps`` of the
-flat scan, so the decisions at float ties are those of the flat scan.
+over the counts c of the patterns already final. A vertex that is still open
+adds more when it closes. When pattern p closes on a row that already holds s
+copies of it, A rises by rise[p, s] = max(0, (s+1)/n - t_p) - max(0, s/n - t_p),
+and rise[p, s] does not decrease in s, since max(0, x - t_p) is convex in x.
+So an open vertex adds at least rise[p, 0] = max(0, 1/n - t_p) for the pattern
+p it ends with, and p agrees with the letters of its window already assigned.
+Its floor is the least rise[p, 0] over those p, and every open vertex closes
+once, so P is at least the bound
+
+    B = A + sum over open vertices v of floor(v).
+
+With cut = eps + (1 - sum(t)) / 2 + PRUNE_SLACK, where PRUNE_SLACK covers the
+float rounding of B and of the exact test, a partial configuration is pruned
+when B >= cut. The floors are one table over the windows coded in radix
+|X| + 1, where the letter |X| marks an unassigned vertex. It is built when
+|X| < 256, so that uint8 rows hold the marker, and (|X| + 1)^|F| is at most
+`processes.PATTERN_CAP`; otherwise the search prunes on A alone, a weaker
+bound that gives the same set. At full depth every pattern is final, so
+B = A = P, and by the same rounding argument a configuration with
+A < cut - 2 * PRUNE_SLACK is good. Only those in the band between go through
+the strict float test ``TV < eps`` of the flat scan, so the decisions at float
+ties are those of the flat scan.
 """
 
 from __future__ import annotations
@@ -38,7 +53,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .groups import Element, Window
-from .processes import MarginalOracle, _pattern_codes, _tv_rows, decode_patterns, pattern_count, validate_weights
+from .processes import PATTERN_CAP, MarginalOracle, _pattern_codes, _tv_rows, decode_patterns, pattern_count, validate_weights
 from .randomness import _map, categorical, stream
 from .sofic import SoficMap
 
@@ -88,8 +103,35 @@ def good_mask(sigma: SoficMap, mu: MarginalOracle, window: Window, configs, eps:
 def config_codes(configs: np.ndarray, base: int) -> np.ndarray:
     """Each row of a (rows, |V|) configuration block as one integer, vertex 0
     most significant, by `processes._pattern_codes`: equal rows share a code,
-    so membership in an enumerated set is `np.isin` on codes."""
+    so membership in an enumerated set is a lookup in a table over codes."""
     return _pattern_codes(configs.T, range(configs.shape[1]), base)
+
+
+def projections_outside(configs: np.ndarray, x_configs: np.ndarray, y_configs: np.ndarray, nx: int, ny: int) -> int:
+    """The number of rows of a (rows, |V|) pair configuration block, letter
+    x * ny + y at each vertex, whose x projection is not a row of `x_configs`
+    or whose y projection is not a row of `y_configs`.
+
+    Each factor block becomes a boolean table over the |X|^|V| codes of
+    `config_codes`, no larger than the pair space. The pair rows are taken in
+    slices of KERNEL_CELLS cells, which keep each slice's projections and codes
+    in cache, and the slices are mapped over the worker pool of `randomness`.
+    """
+    n = configs.shape[1]
+    tables = []
+    for block, base in ((x_configs, nx), (y_configs, ny)):
+        table = np.zeros(base**n, dtype=bool)
+        table[config_codes(block, base)] = True
+        tables.append(table)
+
+    def outside(rows: np.ndarray) -> int:
+        x = rows // ny
+        y = rows - x * ny  # the remainder by subtraction: uint8 % costs several times //
+        inside = tables[0][_pattern_codes(x.T, range(n), nx)] & tables[1][_pattern_codes(y.T, range(n), ny)]
+        return rows.shape[0] - int(np.count_nonzero(inside))
+
+    step = max(1, KERNEL_CELLS // n)
+    return sum(_map(outside, [configs[lo : lo + step] for lo in range(0, configs.shape[0], step)]))
 
 
 def _exp_nats_to_int(log_value: float) -> int:
@@ -153,32 +195,24 @@ def _good_mask(
     return np.concatenate(good) if good else np.zeros(0, dtype=bool)
 
 
-def _vertex_order(perms: np.ndarray) -> Tuple[List[int], List[List[int]]]:
-    """Greedy assignment order for the branch and bound.
-
-    Each step assigns the vertex that completes the most window images (ties
-    to the smallest index). Returns the order and, per step, the vertices
-    whose pattern becomes final at that step.
-    """
+def _vertex_order(perms: np.ndarray) -> List[int]:
+    """Greedy assignment order for the branch and bound: each step assigns the
+    vertex that completes the most window images, ties to the smallest index."""
     n = perms.shape[1]
-    images = [set(perms[:, v].tolist()) for v in range(n)]
-    assigned: set = set()
-    open_ = list(range(n))
+    # member[v, u] = 1: vertex u is in the window image of v (small integers,
+    # exact in float64, where the product below is fastest)
+    member = np.zeros((n, n))
+    member[np.arange(n), perms] = 1.0
+    columns = member.T.copy()
+    missing = member.sum(axis=1)  # unassigned vertices of each image
+    taken = np.zeros(n)  # n + 1 once assigned, so that a free vertex wins
     order: List[int] = []
-    closing: List[List[int]] = []
     for _ in range(n):
-        best, best_done = -1, []
-        for u in range(n):
-            if u in assigned:
-                continue
-            done = [v for v in open_ if images[v] <= assigned | {u}]
-            if best < 0 or len(done) > len(best_done):
-                best, best_done = u, done
-        assigned.add(best)
+        best = int(np.argmax((missing == 1.0) @ member - taken))
+        taken[best] = n + 1
+        missing -= columns[best]
         order.append(best)
-        closing.append(best_done)
-        open_ = [v for v in open_ if v not in best_done]
-    return order, closing
+    return order
 
 
 def enumerate_good_models(
@@ -228,23 +262,51 @@ def _type_class_models(base: int, n: int, target: np.ndarray, eps: float) -> np.
     """
     h = n // 2
     prefix, suffix = decode_patterns(base, h), decode_patterns(base, n - h)
-    ptypes, pinv = np.unique(_block_counts(prefix, np.arange(h)[None, :], base, base), axis=0, return_inverse=True)
-    stypes, sinv = np.unique(_block_counts(suffix, np.arange(n - h)[None, :], base, base), axis=0, return_inverse=True)
-    pinv, sinv = pinv.ravel().tolist(), sinv.ravel()  # numpy 2.0.0 gives the inverse as a column
+
+    def types(half: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+        # the letter types of a half, by one integer each: the counts in radix size + 1
+        counts = _block_counts(half, np.arange(size)[None, :], base, base)
+        key = _pattern_codes(np.ascontiguousarray(counts.T, dtype=np.min_scalar_type(size)), range(base), size + 1)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        return counts[first], inverse
+
+    (ptypes, pinv), (stypes, sinv) = types(prefix, h), types(suffix, n - h)
     step = max(1, KERNEL_CELLS // (len(stypes) * base))
     good = np.concatenate([
         _tv_rows((ptypes[lo : lo + step, None, :] + stypes).reshape(-1, base) / float(n), target) < eps
         for lo in range(0, len(ptypes), step)
     ]).reshape(len(ptypes), len(stypes))
     blocks = [suffix[good[t, sinv]] for t in range(len(ptypes))]
+    pinv = pinv.tolist()
     out = np.empty((sum(len(blocks[t]) for t in pinv), n), dtype=np.uint8)
     lo = 0
-    for row, t in zip(prefix, pinv):
-        hi = lo + len(blocks[t])
-        out[lo:hi, :h] = row
-        out[lo:hi, h:] = blocks[t]
-        lo = hi
+    for i, t in enumerate(pinv):
+        if len(blocks[t]):
+            hi = lo + len(blocks[t])
+            out[lo:hi, :h] = prefix[i]
+            out[lo:hi, h:] = blocks[t]
+            lo = hi
     return out
+
+
+def _open_floor(rise0: np.ndarray, base: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The floors of the open-vertex bound (module docstring), built by one
+    min and one max per window position.
+
+    floor[c] is the least rise0[p] over the patterns p that agree with c, a
+    window coded in radix base + 1 whose digit `base` marks an unassigned
+    vertex. reach[s] is the largest floor[c] over the windows c whose markers
+    are the one bits of s (position 0 the highest bit), so that a window that
+    reaches 0 adds nothing to the bound."""
+    floor = rise0.reshape((base,) * m)
+    for axis in range(m):
+        floor = np.concatenate([floor, floor.min(axis=axis, keepdims=True)], axis=axis)
+    reach = floor
+    for axis in range(m):
+        head = (slice(None),) * axis
+        letter = reach[head + (slice(base),)].max(axis=axis, keepdims=True)
+        reach = np.concatenate([letter, reach[head + (slice(base, None),)]], axis=axis)
+    return floor.ravel(), reach.ravel()
 
 
 def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, eps: float) -> np.ndarray:
@@ -253,35 +315,70 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
     order. Configurations are pruned at `cut`; complete ones are accepted below
     cut - 2 * PRUNE_SLACK, and only those in the band between get the strict
     TV test of the flat scan."""
-    npat = pattern_count(base, perms.shape[0])
-    order, closing = _vertex_order(perms)
+    m = perms.shape[0]
+    npat = pattern_count(base, m)
+    order = _vertex_order(perms)
     cut = eps + 0.5 * (1.0 - float(target.sum())) + PRUNE_SLACK
     accept = cut - 2 * PRUNE_SLACK
     code_type = np.min_scalar_type(npat - 1)
     seen_type = np.min_scalar_type(n)  # holds seen + 1 <= n
-    letters = np.arange(base, dtype=np.uint8)
     # rise[p, s]: the step of A when pattern p closes on a row with s earlier copies
     frac = np.arange(n + 1) / float(n)
     rise = np.maximum(0.0, frac[1:] - target[:, None]) - np.maximum(0.0, frac[:-1] - target[:, None])
+    # the open-vertex bound marks an unassigned vertex by the letter `base`,
+    # which uint8 rows hold below 256, and gathers (|X| + 1)^|F| floors
+    bounded = base < 256 and (base + 1) ** m <= PATTERN_CAP
+    radix = base + 1 if bounded else base
+    # to_pat[c]: the pattern of a window coded c in radix `radix`, without marker
+    to_pat = np.zeros((radix,) * m, dtype=code_type)
+    to_pat[(slice(base),) * m] = np.arange(npat).reshape((base,) * m)
+    to_pat = to_pat.ravel()
+    step = np.empty(n, dtype=np.intp)
+    step[order] = np.arange(n)
+    span = step[perms]
+    first, last, depths = span.min(axis=0), span.max(axis=0), np.arange(n)[:, None]
+    # the pattern of v is final at the depth `last` that assigns the last vertex
+    # of its image; from the depth `first` that assigns the first one until
+    # then it is open and touched, and it is coded when its floor can be positive
+    floor, touched = np.zeros(1), np.zeros((n, n), dtype=bool)
+    if bounded:
+        floor, reach = _open_floor(rise[:, 0], base, m)
+        unassigned = (1 << np.arange(m)[::-1]) @ (span > depths[:, None, :])
+        touched = (first <= depths) & (last > depths) & (reach[unassigned] > 0)
+    role = np.where(last == depths, 0, np.where(touched, 1, 2))
+    # per depth, the windows to code: closing vertices first, then touched ones
+    windows = perms[:, np.argsort(role, axis=1, kind="stable")]
+    closes, coded = (role == 0).sum(axis=1).tolist(), (role < 2).sum(axis=1).tolist()
+    # an open vertex that no assigned vertex reaches has the all-marker floor
+    spare = (float(floor[-1]) * (first > depths).sum(axis=1)).tolist()
+    letters = np.arange(base, dtype=np.uint8)
     kept: List[np.ndarray] = []
 
     def grow(depth: int, rows: np.ndarray, codes: np.ndarray, excess: np.ndarray, closed: int) -> None:
-        # rows: (b, n) uint8 with order[:depth] assigned; codes[:, :closed]
-        # holds the final pattern codes, excess the running A
+        # rows: (b, n) uint8 with order[:depth] assigned and the rest at
+        # radix - 1 (the marker, when bounded); codes[:, :closed] holds the
+        # final pattern codes, excess the running A
         b = rows.shape[0]
         rows = np.repeat(rows, base, axis=0)
-        rows[:, order[depth]] = np.tile(letters, b)
+        rows.reshape(b, base, n)[:, :, order[depth]] = letters
         codes = np.repeat(codes, base, axis=0)
         excess = np.repeat(excess, base)
-        for v in closing[depth]:
-            code = _pattern_codes(rows.T, perms[:, v, None], base)[0]
-            seen = np.zeros(code.shape, dtype=seen_type)
-            for j in range(closed):
-                seen += codes[:, j] == code
-            excess += rise[code, seen]
-            codes[:, closed] = code
-            closed += 1
-        live = excess < cut
+        k, w = closes[depth], coded[depth]
+        if w:
+            window_codes = _pattern_codes(rows.T, windows[:, depth, :w], radix)
+            for code in to_pat[window_codes[:k]]:
+                seen = np.zeros(code.shape, dtype=seen_type)
+                for j in range(closed):
+                    seen += codes[:, j] == code
+                excess += rise[code, seen]
+                codes[:, closed] = code
+                closed += 1
+        bound = excess
+        if w > k:
+            bound = excess + floor[window_codes[k:]].sum(axis=0)
+        if spare[depth]:
+            bound = bound + spare[depth]
+        live = bound < cut
         rows, codes, excess = (np.compress(live, a, axis=0) for a in (rows, codes, excess))
         if depth == n - 1:
             # every pattern is final, so excess is P (module docstring)
@@ -297,7 +394,7 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
 
     grow(
         0,
-        np.zeros((1, n), dtype=np.uint8),
+        np.full((1, n), radix - 1, dtype=np.uint8),
         np.zeros((1, n), dtype=code_type),
         np.zeros(1),
         0,
@@ -441,6 +538,7 @@ __all__ = [
     "counts_over_elements",
     "good_mask",
     "config_codes",
+    "projections_outside",
     "enumerate_good_models",
     "count_good_models_mc",
     "letter_frequency_count",

@@ -29,6 +29,7 @@ from soficlab.sofic import partitioned_random, product, quotient_map, random_uni
 
 Z = GroupSpec.integers()
 F2 = GroupSpec.free(2)
+COIND = coind_group()
 
 
 def test_empirical_distribution_constant():
@@ -133,27 +134,36 @@ def _float_tv(sigma, mu, window, x):
 
 
 @given(
-    st.sampled_from(["Z-r1", "F2-r0", "F2-r1"]),
+    st.sampled_from(["Z-r1", "F2-r0", "F2-r1", "coset-r1"]),
     st.integers(2, 4),
     st.integers(3, 8),
     st.integers(0, 2**32 - 1),
     st.sampled_from([1.0, 0.93, 1.07]),
 )
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
+    """The branch and bound against every point of X^V. The coset-iid shape
+    (E5/E6's window, |V| = 4, 8 or 12) has a marginal of sparse support, where
+    the floors of the open vertices prune most rows."""
     n = min(n, {2: 8, 3: 7, 4: 6}[base])  # at most 4096 rows for the flat reference
     gen = np.random.default_rng(seed)
     if shape == "Z-r1":
         group, sigma, radius = Z, quotient_map(Z, n), 1
+    elif shape == "coset-r1":
+        group, sigma, radius = COIND, partitioned_random(1 + n % 3, seed), 1
     else:
         group, sigma, radius = F2, random_uniform(F2, n, seed), int(shape[-1])
     window = Window(group, group.ball(radius))
-    if base == 4 and gen.random() < 0.5:
+    n = sigma.n
+    if shape == "coset-r1":
+        mu = coset_iid(gen.dirichlet(np.ones(2)), group)
+    elif base == 4 and gen.random() < 0.5:
         p, q = 0.15 + 0.7 * gen.random(2)
         chain = tree_markov([[1 - p, p], [q, 1 - q]], [q / (p + q), p / (p + q)], group)
         mu = product_process(chain, bernoulli(gen.dirichlet(np.ones(2)), group))
     else:
         mu = bernoulli(gen.dirichlet(np.ones(base)), group)
+    base = mu.alphabet.size
     if scale != 1.0:
         mu = _ScaledOracle(mu, scale)
     # ties: the float TV of drawn configurations, the next float above it, and
@@ -257,7 +267,7 @@ def test_code_membership_is_good_mask(shape, base, n, seed):
     group, radius = (Z, 1) if shape == "Z-r1" else (F2, int(shape[-1]))
     window = Window(group, group.ball(radius))
     sigma = quotient_map(Z, n) if group is Z else random_uniform(F2, n, seed)
-    while shape == "F2-r1" and models._vertex_order(sigma.window_perms(window))[0] == list(range(n)):
+    while shape == "F2-r1" and models._vertex_order(sigma.window_perms(window)) == list(range(n)):
         seed += 1
         sigma = random_uniform(F2, n, seed)
     mu = bernoulli(gen.dirichlet(np.ones(base)), group)
@@ -308,6 +318,83 @@ def test_enumerate_sends_only_the_band_to_the_strict_test(monkeypatch):
             assert tuple(tie.tolist()) in tested
         else:
             assert not tested
+
+
+@pytest.mark.parametrize("shape", ["Z-r1", "F2-r1", "coset-r1"])
+def test_search_without_the_floor_table_matches_flat_scan(monkeypatch, shape):
+    """With the floor table over the cap, the search prunes on the running
+    excess alone and keeps the same set: at a drawn row's TV, the next float
+    above it and a wide eps."""
+    if shape == "coset-r1":
+        group, sigma = COIND, partitioned_random(2, 20260821)
+        mu = coset_iid((0.75, 0.25), group)
+    else:
+        group = Z if shape == "Z-r1" else F2
+        sigma = quotient_map(Z, 8) if group is Z else random_uniform(F2, 6, 20260821)
+        mu = bernoulli((0.6, 0.3, 0.1) if group is F2 else (0.7, 0.3), group)
+    window = Window(group, group.ball(1))
+    base, m = mu.alphabet.size, len(window)
+    monkeypatch.setattr(models, "PATTERN_CAP", (base + 1) ** m - 1)
+    x = np.random.default_rng(7).integers(0, base, size=sigma.n)
+    tie = _float_tv(sigma, mu, window, x)
+    for eps in (tie, float(np.nextafter(tie, 2.0)), 0.45):
+        expect = _flat_scan(sigma, mu, window, eps)
+        got = enumerate_good_models(sigma, mu, window, eps)
+        assert got.count == expect.shape[0]
+        np.testing.assert_array_equal(got.configs, expect)
+
+
+def test_e5_setup_at_n6_within_the_default_budget():
+    """E5's coset window at n = 6 (|V| = 24, 2^24 configurations, inside
+    ENUM_BUDGET): the open-vertex floors keep the search small, and every kept
+    row passes the strict test."""
+    group = coind_group()
+    sigma = partitioned_random(6, 20260821)
+    mu = coset_iid((0.75, 0.25), group)
+    window = Window(group, group.ball(1))
+    got = enumerate_good_models(sigma, mu, window, 0.43)
+    assert got.count == 56 and got.configs.shape == (56, 24)
+    assert good_mask(sigma, mu, window, got.configs, 0.43).all()
+    codes = config_codes(got.configs, 2)
+    assert (np.diff(codes.astype(np.int64)) > 0).all()
+
+
+def _vertex_order_loop(perms):
+    """Reference: the greedy order by Python sets, each step taking the vertex
+    that completes the most window images, ties to the smallest index."""
+    n = perms.shape[1]
+    images = [set(perms[:, v].tolist()) for v in range(n)]
+    assigned: set = set()
+    open_ = list(range(n))
+    order = []
+    for _ in range(n):
+        best, best_done = -1, []
+        for u in range(n):
+            if u in assigned:
+                continue
+            done = [v for v in open_ if images[v] <= assigned | {u}]
+            if best < 0 or len(done) > len(best_done):
+                best, best_done = u, done
+        assigned.add(best)
+        order.append(best)
+        open_ = [v for v in open_ if v not in best_done]
+    return order
+
+
+def test_vertex_order_matches_set_loop():
+    """The vectorized greedy order is the set loop's on F2 at radius 1 and 2,
+    the Z-cycle at radius 1 and the coset window, at |V| 3-14 (|V| 4-12 for
+    the coset window)."""
+    shapes = [
+        (F2, 1, lambda n, seed: random_uniform(F2, n, seed)),
+        (F2, 2, lambda n, seed: random_uniform(F2, n, seed)),
+        (Z, 1, lambda n, seed: quotient_map(Z, n)),
+        (COIND, 1, lambda n, seed: partitioned_random(1 + n % 3, seed)),
+    ]
+    for seed in range(50):
+        for group, radius, build in shapes:
+            perms = build(3 + seed % 12, seed).window_perms(Window(group, group.ball(radius)))
+            assert models._vertex_order(perms) == _vertex_order_loop(perms)
 
 
 def _good_mask_int64(block, perms, base, npat, target, n, eps):
