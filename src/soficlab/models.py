@@ -29,7 +29,10 @@ p it ends with, and p agrees with the letters of its window already assigned.
 Its floor is the least rise[p, 0] over those p, and every open vertex closes
 once, so P is at least the bound
 
-    B = A + sum over open vertices v of floor(v).
+    B = A + sum over open vertices v of floor(v),
+
+and the sum may leave out any vertices, since floors are not negative. The
+search sums the floors of the open vertices that an assigned vertex reaches.
 
 With cut = eps + (1 - sum(t)) / 2 + PRUNE_SLACK, where PRUNE_SLACK covers the
 float rounding of B and of the exact test, a partial configuration is pruned
@@ -340,24 +343,25 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
     # the pattern of v is final at the depth `last` that assigns the last vertex
     # of its image; from the depth `first` that assigns the first one until
     # then it is open and touched, and it is coded when its floor can be positive
-    floor, touched = np.zeros(1), np.zeros((n, n), dtype=bool)
+    touched = np.zeros((n, n), dtype=bool)
     if bounded:
         floor, reach = _open_floor(rise[:, 0], base, m)
-        unassigned = (1 << np.arange(m)[::-1]) @ (span > depths[:, None, :])
+        unassigned = _pattern_codes(span[:, None, :] > depths, range(m), 2)
         touched = (first <= depths) & (last > depths) & (reach[unassigned] > 0)
     role = np.where(last == depths, 0, np.where(touched, 1, 2))
     # per depth, the windows to code: closing vertices first, then touched ones
     windows = perms[:, np.argsort(role, axis=1, kind="stable")]
     closes, coded = (role == 0).sum(axis=1).tolist(), (role < 2).sum(axis=1).tolist()
-    # an open vertex that no assigned vertex reaches has the all-marker floor
-    spare = (float(floor[-1]) * (first > depths).sum(axis=1)).tolist()
     letters = np.arange(base, dtype=np.uint8)
     kept: List[np.ndarray] = []
-
-    def grow(depth: int, rows: np.ndarray, codes: np.ndarray, excess: np.ndarray, closed: int) -> None:
-        # rows: (b, n) uint8 with order[:depth] assigned and the rest at
-        # radix - 1 (the marker, when bounded); codes[:, :closed] holds the
-        # final pattern codes, excess the running A
+    # depth first over frontier slices of at most ENUM_ROWS rows. rows: (b, n)
+    # uint8 with order[:depth] assigned and the rest at radix - 1 (the marker,
+    # when bounded); codes[:, :closed] holds the final pattern codes, excess
+    # the running A. A loop, not a recursive closure: the closure's reference
+    # cycle would hold the tables above until the garbage collector ran.
+    stack = [(0, np.full((1, n), radix - 1, dtype=np.uint8), np.zeros((1, n), dtype=code_type), np.zeros(1), 0)]
+    while stack:
+        depth, rows, codes, excess, closed = stack.pop()
         b = rows.shape[0]
         rows = np.repeat(rows, base, axis=0)
         rows.reshape(b, base, n)[:, :, order[depth]] = letters
@@ -376,29 +380,20 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
         bound = excess
         if w > k:
             bound = excess + floor[window_codes[k:]].sum(axis=0)
-        if spare[depth]:
-            bound = bound + spare[depth]
         live = bound < cut
         rows, codes, excess = (np.compress(live, a, axis=0) for a in (rows, codes, excess))
-        if depth == n - 1:
-            # every pattern is final, so excess is P (module docstring)
-            good = excess < accept
-            band = ~good
-            if band.any():
-                good[band] = _good_mask(np.compress(band, rows, axis=0), perms, base, npat, target, n, eps)
-            kept.append(np.compress(good, rows, axis=0))
-            return
-        for lo in range(0, rows.shape[0], ENUM_ROWS):
-            hi = lo + ENUM_ROWS
-            grow(depth + 1, rows[lo:hi], codes[lo:hi], excess[lo:hi], closed)
-
-    grow(
-        0,
-        np.full((1, n), radix - 1, dtype=np.uint8),
-        np.zeros((1, n), dtype=code_type),
-        np.zeros(1),
-        0,
-    )
+        if depth < n - 1:
+            stack.extend(
+                (depth + 1, rows[lo : lo + ENUM_ROWS], codes[lo : lo + ENUM_ROWS], excess[lo : lo + ENUM_ROWS], closed)
+                for lo in reversed(range(0, rows.shape[0], ENUM_ROWS))
+            )
+            continue
+        # every pattern is final, so excess is P (module docstring)
+        good = excess < accept
+        band = ~good
+        if band.any():
+            good[band] = _good_mask(np.compress(band, rows, axis=0), perms, base, npat, target, n, eps)
+        kept.append(np.compress(good, rows, axis=0))
     configs = np.concatenate(kept, axis=0) if kept else np.zeros((0, n), dtype=np.uint8)
     if order != list(range(n)):
         configs = configs[np.lexsort(configs.T[::-1])]

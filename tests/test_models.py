@@ -290,6 +290,29 @@ def test_code_membership_is_good_mask(shape, base, n, seed):
     assert outcomes == {False, True}
 
 
+@pytest.mark.parametrize("nx, ny, n", [(2, 2, 6), (2, 3, 5), (3, 2, 4)])
+def test_projections_outside_matches_set_loop(monkeypatch, nx, ny, n):
+    """Pair rows with a projection outside its factor block are counted as a
+    loop over Python sets counts them, over many small slices: rows inside
+    both, outside one and outside both, and an empty factor block."""
+    monkeypatch.setattr(models, "KERNEL_CELLS", 8 * n)
+    gen = np.random.default_rng(nx * 100 + ny * 10 + n)
+    pairs = gen.integers(0, nx * ny, size=(300, n), dtype=np.uint8)
+    xs = np.unique(gen.integers(0, nx, size=(40, n), dtype=np.uint8), axis=0)
+    ys = np.unique(gen.integers(0, ny, size=(40, n), dtype=np.uint8), axis=0)
+    # some pair rows whose projections are both inside
+    pairs[:20] = xs[gen.integers(0, len(xs), 20)] * ny + ys[gen.integers(0, len(ys), 20)]
+    for x_block, y_block in ((xs, ys), (xs, ys[:0])):
+        x_set = {tuple(row) for row in x_block.tolist()}
+        y_set = {tuple(row) for row in y_block.tolist()}
+        expect = sum(
+            tuple(v // ny for v in row) not in x_set or tuple(v % ny for v in row) not in y_set
+            for row in pairs.tolist()
+        )
+        assert models.projections_outside(pairs, x_block, y_block, nx, ny) == expect
+        assert 0 < expect < len(pairs) or not len(y_block)
+
+
 def test_enumerate_sends_only_the_band_to_the_strict_test(monkeypatch):
     """Full-depth rows whose running excess is below the cut by more than
     2 * PRUNE_SLACK are accepted without the strict test; a configuration whose
