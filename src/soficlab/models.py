@@ -299,8 +299,8 @@ def _open_floor(rise0: np.ndarray, base: int, m: int) -> Tuple[np.ndarray, np.nd
     floor[c] is the least rise0[p] over the patterns p that agree with c, a
     window coded in radix base + 1 whose digit `base` marks an unassigned
     vertex. reach[s] is the largest floor[c] over the windows c whose markers
-    are the one bits of s (position 0 the highest bit), so that a window that
-    reaches 0 adds nothing to the bound."""
+    are the one bits of s (position 0 the highest bit): a window whose reach
+    is 0 adds nothing to the bound and is not coded."""
     floor = rise0.reshape((base,) * m)
     for axis in range(m):
         floor = np.concatenate([floor, floor.min(axis=axis, keepdims=True)], axis=axis)
