@@ -288,7 +288,7 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
         good_y = mod.enumerate_good_models(sigma, nu, window, 2 * eps, budget=ctx.budget)
         # a pair model violates inclusion when a projection is outside its 2eps set
         violations = mod.projections_outside(
-            got.configs, good_x.configs, good_y.configs, mu.alphabet.size, nu.alphabet.size
+            got.codes, good_x.codes, good_y.codes, mu.alphabet.size, nu.alphabet.size, sigma.n
         )
         subadd = got.count <= good_x.count * good_y.count
         passed = passed and violations == 0 and subadd
@@ -412,13 +412,13 @@ def run_e6(cfg: dict, ctx: RunContext) -> ExperimentResult:
         # certificate set (projections of any pair-good model are 2 eps-good,
         # so a pair search over the 2 eps enumeration certifies emptiness)
         got = mod.enumerate_good_models(sigma, nu, window, max(eps, cert_eps), budget=ctx.budget)
+        configs = got.configs
         # the calibrated set is the part of the search set that is eps-good
-        star = int(mod.good_mask(sigma, nu, window, got.configs, eps).sum())
+        star = int(mod.good_mask(sigma, nu, window, configs, eps).sum())
         pair = product_process(nu, nu)
         ident = (sigma.group.identity(),)
         target_e = pair.marginal_elems(ident)
         n = sigma.n
-        configs = got.configs
         k = configs.shape[0]
         pair_good = 0
         max_f10 = 0.0

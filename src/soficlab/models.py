@@ -6,8 +6,11 @@ at the index that `processes._pattern_codes` gives it; a configuration is an
 (F, eps)-good model when its empirical F-marginal, the counts over n, is
 within TV distance strictly less than eps of the process marginal.
 
-Exact enumeration keeps every good configuration; `config_codes` makes each
-one integer, for set membership. A one-element window {g} is decided by letter
+Exact enumeration keeps every good configuration as one integer, its
+`config_codes` code, and returns the codes sorted: `GoodModelCount.codes`.
+Rows are decoded only when `GoodModelCount.configs` is read, and E3's
+inclusion check (`projections_outside`) works on the codes alone, so |X|^|V|
+must fit in int64. A one-element window {g} is decided by letter
 type: sigma^g is a bijection, so the pattern counts are the letter counts, and
 the good set is built from the types of two halves of the vertex set, which
 meet in the middle. Any other window goes through a depth-first branch and
@@ -49,14 +52,24 @@ ties are those of the flat scan.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .groups import Element, Window
-from .processes import PATTERN_CAP, MarginalOracle, _pattern_codes, _tv_rows, decode_patterns, pattern_count, validate_weights
+from .processes import (
+    PATTERN_CAP,
+    MarginalOracle,
+    _decode_codes,
+    _pattern_codes,
+    _tv_rows,
+    decode_patterns,
+    pattern_count,
+    validate_weights,
+)
 from .randomness import _map, categorical, stream
 from .sofic import SoficMap
 
@@ -64,6 +77,8 @@ ENUM_BUDGET = 1 << 26
 ENUM_ROWS = 1 << 13  # frontier slice cap of the branch and bound
 PRUNE_SLACK = 1e-9
 KERNEL_CELLS = 1 << 19  # rows x max(npat, |V|) of one `_block_counts` sub-slice
+CODE_LIMIT = (1 << 63) - 1  # the largest int64: no configuration code may exceed it
+CHUNK_PATTERNS = 1 << 16  # the most pair patterns of one `projections_outside` chunk table
 
 
 class BudgetExceededError(RuntimeError):
@@ -110,31 +125,70 @@ def config_codes(configs: np.ndarray, base: int) -> np.ndarray:
     return _pattern_codes(configs.T, range(configs.shape[1]), base)
 
 
-def projections_outside(configs: np.ndarray, x_configs: np.ndarray, y_configs: np.ndarray, nx: int, ny: int) -> int:
-    """The number of rows of a (rows, |V|) pair configuration block, letter
-    x * ny + y at each vertex, whose x projection is not a row of `x_configs`
-    or whose y projection is not a row of `y_configs`.
+def projections_outside(codes, x_codes, y_codes, nx: int, ny: int, n: int) -> int:
+    """The number of pair configurations over n vertices, letter x * ny + y
+    at each vertex, whose x projection is not among `x_codes` or whose y
+    projection is not among `y_codes`. All three hold `config_codes` codes,
+    as `GoodModelCount.codes` does; no row is decoded.
 
-    Each factor block becomes a boolean table over the |X|^|V| codes of
-    `config_codes`, no larger than the pair space. The pair rows are taken in
-    slices of KERNEL_CELLS cells, which keep each slice's projections and codes
-    in cache, and the slices are mapped over the worker pool of `randomness`.
+    Each factor's codes become a boolean table over its |X|^n codes, no larger
+    than the pair space. A pair code is split into chunks of c digits, with
+    (nx * ny)^c <= CHUNK_PATTERNS and the leftover high digits in the first
+    chunk: the decode of `processes._decode_codes` in radix (nx * ny)^c, one
+    division per chunk. For each chunk, two tables over its pair patterns
+    (`_chunk_tables`) give the x and y codes that the chunk adds to the
+    projections. The codes are taken in slices of KERNEL_CELLS / n, which
+    keep each slice's chunks and projections in cache, and the slices are
+    mapped over the worker pool of `randomness`.
     """
-    n = configs.shape[1]
-    tables = []
-    for block, base in ((x_configs, nx), (y_configs, ny)):
+    inside = []
+    for factor, base in ((x_codes, nx), (y_codes, ny)):
         table = np.zeros(base**n, dtype=bool)
-        table[config_codes(block, base)] = True
-        tables.append(table)
+        table[factor] = True
+        inside.append(table)
+    width = 1
+    while width < n and (nx * ny) ** (width + 1) <= CHUNK_PATTERNS:
+        width += 1
+    radix = (nx * ny) ** width
+    chunks = _chunk_tables(nx, ny, n, width)
 
-    def outside(rows: np.ndarray) -> int:
-        x = rows // ny
-        y = rows - x * ny  # the remainder by subtraction: uint8 % costs several times //
-        inside = tables[0][_pattern_codes(x.T, range(n), nx)] & tables[1][_pattern_codes(y.T, range(n), ny)]
-        return rows.shape[0] - int(np.count_nonzero(inside))
+    def outside(part: np.ndarray) -> int:
+        rows, x, y = part.size, 0, 0
+        for j, (x_of, y_of) in enumerate(chunks):
+            chunk = part
+            if j < len(chunks) - 1:
+                part = part // radix
+                chunk = chunk - part * radix  # the remainder by subtraction: cheaper than divmod
+            x = x + x_of[chunk]
+            y = y + y_of[chunk]
+        return rows - int(np.count_nonzero(inside[0][x] & inside[1][y]))
 
+    pairs = np.asarray(codes, dtype=np.int64)
     step = max(1, KERNEL_CELLS // n)
-    return sum(_map(outside, [configs[lo : lo + step] for lo in range(0, configs.shape[0], step)]))
+    return sum(_map(outside, [pairs[lo : lo + step] for lo in range(0, pairs.size, step)]))
+
+
+@functools.lru_cache(maxsize=1)
+def _chunk_tables(nx: int, ny: int, n: int, width: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+    """For each chunk of `width` pair digits of an n-digit pair code, least
+    significant first and the leftover high digits last, the x and y codes
+    that the chunk adds to the projections, over its (nx * ny)^length
+    patterns: in C order over the axes (x_0, y_0, x_1, y_1, ...) a pair
+    pattern's index is its code, and the x part of that index is the code of
+    its x projection. E3 checks instances of one size and alphabet in a row,
+    so the tables of the most recent call are kept, read-only."""
+    chunks = []
+    for lo in range(0, n, width):
+        length = min(width, n - lo)
+        tables = []
+        for base, axes in ((nx, (nx, 1)), (ny, (1, ny))):
+            codes = np.arange(base**length).reshape(axes * length)
+            table = np.broadcast_to(codes, (nx, ny) * length).reshape(-1) * base**lo
+            table = table.astype(np.min_scalar_type(base**n - 1))
+            table.setflags(write=False)
+            tables.append(table)
+        chunks.append((tables[0], tables[1]))
+    return tuple(chunks)
 
 
 def _exp_nats_to_int(log_value: float) -> int:
@@ -153,8 +207,16 @@ def _exp_nats_to_int(log_value: float) -> int:
 class GoodModelCount:
     count: int
     log_count_nats: float
-    configs: Optional[np.ndarray] = None  # (count, |V|) uint8 from the exact enumeration
+    codes: Optional[np.ndarray] = None  # sorted int64 `config_codes` of the exact enumeration
     standard_error: Optional[float] = None
+    # (|X|, |V|) of `codes`, set by `enumerate_good_models`
+    _layout: Tuple[int, int] = field(default=(0, 0), init=False, repr=False)
+
+    @property
+    def configs(self) -> Optional[np.ndarray]:
+        """The (count, |V|) uint8 rows of `codes`, in lexicographic order with
+        vertex 0 most significant, decoded on each read."""
+        return None if self.codes is None else _decode_codes(self.codes, *self._layout)
 
 
 def _sub_slices(block: np.ndarray, npat: int) -> List[np.ndarray]:
@@ -225,10 +287,13 @@ def enumerate_good_models(
     eps: float,
     budget: int = ENUM_BUDGET,
 ) -> GoodModelCount:
-    """Omega(F, eps, sigma): its configurations, in lexicographic order with
-    vertex 0 most significant, and their count.
+    """Omega(F, eps, sigma): its configurations as sorted int64 codes (the
+    codes of `config_codes`, so code order is lexicographic order with vertex
+    0 most significant), and their count.
 
-    The budget is checked against |X|^|V| before any work. A one-element
+    |X|^|V| is checked before any work: against CODE_LIMIT, which no budget
+    lifts, since every configuration of X^V must have an int64 code, and
+    against the budget. A one-element
     window is decided by letter type (`_type_class_models`); any other goes
     through the branch and bound of the module docstring. Either way each
     decision is the strict TV test of the flat scan, so the set is the one
@@ -238,30 +303,39 @@ def enumerate_good_models(
         raise ValueError("eps must be positive")
     base = mu.alphabet.size
     total = base**sigma.n
+    if total > CODE_LIMIT:
+        raise ValueError(
+            f"exact enumeration spans {base}^{sigma.n} configurations, over the {CODE_LIMIT} (2^63 - 1) "
+            "that int64 configuration codes hold; no budget lifts this limit"
+        )
     if total > budget:
         raise BudgetExceededError(total, budget)
     target = mu.marginal_elems(window.elements)
     if len(window) == 1:
-        configs = _type_class_models(base, sigma.n, target, eps)
+        codes = _type_class_models(base, sigma.n, target, eps)
     else:
-        configs = _branch_and_bound(sigma.window_perms(window), base, target, sigma.n, eps)
-    log = math.log(len(configs)) if len(configs) else float("-inf")
-    return GoodModelCount(len(configs), log, configs)
+        codes = _branch_and_bound(sigma.window_perms(window), base, target, sigma.n, eps)
+    log = math.log(codes.size) if codes.size else float("-inf")
+    got = GoodModelCount(codes.size, log, codes)
+    got._layout = (base, sigma.n)
+    return got
 
 
 def _type_class_models(base: int, n: int, target: np.ndarray, eps: float) -> np.ndarray:
-    """The good configurations of a one-element window {g}, by letter type.
+    """The sorted codes of the good configurations of a one-element window
+    {g}, by letter type.
 
     sigma^g is a bijection of V, so the pattern counts of x are its letter
     counts, and membership depends on the letter type alone. The vertices are
     split into a prefix of h = n // 2 and a suffix, each decoded in full and
     grouped by letter type. Each sum of a prefix type and a suffix type is
     decided by the row `_good_mask` computes for it, `_tv_rows(counts / n,
-    target) < eps`, so the decisions at float ties are the flat scan's. The
-    rows come out prefix-major, each prefix followed by its good suffixes in
-    ascending order: lexicographic order. Beside the output, this holds the
-    half rows and one good block of suffixes per prefix type, no larger than
-    the output rows of any prefix of that type.
+    target) < eps`, so the decisions at float ties are the flat scan's.
+    Prefix i and suffix j make the code i * |X|^(n - h) + j, so the codes
+    come out prefix-major, each prefix followed by its good suffixes in
+    ascending order: sorted. Beside the output, this holds the half rows and
+    one block of good suffix codes per prefix type, no longer than the output
+    of any prefix of that type; no output row is made.
     """
     h = n // 2
     prefix, suffix = decode_patterns(base, h), decode_patterns(base, n - h)
@@ -279,29 +353,29 @@ def _type_class_models(base: int, n: int, target: np.ndarray, eps: float) -> np.
         _tv_rows((ptypes[lo : lo + step, None, :] + stypes).reshape(-1, base) / float(n), target) < eps
         for lo in range(0, len(ptypes), step)
     ]).reshape(len(ptypes), len(stypes))
-    blocks = [suffix[good[t, sinv]] for t in range(len(ptypes))]
-    pinv = pinv.tolist()
-    out = np.empty((sum(len(blocks[t]) for t in pinv), n), dtype=np.uint8)
-    lo = 0
-    for i, t in enumerate(pinv):
-        if len(blocks[t]):
-            hi = lo + len(blocks[t])
-            out[lo:hi, :h] = prefix[i]
-            out[lo:hi, h:] = blocks[t]
-            lo = hi
-    return out
+    suffix_type = np.min_scalar_type(len(suffix) - 1)
+    blocks = [np.flatnonzero(good[t, sinv]).astype(suffix_type) for t in range(len(ptypes))]
+    sizes = np.array([len(block) for block in blocks])[pinv]
+    codes = np.repeat(np.arange(len(prefix), dtype=np.int64) * len(suffix), sizes)
+    codes += np.concatenate([blocks[t] for t in pinv.tolist()])
+    return codes
 
 
-def _open_floor(rise0: np.ndarray, base: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=1)
+def _open_floor(rise0: bytes, base: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """The floors of the open-vertex bound (module docstring), built by one
-    min and one max per window position.
+    min and one max per window position from the float64 bytes of rise0.
 
     floor[c] is the least rise0[p] over the patterns p that agree with c, a
     window coded in radix base + 1 whose digit `base` marks an unassigned
     vertex. reach[s] is the largest floor[c] over the windows c whose markers
     are the one bits of s (position 0 the highest bit): a window whose reach
-    is 0 adds nothing to the bound and is not coded."""
-    floor = rise0.reshape((base,) * m)
+    is 0 adds nothing to the bound and is not coded.
+
+    E5 and E6 each search ten approximations of one size with one target, so
+    the tables of the most recent call are kept, read-only: one pair, at most
+    PATTERN_CAP floors, which that call holds anyway."""
+    floor = np.frombuffer(rise0).reshape((base,) * m)
     for axis in range(m):
         floor = np.concatenate([floor, floor.min(axis=axis, keepdims=True)], axis=axis)
     reach = floor
@@ -309,13 +383,16 @@ def _open_floor(rise0: np.ndarray, base: int, m: int) -> Tuple[np.ndarray, np.nd
         head = (slice(None),) * axis
         letter = reach[head + (slice(base),)].max(axis=axis, keepdims=True)
         reach = np.concatenate([letter, reach[head + (slice(base, None),)]], axis=axis)
-    return floor.ravel(), reach.ravel()
+    floor, reach = floor.ravel(), reach.ravel()
+    floor.setflags(write=False)
+    reach.setflags(write=False)
+    return floor, reach
 
 
 def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, eps: float) -> np.ndarray:
-    """The good configurations of the window whose (|F|, |V|) permutations are
-    `perms`, by the branch and bound of the module docstring, in lexicographic
-    order. Configurations are pruned at `cut`; complete ones are accepted below
+    """The sorted codes of the good configurations of the window whose
+    (|F|, |V|) permutations are `perms`, by the branch and bound of the module
+    docstring. Configurations are pruned at `cut`; complete ones are accepted below
     cut - 2 * PRUNE_SLACK, and only those in the band between get the strict
     TV test of the flat scan."""
     m = perms.shape[0]
@@ -345,7 +422,7 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
     # then it is open and touched, and it is coded when its floor can be positive
     touched = np.zeros((n, n), dtype=bool)
     if bounded:
-        floor, reach = _open_floor(rise[:, 0], base, m)
+        floor, reach = _open_floor(rise[:, 0].tobytes(), base, m)
         unassigned = _pattern_codes(span[:, None, :] > depths, range(m), 2)
         touched = (first <= depths) & (last > depths) & (reach[unassigned] > 0)
     role = np.where(last == depths, 0, np.where(touched, 1, 2))
@@ -394,10 +471,12 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
         if band.any():
             good[band] = _good_mask(np.compress(band, rows, axis=0), perms, base, npat, target, n, eps)
         kept.append(np.compress(good, rows, axis=0))
-    configs = np.concatenate(kept, axis=0) if kept else np.zeros((0, n), dtype=np.uint8)
+    if not kept:
+        return np.zeros(0, dtype=np.int64)
+    found = config_codes(np.concatenate(kept), base).astype(np.int64)
     if order != list(range(n)):
-        configs = configs[np.lexsort(configs.T[::-1])]
-    return configs
+        found.sort()  # the depth-first search meets the rows in code order only in vertex order
+    return found
 
 
 MC_CHUNK = 1 << 14

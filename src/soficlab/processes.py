@@ -5,8 +5,9 @@ windows F to the exact marginal distribution on X^F, stored as a dense vector
 of |X|^|F| doubles. Pattern indexing is mixed-radix with window position 0
 most significant: pattern (x_0, ..., x_{m-1}) has index sum x_i |X|^(m-1-i).
 This module holds the package's only encoder of that index, `_pattern_codes`,
-and its inverse, `decode_patterns`; the oracles here, the good-model kernel
-of `models` and the defects of `convergence` all index patterns through
+and its only decoder, `_decode_codes` (`decode_patterns` decodes every index
+below |X|^|F|); the oracles here, the good-model kernel and the good-model
+sets of `models` and the defects of `convergence` all index patterns through
 them. Each marginal is computed for all patterns at once, as array operations over
 the decoded pattern matrix, with the same floating-point operation order as
 an evaluation one pattern at a time.
@@ -42,19 +43,25 @@ def pattern_count(base: int, length: int) -> int:
 
 
 def decode_patterns(base: int, length: int) -> np.ndarray:
-    """All patterns as a (base^length, length) uint8 symbol matrix, index order,
-    filled a column at a time: no temporary is the matrix's size in int64."""
-    total = pattern_count(base, length)
-    idx = np.arange(total, dtype=np.int64)
-    out = np.empty((total, length), dtype=np.uint8)
+    """All patterns as a (base^length, length) uint8 symbol matrix, index order."""
+    return _decode_codes(np.arange(pattern_count(base, length), dtype=np.int64), base, length)
+
+
+def _decode_codes(codes: np.ndarray, base: int, length: int) -> np.ndarray:
+    """The package's one pattern decoder, the inverse of `_pattern_codes`:
+    each integer code below base^length as a row of `length` uint8 symbols,
+    position 0 most significant. The rows are filled a column at a time from
+    one int64 copy of the codes, so no temporary is the matrix's size in int64."""
+    idx = np.array(codes, dtype=np.int64)
+    out = np.empty((idx.size, length), dtype=np.uint8)
     for col in range(length - 1, -1, -1):
-        out[:, col] = idx % base
+        np.remainder(idx, base, out=out[:, col], casting="unsafe")
         idx //= base
     return out
 
 
 def _pattern_codes(symbols: np.ndarray, rows, base: int) -> np.ndarray:
-    """The package's one pattern encoder, the inverse of `decode_patterns`:
+    """The package's one pattern encoder, the inverse of `_decode_codes`:
     sum_i symbols[rows[i]] * base^(m-1-i) over the m entries of `rows`.
 
     `symbols` is position-major and of an unsigned dtype. An entry of `rows`

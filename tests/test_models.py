@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +95,25 @@ def test_enumerate_large_eps_is_everything():
     np.testing.assert_array_equal(got.configs, expect)
 
 
+@pytest.mark.parametrize("n", [63, 64])
+def test_enumerate_refuses_spaces_codes_cannot_hold(monkeypatch, n):
+    """|X|^|V| over 2^63 - 1 has no int64 code for every configuration: it is
+    refused before any search, under any budget, with its own message; just
+    below the limit the budget decides."""
+
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(models, "_type_class_models", refuse)
+    sigma, mu = quotient_map(Z, n), bernoulli((0.5, 0.5), Z)
+    with pytest.raises(ValueError, match=r"2\^63 - 1") as exc:
+        enumerate_good_models(sigma, mu, Window(Z, [()]), 0.3, budget=1 << 80)
+    assert not isinstance(exc.value, BudgetExceededError)
+    assert f"2^{n} configurations" in str(exc.value) and "no budget" in str(exc.value)
+    with pytest.raises(BudgetExceededError):
+        enumerate_good_models(quotient_map(Z, 62), mu, Window(Z, [()]), 0.3)
+
+
 def test_enumerate_budget_refusal():
     sigma = quotient_map(Z, 5)
     mu = bernoulli((0.5, 0.5), Z)
@@ -115,6 +135,16 @@ class _ScaledOracle:
 
     def marginal_elems(self, elements):
         return self._mu.marginal_elems(elements) * self._scale
+
+
+def _assert_same_set(got, expect, base):
+    """An enumerated set against the flat scan's rows: its codes are the
+    sorted int64 `config_codes` of those rows, and its rows decode to them."""
+    assert got.count == expect.shape[0]
+    assert got.codes.dtype == np.int64
+    np.testing.assert_array_equal(got.codes, np.sort(config_codes(expect, base).astype(np.int64)))
+    assert got.configs.dtype == np.uint8 and got.configs.shape == expect.shape
+    np.testing.assert_array_equal(got.configs, expect)
 
 
 def _flat_scan(sigma, mu, window, eps):
@@ -142,9 +172,9 @@ def _float_tv(sigma, mu, window, x):
 )
 @settings(max_examples=80, deadline=None)
 def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
-    """The branch and bound against every point of X^V. The coset-iid shape
-    (E5/E6's window, |V| = 4, 8 or 12) has a marginal of sparse support, where
-    the floors of the open vertices prune most rows."""
+    """The branch and bound against every point of X^V, rows and codes. The
+    coset-iid shape (E5/E6's window, |V| = 4, 8 or 12) has a marginal of
+    sparse support, where the floors of the open vertices prune most rows."""
     n = min(n, {2: 8, 3: 7, 4: 6}[base])  # at most 4096 rows for the flat reference
     gen = np.random.default_rng(seed)
     if shape == "Z-r1":
@@ -176,9 +206,7 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
             continue
         expect = _flat_scan(sigma, mu, window, eps)
         got = enumerate_good_models(sigma, mu, window, eps)
-        assert got.count == expect.shape[0]
-        assert got.configs.dtype == np.uint8
-        np.testing.assert_array_equal(got.configs, expect)
+        _assert_same_set(got, expect, base)
         members = {tuple(row) for row in expect.tolist()}
         for x in drawn:
             assert good_mask(sigma, mu, window, x[None, :], eps)[0] == (tuple(x.tolist()) in members)
@@ -205,7 +233,9 @@ def test_type_path_matches_flat_scan(g, base, n, seed, scale):
     """One-element windows are decided by letter type, meeting in the middle:
     the identity and two other elements of F2, n = 1, odd n (halves of
     unequal length) and bases 2-4, at the float TV of drawn rows, the next
-    float above it and an eps (the least TV of X^V) that leaves the set empty."""
+    float above it and an eps (the least TV of X^V) that leaves the set empty.
+    The codes are built from prefix and suffix codes, rows and codes both
+    checked."""
     n = min(n, {2: 12, 3: 7, 4: 6}[base])  # at most 4096 rows for the flat reference
     gen = np.random.default_rng(seed)
     sigma = random_uniform(F2, n, seed)
@@ -223,9 +253,7 @@ def test_type_path_matches_flat_scan(g, base, n, seed, scale):
             continue
         expect = _flat_scan(sigma, mu, window, eps)
         got = enumerate_good_models(sigma, mu, window, eps)
-        assert got.count == expect.shape[0]
-        assert got.configs.dtype == np.uint8 and got.configs.shape == (got.count, n)
-        np.testing.assert_array_equal(got.configs, expect)
+        _assert_same_set(got, expect, base)
         if eps == least:
             assert got.count == 0 and got.log_count_nats == float("-inf")
 
@@ -248,8 +276,29 @@ def test_type_path_at_e3_pair_shape(monkeypatch):
     for eps in (0.12, 0.24, tie, float(np.nextafter(tie, 2.0))):
         expect = flat[good_mask(sigma, mu, window, flat, eps)]
         got = enumerate_good_models(sigma, mu, window, eps)
-        assert got.count == expect.shape[0] > 0
-        np.testing.assert_array_equal(got.configs, expect)
+        assert got.count > 0
+        _assert_same_set(got, expect, 4)
+
+
+def test_type_path_makes_no_rows():
+    """E3's largest letter-type call, the pair process at |V| = 12 (4^12
+    configurations, over two million good), holds its good set as int64
+    codes: its peak traced memory stays below the count * |V| bytes that the
+    uint8 rows alone would take, and no row is decoded."""
+    sigma = random_uniform(F2, 12, 20260821)
+    mu = product_process(bernoulli((0.45, 0.55), F2), bernoulli((0.6, 0.4), F2))
+    window = Window(F2, F2.ball(0))
+    enumerate_good_models(sigma, mu, window, 0.12)  # the marginal oracle's cache, before tracing
+    tracemalloc.start()
+    try:
+        got = enumerate_good_models(sigma, mu, window, 0.12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.count > 2_000_000
+    assert got.codes.nbytes == 8 * got.count
+    assert peak < got.count * sigma.n
+    assert (np.diff(got.codes) > 0).all()
 
 
 @given(st.sampled_from(["Z-r1", "F2-r0", "F2-r1"]), st.integers(2, 3), st.integers(3, 8), st.integers(0, 2**32 - 1))
@@ -260,8 +309,8 @@ def test_code_membership_is_good_mask(shape, base, n, seed):
     the drawn rows, the next float above it and the edges of the strict-test
     band. The Z-cycle at radius 1 and F2 at radius 0 (E3's shapes) keep the
     vertex order of the identity; F2 at radius 1 is drawn until its order is
-    another, so its kept set is the lexsorted one. Kept codes rise strictly:
-    lexicographic order is code order."""
+    another, so its kept codes are the sorted ones. Kept codes rise strictly
+    and decode to the kept rows, whose codes they are."""
     n = min(n, {2: 8, 3: 6}[base])
     gen = np.random.default_rng(seed)
     group, radius = (Z, 1) if shape == "Z-r1" else (F2, int(shape[-1]))
@@ -278,9 +327,10 @@ def test_code_membership_is_good_mask(shape, base, n, seed):
     for eps in sorted({*tvs, *(np.nextafter(t, 2.0) for t in tvs), *edges}):
         if eps <= 0:
             continue
-        kept = enumerate_good_models(sigma, mu, window, eps).configs
-        codes = config_codes(kept, base)
-        assert (np.diff(codes.astype(np.int64)) > 0).all()
+        got = enumerate_good_models(sigma, mu, window, eps)
+        codes, kept = got.codes, got.configs
+        assert codes.dtype == np.int64 and (np.diff(codes) > 0).all()
+        np.testing.assert_array_equal(config_codes(kept, base), codes)
         block = np.concatenate([drawn, kept[gen.integers(0, len(kept), size=min(len(kept), 4))]])
         member = np.isin(config_codes(block, base), codes)
         np.testing.assert_array_equal(member, good_mask(sigma, mu, window, block, eps))
@@ -290,27 +340,36 @@ def test_code_membership_is_good_mask(shape, base, n, seed):
     assert outcomes == {False, True}
 
 
-@pytest.mark.parametrize("nx, ny, n", [(2, 2, 6), (2, 3, 5), (3, 2, 4)])
-def test_projections_outside_matches_set_loop(monkeypatch, nx, ny, n):
-    """Pair rows with a projection outside its factor block are counted as a
-    loop over Python sets counts them, over many small slices: rows inside
-    both, outside one and outside both, and an empty factor block."""
+@pytest.mark.parametrize(
+    "nx, ny, n", [(2, 2, 6), (2, 3, 5), (3, 2, 4), (2, 2, 10), (2, 3, 8), (3, 2, 7), (2, 3, 13), (2, 2, 1)]
+)
+@pytest.mark.parametrize("chunk_patterns", [models.CHUNK_PATTERNS, 1, 40])
+def test_projections_outside_matches_set_loop(monkeypatch, nx, ny, n, chunk_patterns):
+    """Pair codes with a projection outside its factor codes are counted as a
+    loop over Python sets of rows counts them, over many small slices: rows
+    inside both, outside one and outside both, and empty pair and factor
+    sets. The pair codes are split into chunks of 8 digits (2 x 2 letters),
+    6 (2 x 3 and 3 x 2) or, under a smaller chunk table, 1 or 2; so n is one
+    chunk, a multiple of the chunk width, or not."""
     monkeypatch.setattr(models, "KERNEL_CELLS", 8 * n)
-    gen = np.random.default_rng(nx * 100 + ny * 10 + n)
+    monkeypatch.setattr(models, "CHUNK_PATTERNS", chunk_patterns)
+    gen = np.random.default_rng(nx * 1000 + ny * 100 + n)
     pairs = gen.integers(0, nx * ny, size=(300, n), dtype=np.uint8)
-    xs = np.unique(gen.integers(0, nx, size=(40, n), dtype=np.uint8), axis=0)
+    # the last x row left out, so that at n = 1 some projections are outside
+    xs = np.unique(gen.integers(0, nx, size=(40, n), dtype=np.uint8), axis=0)[:-1]
     ys = np.unique(gen.integers(0, ny, size=(40, n), dtype=np.uint8), axis=0)
     # some pair rows whose projections are both inside
     pairs[:20] = xs[gen.integers(0, len(xs), 20)] * ny + ys[gen.integers(0, len(ys), 20)]
-    for x_block, y_block in ((xs, ys), (xs, ys[:0])):
+    for rows, x_block, y_block in ((pairs, xs, ys), (pairs, xs, ys[:0]), (pairs, xs[:0], ys), (pairs[:0], xs, ys)):
         x_set = {tuple(row) for row in x_block.tolist()}
         y_set = {tuple(row) for row in y_block.tolist()}
         expect = sum(
             tuple(v // ny for v in row) not in x_set or tuple(v % ny for v in row) not in y_set
-            for row in pairs.tolist()
+            for row in rows.tolist()
         )
-        assert models.projections_outside(pairs, x_block, y_block, nx, ny) == expect
-        assert 0 < expect < len(pairs) or not len(y_block)
+        codes = [config_codes(block, base).astype(np.int64) for block, base in ((rows, nx * ny), (x_block, nx), (y_block, ny))]
+        assert models.projections_outside(*codes, nx, ny, n) == expect
+        assert 0 < expect < len(rows) or not (len(x_block) and len(y_block) and len(rows))
 
 
 def test_enumerate_sends_only_the_band_to_the_strict_test(monkeypatch):
@@ -378,8 +437,7 @@ def test_e5_setup_at_n6_within_the_default_budget():
     got = enumerate_good_models(sigma, mu, window, 0.43)
     assert got.count == 56 and got.configs.shape == (56, 24)
     assert good_mask(sigma, mu, window, got.configs, 0.43).all()
-    codes = config_codes(got.configs, 2)
-    assert (np.diff(codes.astype(np.int64)) > 0).all()
+    assert (np.diff(got.codes) > 0).all()
 
 
 def _vertex_order_loop(perms):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import tracemalloc
 from pathlib import Path
@@ -16,6 +17,7 @@ from soficlab.processes import (
     BernoulliOracle,
     CosetIidOracle,
     TreeMarkovOracle,
+    _decode_codes,
     _pattern_codes,
     bernoulli,
     coinduced,
@@ -287,6 +289,33 @@ def test_pattern_codes_invert_decode_patterns(base):
         assert np.array_equal(codes, np.arange(base**m))
         assert codes.dtype == np.min_scalar_type(base**m - 1)
         assert np.array_equal(patterns, before)
+
+
+@pytest.mark.parametrize("base, m", [(1, 3), (2, 1), (2, 11), (3, 6), (4, 5), (256, 2)])
+def test_decode_patterns_is_the_product_order(base, m):
+    """`decode_patterns` lists every pattern in the order of itertools.product,
+    the order of the column loop it was before it applied `_decode_codes` to
+    an arange."""
+    expect = np.array(list(itertools.product(range(base), repeat=m)), dtype=np.uint8).reshape(-1, m)
+    got = decode_patterns(base, m)
+    assert got.dtype == np.uint8
+    np.testing.assert_array_equal(got, expect)
+
+
+@given(st.integers(1, 256), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_decode_codes_inverts_pattern_codes(base, m, seed):
+    """`_decode_codes` of `_pattern_codes` gives back the rows, in any code
+    order, for codes up to the int64 limit; the codes it is given are not
+    changed."""
+    m = min(m, int(63 * np.log(2) / np.log(base)) if base > 1 else m)
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, base, size=(50, m), dtype=np.uint8)
+    codes = _pattern_codes(rows.T, range(m), base).astype(np.int64)
+    before = codes.copy()
+    np.testing.assert_array_equal(_decode_codes(codes, base, m), rows)
+    np.testing.assert_array_equal(codes, before)
+    assert _decode_codes(codes[:0], base, m).shape == (0, m)
 
 
 def test_decode_patterns_memory():

@@ -291,14 +291,17 @@ def test_every_defaulted_parameter_is_set_and_omitted():
 
 
 def test_one_pattern_encoder():
-    """The mixed-radix pattern index is built only by `processes._pattern_codes`,
-    the inverse of `processes.decode_patterns`: no module computes place values
-    (`base ** arange(...)`) or enumerates patterns with `indices`."""
+    """The mixed-radix pattern index is built only by `processes._pattern_codes`
+    and decoded only by its inverse `processes._decode_codes`: no module
+    computes place values (`base ** arange(...)`), enumerates patterns with
+    `indices` or peels digits off a code with `//=` outside `processes`."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             where = f"{path.stem}:{getattr(node, 'lineno', 0)}"
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.FloorDiv) and path.stem != "processes":
+                found.append(f"{where} digits peeled by `//=`")
+            elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
                 if isinstance(node.right, ast.Call) and _callee(node.right) == "arange":
                     found.append(f"{where} place values `** arange`")
             elif isinstance(node, ast.Call) and _callee(node) == "indices":
