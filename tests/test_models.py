@@ -280,11 +280,16 @@ def test_type_path_at_e3_pair_shape(monkeypatch):
         _assert_same_set(got, expect, 4)
 
 
-def test_type_path_makes_no_rows():
+def test_type_path_makes_no_rows(monkeypatch):
     """E3's largest letter-type call, the pair process at |V| = 12 (4^12
     configurations, over two million good), holds its good set as int64
     codes: its peak traced memory stays below the count * |V| bytes that the
     uint8 rows alone would take, and no row is decoded."""
+
+    def refuse(*args):
+        raise AssertionError("a configuration was decoded")
+
+    monkeypatch.setattr(models, "_decode_codes", refuse)
     sigma = random_uniform(F2, 12, 20260821)
     mu = product_process(bernoulli((0.45, 0.55), F2), bernoulli((0.6, 0.4), F2))
     window = Window(F2, F2.ball(0))
@@ -343,8 +348,7 @@ def test_code_membership_is_good_mask(shape, base, n, seed):
 @pytest.mark.parametrize(
     "nx, ny, n", [(2, 2, 6), (2, 3, 5), (3, 2, 4), (2, 2, 10), (2, 3, 8), (3, 2, 7), (2, 3, 13), (2, 2, 1)]
 )
-@pytest.mark.parametrize("chunk_patterns", [models.CHUNK_PATTERNS, 1, 40])
-def test_projections_outside_matches_set_loop(monkeypatch, nx, ny, n, chunk_patterns):
+def test_projections_outside_matches_set_loop(monkeypatch, nx, ny, n):
     """Pair codes with a projection outside its factor codes are counted as a
     loop over Python sets of rows counts them, over many small slices: rows
     inside both, outside one and outside both, and empty pair and factor
@@ -352,7 +356,6 @@ def test_projections_outside_matches_set_loop(monkeypatch, nx, ny, n, chunk_patt
     6 (2 x 3 and 3 x 2) or, under a smaller chunk table, 1 or 2; so n is one
     chunk, a multiple of the chunk width, or not."""
     monkeypatch.setattr(models, "KERNEL_CELLS", 8 * n)
-    monkeypatch.setattr(models, "CHUNK_PATTERNS", chunk_patterns)
     gen = np.random.default_rng(nx * 1000 + ny * 100 + n)
     pairs = gen.integers(0, nx * ny, size=(300, n), dtype=np.uint8)
     # the last x row left out, so that at n = 1 some projections are outside
@@ -368,7 +371,9 @@ def test_projections_outside_matches_set_loop(monkeypatch, nx, ny, n, chunk_patt
             for row in rows.tolist()
         )
         codes = [config_codes(block, base).astype(np.int64) for block, base in ((rows, nx * ny), (x_block, nx), (y_block, ny))]
-        assert models.projections_outside(*codes, nx, ny, n) == expect
+        for chunk_patterns in (1 << 16, 1, 40):
+            monkeypatch.setattr(models, "CHUNK_PATTERNS", chunk_patterns)
+            assert models.projections_outside(*codes, nx, ny, n) == expect
         assert 0 < expect < len(rows) or not (len(x_block) and len(y_block) and len(rows))
 
 
