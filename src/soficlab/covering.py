@@ -6,10 +6,11 @@ product with itself is read as explicit pair atoms (`ModelMeasure.pairs`).
 Covering uses closed balls (distance <= delta); packing uses strict
 separation (distance > delta). The standard chain inequalities
 cov_{delta/2} >= pack_delta >= cov_delta then hold verbatim at any finite
-scale, boundary ties included. Every covering solver and the set packing
-solver take a required method: "exact" (branch and bound) or "greedy" (scales
-further and is always a valid one-sided bound). The measure packing number is
-exact only: a DP over atom subsets, capped at PACK_EPS_EXACT_BUDGET atoms.
+scale, boundary ties included. The set solvers (cov_delta, pack_delta) take
+a required method: "exact" (branch and bound) or "greedy" (scales further and
+is always a valid one-sided bound). The measure solvers are exact only: the
+covering number by iterative deepening, the packing number by a DP over atom
+subsets, capped at PACK_EPS_EXACT_BUDGET atoms.
 
 Solvers come in two layers: *_matrix functions take explicit distance
 matrices (so non-Hamming metrics like the pair average 0.5 dX + 0.5 dY plug
@@ -219,13 +220,18 @@ def _mis_branch(adj: List[int], pool: int, current: int, best: List[int]) -> Non
     _mis_branch(adj, pool & ~(1 << v), current, best)
 
 
+def _row_masks(rows: np.ndarray) -> List[int]:
+    """Each row of a boolean matrix as a Python int: bit j is column j."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _conflict_masks(dist: np.ndarray, delta: float) -> List[int]:
     """Adjacency bitmasks of the <=delta graph on the rows of a square
     distance matrix: bit j of mask i is set when i != j and dist[i, j] <= delta."""
     conflict = dist <= delta
     np.fill_diagonal(conflict, False)
-    packed = np.packbits(conflict, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _row_masks(conflict)
 
 
 def _max_separated_exact(dist: np.ndarray, delta: float) -> int:
@@ -246,11 +252,8 @@ def cov_delta_matrix(dist: np.ndarray, delta: float, method: str) -> CovResult:
     _check_method(method)
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    m = dist.shape[0]
-    cover = dist <= delta
-    masks = [int.from_bytes(np.packbits(cover[i]).tobytes(), "big") for i in range(m)]
-    padded = (8 - dist.shape[1] % 8) % 8
-    universe = ((1 << dist.shape[1]) - 1) << padded
+    masks = _row_masks(dist <= delta)
+    universe = (1 << dist.shape[1]) - 1
     if method == "exact":
         return CovResult(_min_cover_masks(masks, universe), method)
     return CovResult(_greedy_cover_masks(masks, universe), method)
@@ -289,10 +292,10 @@ def _partial_cover_exact(cover: np.ndarray, weights: np.ndarray, need: float) ->
     c, k = cover.shape
     order = np.argsort(-(cover @ weights), kind="stable")
     # bit j of a mask is atom j; equal masks keep their first (heaviest) row
-    packed = np.packbits(cover[order], axis=1, bitorder="little")
-    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    ordered = cover[order]
+    rows = ordered.view(np.dtype((np.void, k))).ravel()
     _, first = np.unique(rows, return_index=True)
-    masks = [int.from_bytes(packed[i].tobytes(), "little") for i in np.sort(first)]
+    masks = _row_masks(ordered[np.sort(first)])
     # dominated removal: keep only masks not contained in an earlier (heavier) one
     kept: List[int] = []
     for m in masks:
@@ -333,46 +336,26 @@ def _partial_cover_exact(cover: np.ndarray, weights: np.ndarray, need: float) ->
     raise ValueError("mass target unreachable: total covered mass <= 1 - eps")
 
 
-def cov_eps_delta_matrix(
-    dist: np.ndarray,
-    weights: np.ndarray,
-    eps: float,
-    delta: float,
-    method: str,
-) -> CovResult:
-    """min |F| with nu(closed delta-neighbourhood of F) > 1 - eps.
+def cov_eps_delta_matrix(dist: np.ndarray, weights: np.ndarray, eps: float, delta: float) -> CovResult:
+    """min |F| with nu(closed delta-neighbourhood of F) > 1 - eps, exactly.
 
     dist is (centers, atoms); weights are the atom masses.
     """
-    _check_method(method)
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
     if delta < 0:
         raise ValueError("delta must be >= 0")
     w = np.asarray(weights, dtype=np.float64)
-    cover = dist <= delta
-    need = 1.0 - eps
-    if method == "exact":
-        return CovResult(_partial_cover_exact(cover, w, need), method)
-    covered = np.zeros(w.size, dtype=bool)
-    picks = 0
-    while float(w[covered].sum()) <= need:
-        gains = (cover & ~covered[None, :]) @ w
-        i = int(np.argmax(gains))
-        if gains[i] <= 0:
-            raise ValueError("mass target unreachable: no center adds coverage")
-        covered |= cover[i]
-        picks += 1
-    return CovResult(picks, method)
+    return CovResult(_partial_cover_exact(dist <= delta, w, 1.0 - eps), "exact")
 
 
-def cov_eps_delta(nu: ModelMeasure, eps: float, delta: float, method: str, centers: np.ndarray) -> CovResult:
+def cov_eps_delta(nu: ModelMeasure, eps: float, delta: float, centers: np.ndarray) -> CovResult:
     """Covering number of a measure with centers from the given pool; the
     full configuration space (at toy sizes) realizes the ambient-center
     definition exactly."""
     support, weights = nu.require_explicit("cov_eps_delta")
     pool = np.ascontiguousarray(centers, dtype=np.uint8)
-    return cov_eps_delta_matrix(pairwise_hamming(pool, support), weights, eps, delta, method)
+    return cov_eps_delta_matrix(pairwise_hamming(pool, support), weights, eps, delta)
 
 
 def pack_eps_delta_matrix(

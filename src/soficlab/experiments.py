@@ -210,9 +210,9 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
         mu = ModelMeasure.from_support(sup_mu, w_mu)
         nu = ModelMeasure.from_support(sup_nu, w_nu)
         for delta in cfg["deltas"]:
-            mc_half = cov.cov_eps_delta(mu, eps, delta / 2, centers=ambient, method="exact").value
+            mc_half = cov.cov_eps_delta(mu, eps, delta / 2, centers=ambient).value
             mp = cov.pack_eps_delta(mu, eps, delta).value
-            mc_full = cov.cov_eps_delta(mu, eps, delta, centers=ambient, method="exact").value
+            mc_full = cov.cov_eps_delta(mu, eps, delta, centers=ambient).value
             note(i, f"measure-chain-left@{delta}", mc_half, mp, mc_half >= mp)
             note(i, f"measure-chain-right@{delta}", mp, mc_full, mp >= mc_full)
 
@@ -228,9 +228,9 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
         amb = ambient.shape[0]
         pair_dist = 0.5 * dx_cc[:, None, li] + 0.5 * dy_cc[None, :, ri]
         pair_dist = pair_dist.reshape(amb * amb, li.size)
-        lam_cov = cov.cov_eps_delta_matrix(pair_dist, lam_w, eps, delta, method="exact").value
-        mu_half = cov.cov_eps_delta(mu, eps / 2, delta, centers=ambient, method="exact").value
-        nu_half = cov.cov_eps_delta(nu, eps / 2, delta, centers=ambient, method="exact").value
+        lam_cov = cov.cov_eps_delta_matrix(pair_dist, lam_w, eps, delta).value
+        mu_half = cov.cov_eps_delta(mu, eps / 2, delta, centers=ambient).value
+        nu_half = cov.cov_eps_delta(nu, eps / 2, delta, centers=ambient).value
         note(i, "coupling-bound", lam_cov, mu_half * nu_half, lam_cov <= mu_half * nu_half)
 
         # product lower bound at delta/4 vs sqrt(eps) factors
@@ -238,10 +238,10 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
         pli = np.repeat(np.arange(atoms), atoms)
         pri = np.tile(np.arange(atoms), atoms)
         prod_dist = (0.5 * dx_cc[:, None, pli] + 0.5 * dy_cc[None, :, pri]).reshape(amb * amb, pw.size)
-        prod_cov = cov.cov_eps_delta_matrix(prod_dist, pw, eps, delta / 4, method="exact").value
+        prod_cov = cov.cov_eps_delta_matrix(prod_dist, pw, eps, delta / 4).value
         root = math.sqrt(eps)
-        mu_root = cov.cov_eps_delta(mu, root, delta, centers=ambient, method="exact").value
-        nu_root = cov.cov_eps_delta(nu, root, delta, centers=ambient, method="exact").value
+        mu_root = cov.cov_eps_delta(mu, root, delta, centers=ambient).value
+        nu_root = cov.cov_eps_delta(nu, root, delta, centers=ambient).value
         note(i, "product-lower-bound", prod_cov, mu_root * nu_root, prod_cov >= mu_root * nu_root)
 
     table = _csv("instance,check,lhs,rhs,holds", rows)
@@ -282,7 +282,7 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
         mu = _random_process(gen, group)
         nu = _random_process(gen, group)
         pair = product_process(mu, nu)
-        window = Window(group, group.ball(radius))
+        window = group.ball(radius)
         got = mod.enumerate_good_models(sigma, pair, window, eps, budget=ctx.budget)
         good_x = mod.enumerate_good_models(sigma, mu, window, 2 * eps, budget=ctx.budget)
         good_y = mod.enumerate_good_models(sigma, nu, window, 2 * eps, budget=ctx.budget)
@@ -313,7 +313,7 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
         sigma = random_uniform(group, n, derive_seed(seed, "sigma", n))
         nu = ModelMeasure.iid(n, mu.weights)
         for radius in (0, 1):
-            window = Window(group, group.ball(radius))
+            window = group.ball(radius)
             lw = lw_defect(sigma, nu, mu, window, eps)
             q = quenched_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "q", n, radius))
             dq = dq_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "dq", n, radius))
@@ -336,7 +336,7 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
     for s in cfg["stability_seeds"]:
         sigma = random_uniform(group, n, derive_seed(s, "sigma", n))
         nu = ModelMeasure.iid(n, mu.weights)
-        w1 = Window(group, group.ball(1))
+        w1 = group.ball(1)
         w0 = Window(group, [group.identity()])
         q1 = quenched_defect(sigma, nu, mu, w1, eps, samples, derive_seed(s, "q", n, 1))
         dq0 = dq_defect(sigma, nu, mu, w0, eps, samples, derive_seed(s, "dq", n, 0))
@@ -363,7 +363,7 @@ def _coind_setup(cfg: dict, seed_value: int):
     nu = coset_iid(cfg["mu0"], group)
     one_w = np.zeros(sigma.n, dtype=np.uint8)
     one_w[sigma.partition["W"]] = 1
-    window = Window(group, group.ball(cfg["radius"]))
+    window = group.ball(cfg["radius"])
     return sigma, nu, one_w, window
 
 
@@ -479,7 +479,7 @@ def run_e8(cfg: dict, ctx: RunContext) -> ExperimentResult:
         x0 = (np.arange(vertices) % 2).astype(np.uint8)
         x1 = ((np.arange(vertices) + 1) % 2).astype(np.uint8)
         nu = ModelMeasure.from_support(np.stack([x0, x1]), np.array([0.5, 0.5]))
-        ball = Window(group, group.ball(1))
+        ball = group.ball(1)
         lw = lw_defect(sigma, nu, mu, ball, eps)
         q = quenched_defect(sigma, nu, mu, ball, eps)
         dq = dq_defect(sigma, nu, mu, ball, eps)
@@ -530,7 +530,7 @@ def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
     # categorical gives 0; flipping keeps the law and the committed bytes
     samples = categorical(stream(seed, "e9-samples"), [0.5, 0.5], (cfg["k"], n)) ^ 1
     rho = models_to_measure(samples)
-    ball1 = Window(group, group.ball(1))
+    ball1 = group.ball(1)
     ident = Window(group, [group.identity()])
     lw1 = lw_defect(sigma, nu, mu, ball1, cfg["lw_eps"])
     lw0 = lw_defect(sigma, nu, mu, ident, cfg["lw_eps"])

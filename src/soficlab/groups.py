@@ -6,7 +6,8 @@ Supported kinds:
   free_product  free product of free factors; same reduced-word representation
                 (it is free on the union of the generators) plus the
                 letter -> factor bookkeeping needed for coset keys
-  product       direct product G x H; elements are pairs of canonical forms
+  product       direct product G x H; elements are pairs of canonical forms,
+                with arithmetic (identity, multiply, inverse) but no balls
 
 The integers are the rank-1 free group with generator "a".
 """
@@ -146,23 +147,14 @@ class GroupSpec:
         left, right = self.factors
         return (left.inverse(a[0]), right.inverse(a[1]))
 
-    def word_length(self, a: Element) -> int:
-        if self.kind in ("free", "free_product"):
-            return len(a)
-        left, right = self.factors
-        return max(left.word_length(a[0]), right.word_length(a[1]))
-
     def _check_word(self, w: Element) -> None:
         for s in w:
             if s == 0 or abs(s) > self.rank:
                 raise ValueError(f"letter {s} is not a declared generator")
 
     def sort_key(self, a: Element):
-        """Deterministic total order: (word length, letter order)."""
-        if self.kind in ("free", "free_product"):
-            return (len(a), tuple(_letter_key(s) for s in a))
-        left, right = self.factors
-        return (self.word_length(a), left.sort_key(a[0]), right.sort_key(a[1]))
+        """Deterministic total order on reduced words: (word length, letter order)."""
+        return (len(a), tuple(_letter_key(s) for s in a))
 
     def word_of(self, a: Element) -> FreeWord:
         """The reduced word of the element, in signed 1-based generator
@@ -176,32 +168,27 @@ class GroupSpec:
     # -- windows -------------------------------------------------------------
 
     def ball(self, radius: int) -> "Window":
-        """All elements of word length <= radius, identity first, sorted."""
+        """All elements of word length <= radius, identity first, sorted.
+        Not defined for direct products."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        if self.kind in ("free", "free_product"):
-            k = self.rank
-            letters = sorted(range(-k, k + 1), key=lambda s: _letter_key(s) if s else -1)
-            letters = [s for s in letters if s != 0]
-            frontier: List[FreeWord] = [()]
-            out: List[FreeWord] = [()]
-            for _ in range(radius):
-                nxt: List[FreeWord] = []
-                for w in frontier:
-                    for s in letters:
-                        if w and w[-1] == -s:
-                            continue
-                        nxt.append(w + (s,))
-                out.extend(nxt)
-                frontier = nxt
-            elems: List[Element] = out
-        else:
-            left, right = self.factors
-            bl = left.ball(radius).elements
-            br = right.ball(radius).elements
-            elems = [(g, h) for g in bl for h in br]
-        elems = sorted(elems, key=self.sort_key)
-        return Window(self, tuple(elems))
+        if self.kind == "product":
+            raise ValueError("ball is not defined for direct products")
+        k = self.rank
+        letters = sorted(range(-k, k + 1), key=lambda s: _letter_key(s) if s else -1)
+        letters = [s for s in letters if s != 0]
+        frontier: List[FreeWord] = [()]
+        out: List[FreeWord] = [()]
+        for _ in range(radius):
+            nxt: List[FreeWord] = []
+            for w in frontier:
+                for s in letters:
+                    if w and w[-1] == -s:
+                        continue
+                    nxt.append(w + (s,))
+            out.extend(nxt)
+            frontier = nxt
+        return Window(self, tuple(sorted(out, key=self.sort_key)))
 
     # -- coset keys ------------------------------------------------------------
 
@@ -258,12 +245,6 @@ class Window:
 
     def __iter__(self) -> Iterator[Element]:
         return iter(self.elements)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Window) and self.elements == other.elements
-
-    def __hash__(self) -> int:
-        return hash(self.elements)
 
 
 __all__ = ["GroupSpec", "Window", "reduce_word", "coind_group"]

@@ -193,8 +193,6 @@ def _chunk_tables(nx: int, ny: int, n: int, width: int) -> Tuple[Tuple[np.ndarra
 
 def _exp_nats_to_int(log_value: float) -> int:
     """Round exp(log_value) to an integer without float overflow."""
-    if log_value == float("-inf"):
-        return 0
     if log_value <= 700.0:
         return int(round(math.exp(log_value)))
     bits = log_value / math.log(2.0)
@@ -523,7 +521,7 @@ def count_good_models_mc(
     chunks = [(ci, min(MC_CHUNK, samples - ci * MC_CHUNK)) for ci in range((samples + MC_CHUNK - 1) // MC_CHUNK)]
     results = [run_chunk(*a) for a in chunks]
 
-    good_logs = np.concatenate([r[0] for r in results]) if results else np.zeros(0)
+    good_logs = np.concatenate([r[0] for r in results])
     hits = sum(r[1] for r in results)
     log_n = math.log(samples)
     if hits == 0:

@@ -68,14 +68,14 @@ def test_pack_delta_strict_separation():
 def test_cov_eps_delta_frozen_values():
     three = np.array([[0], [1], [2]], dtype=np.uint8)
     nu = ModelMeasure.from_support(three, (0.5, 0.3, 0.2))
-    assert cov_eps_delta(nu, 0.25, 0.1, method="exact", centers=three).value == 2
-    assert cov_eps_delta(nu, 0.25, 1.0, method="exact", centers=three).value == 1
+    assert cov_eps_delta(nu, 0.25, 0.1, centers=three).value == 2
+    assert cov_eps_delta(nu, 0.25, 1.0, centers=three).value == 1
 
 
 def test_exact_methods_need_explicit_support():
     nu = ModelMeasure.iid(4, [0.5, 0.5])
     with pytest.raises(ValueError):
-        cov_eps_delta(nu, 0.2, 0.3, method="exact", centers=_cube(4))
+        cov_eps_delta(nu, 0.2, 0.3, centers=_cube(4))
 
 
 def test_model_measure_validation():
@@ -175,9 +175,9 @@ def test_measure_chain_cov_pack(seed):
     w = gen.random(4) + 0.1
     nu = ModelMeasure.from_support(ambient[idx], w / w.sum())
     eps, delta = 0.3, 0.4
-    c_half = cov_eps_delta(nu, eps, delta / 2, centers=ambient, method="exact").value
+    c_half = cov_eps_delta(nu, eps, delta / 2, centers=ambient).value
     p_full = pack_eps_delta(nu, eps, delta).value
-    c_full = cov_eps_delta(nu, eps, delta, centers=ambient, method="exact").value
+    c_full = cov_eps_delta(nu, eps, delta, centers=ambient).value
     assert c_half >= p_full >= c_full
 
 
@@ -188,11 +188,9 @@ def test_cov_result_reports_method():
 
 @pytest.mark.parametrize("method", ["exatc", "auto"])
 def test_unknown_method_raises(method):
-    nu = ModelMeasure.from_support(CUBE2, np.full(4, 0.25))
     for solve in (
         lambda: cov_delta(CUBE2, 0.5, method=method),
         lambda: pack_delta(CUBE2, 0.5, method=method),
-        lambda: cov_eps_delta(nu, 0.25, 0.5, method=method, centers=CUBE2),
     ):
         with pytest.raises(ValueError, match="method"):
             solve()

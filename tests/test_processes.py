@@ -619,5 +619,6 @@ def test_coinduced_equals_place_value(data):
     base = _z_process(data, 3)
     mu = coinduced(base, Z)
     most = int(np.log(1 << 14) / np.log(max(base.alphabet.size, 2)))
-    elements = _distinct(data, mu.group.ball(2).elements, min(most, 9))
+    pairs = [(g, h) for g in base.group.ball(2) for h in Z.ball(2)]  # the radius-2 box of G x Z
+    elements = _distinct(data, pairs, min(most, 9))
     assert np.array_equal(mu.marginal_elems(elements), _coinduced_place_value(base, elements))

@@ -37,11 +37,17 @@ alias is called by the alias. Calls to two methods of one name are pooled,
 as with the method rule, and dataclass fields are not parameters here.
 `PARAMETER_ALLOWLIST` holds the exceptions, each with its reason, and an
 entry the rule no longer flags fails too.
+
+A parameter of a reached public function or method that two or more calls
+reach, and that every one of them passes as the same literal, fails as well:
+it takes one value, so it is a constant spelled out at each call site. Calls
+are matched by name as above, and a call through `*args` or `**kwargs`
+passes no literal.
 """
 
 import ast
 from pathlib import Path
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "soficlab"
@@ -263,16 +269,21 @@ def _passed(call: ast.Call, positional: List[str], skip: int) -> Set[str]:
     return set(positional[skip : skip + len(call.args)]) | {k.arg for k in call.keywords}
 
 
-def test_every_defaulted_parameter_is_set_and_omitted():
-    """A defaulted parameter of reached code is passed by some reached call
-    and omitted by another: one no call sets is a knob that does nothing, and
-    one every call passes has a default that never runs."""
-    code, funcs = _reached_code()
+def _calls_by_callee(code: List[ast.AST]) -> Dict[str, List[ast.Call]]:
     calls: Dict[str, List[ast.Call]] = {}
     for node in code:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Call):
                 calls.setdefault(_callee(sub), []).append(sub)
+    return calls
+
+
+def test_every_defaulted_parameter_is_set_and_omitted():
+    """A defaulted parameter of reached code is passed by some reached call
+    and omitted by another: one no call sets is a knob that does nothing, and
+    one every call passes has a default that never runs."""
+    code, funcs = _reached_code()
+    calls = _calls_by_callee(code)
     found = {}
     for module, qual, callee, fn, skip in funcs:
         args = fn.args
@@ -288,6 +299,43 @@ def test_every_defaulted_parameter_is_set_and_omitted():
     assert not unexpected, f"defaulted parameters whose default or whose knob never runs: {unexpected}"
     stale = [key for key in PARAMETER_ALLOWLIST if key not in found]
     assert not stale, f"allowlisted parameters the rule no longer flags: {stale}"
+
+
+def _literal(call: ast.Call, positional: List[str], skip: int, param: str) -> Optional[str]:
+    """The literal a call passes to a parameter, as its AST dump; None when
+    the call omits the parameter, passes a non-literal, or uses `*args` or
+    `**kwargs`."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return None
+    node = next((k.value for k in call.keywords if k.arg == param), None)
+    index = positional.index(param) - skip if param in positional else -1
+    if node is None and 0 <= index < len(call.args):
+        node = call.args[index]
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return None
+    return ast.dump(node)
+
+
+def test_no_parameter_takes_one_literal():
+    """No parameter of a reached public function or method is passed the same
+    literal by every one of two or more reached calls: such a parameter takes
+    one value, and the value belongs in the function."""
+    code, funcs = _reached_code()
+    calls = _calls_by_callee(code)
+    found = []
+    for module, qual, callee, fn, skip in funcs:
+        sites = calls.get(callee, [])
+        if len(sites) < 2 or any(part.startswith("_") for part in qual.split(".")):
+            continue
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        for param in positional[skip:] + [a.arg for a in args.kwonlyargs]:
+            literals = {_literal(call, positional, skip, param) for call in sites}
+            if len(literals) == 1 and None not in literals:
+                found.append(f"{module}.{qual}({param})")
+    assert not found, f"parameters every reached call passes the same literal: {found}"
 
 
 def test_one_pattern_encoder():
