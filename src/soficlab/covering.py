@@ -6,16 +6,15 @@ product with itself is read as explicit pair atoms (`ModelMeasure.pairs`).
 Covering uses closed balls (distance <= delta); packing uses strict
 separation (distance > delta). The standard chain inequalities
 cov_{delta/2} >= pack_delta >= cov_delta then hold verbatim at any finite
-scale, boundary ties included. The set solvers (cov_delta, pack_delta) take
-a required method: "exact" (branch and bound) or "greedy" (scales further and
-is always a valid one-sided bound). The measure solvers are exact only: the
-covering number by iterative deepening, the packing number by a DP over atom
-subsets, capped at PACK_EPS_EXACT_BUDGET atoms.
-
-Solvers come in two layers: *_matrix functions take explicit distance
-matrices (so non-Hamming metrics like the pair average 0.5 dX + 0.5 dY plug
-in directly), and the config-level wrappers compute normalized Hamming
-distances first.
+scale, boundary ties included. Every cover and pack solver takes a distance
+matrix, so that a caller computes each matrix once (`pairwise_hamming` for
+normalized Hamming distances) and non-Hamming metrics like the pair average
+0.5 dX + 0.5 dY plug in directly. The set solvers (cov_delta_matrix,
+pack_delta_matrix) take a required method: "exact" (branch and bound) or
+"greedy" (scales further and is always a valid one-sided bound). The measure
+solvers are exact only: the covering number by iterative deepening, the
+packing number by a DP over atom subsets, capped at PACK_EPS_EXACT_BUDGET
+atoms.
 """
 
 from __future__ import annotations
@@ -259,10 +258,6 @@ def cov_delta_matrix(dist: np.ndarray, delta: float, method: str) -> CovResult:
     return CovResult(_greedy_cover_masks(masks, universe), method)
 
 
-def cov_delta(points, delta: float, method: str) -> CovResult:
-    return cov_delta_matrix(pairwise_hamming(np.asarray(points, dtype=np.uint8)), delta, method)
-
-
 def pack_delta_matrix(dist: np.ndarray, delta: float, method: str) -> CovResult:
     """Largest subset with pairwise distance strictly greater than delta."""
     _check_method(method)
@@ -275,10 +270,6 @@ def pack_delta_matrix(dist: np.ndarray, delta: float, method: str) -> CovResult:
         if all(dist[i, j] > delta for j in kept):
             kept.append(i)
     return CovResult(len(kept), method)
-
-
-def pack_delta(points, delta: float, method: str) -> CovResult:
-    return pack_delta_matrix(pairwise_hamming(np.asarray(points, dtype=np.uint8)), delta, method)
 
 
 # -- measure quantities ------------------------------------------------------------
@@ -339,7 +330,9 @@ def _partial_cover_exact(cover: np.ndarray, weights: np.ndarray, need: float) ->
 def cov_eps_delta_matrix(dist: np.ndarray, weights: np.ndarray, eps: float, delta: float) -> CovResult:
     """min |F| with nu(closed delta-neighbourhood of F) > 1 - eps, exactly.
 
-    dist is (centers, atoms); weights are the atom masses.
+    dist is (centers, atoms); weights are the atom masses. With every
+    configuration as a center (at toy sizes) this is the ambient-center
+    covering number exactly.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must lie in (0,1)")
@@ -347,15 +340,6 @@ def cov_eps_delta_matrix(dist: np.ndarray, weights: np.ndarray, eps: float, delt
         raise ValueError("delta must be >= 0")
     w = np.asarray(weights, dtype=np.float64)
     return CovResult(_partial_cover_exact(dist <= delta, w, 1.0 - eps), "exact")
-
-
-def cov_eps_delta(nu: ModelMeasure, eps: float, delta: float, centers: np.ndarray) -> CovResult:
-    """Covering number of a measure with centers from the given pool; the
-    full configuration space (at toy sizes) realizes the ambient-center
-    definition exactly."""
-    support, weights = nu.require_explicit("cov_eps_delta")
-    pool = np.ascontiguousarray(centers, dtype=np.uint8)
-    return cov_eps_delta_matrix(pairwise_hamming(pool, support), weights, eps, delta)
 
 
 def pack_eps_delta_matrix(
@@ -373,7 +357,7 @@ def pack_eps_delta_matrix(
     w = np.asarray(weights, dtype=np.float64)
     k = w.size
     if k > PACK_EPS_EXACT_BUDGET:
-        raise ValueError(f"pack_eps_delta is exact-only and capped at {PACK_EPS_EXACT_BUDGET} atoms")
+        raise ValueError(f"pack_eps_delta_matrix is exact-only and capped at {PACK_EPS_EXACT_BUDGET} atoms")
     adj = _conflict_masks(dist, delta)
     size = 1 << k
     mis = np.zeros(size, dtype=np.int32)
@@ -391,11 +375,6 @@ def pack_eps_delta_matrix(
     if not eligible.any():
         raise ValueError("no atom subset reaches mass 1 - eps")
     return CovResult(int(mis[eligible].min()), "exact")
-
-
-def pack_eps_delta(nu: ModelMeasure, eps: float, delta: float) -> CovResult:
-    support, weights = nu.require_explicit("pack_eps_delta")
-    return pack_eps_delta_matrix(pairwise_hamming(support), weights, eps, delta)
 
 
 # -- couplings ---------------------------------------------------------------------
@@ -436,13 +415,9 @@ __all__ = [
     "CovResult",
     "ModelMeasure",
     "pairwise_hamming",
-    "cov_delta",
     "cov_delta_matrix",
-    "pack_delta",
     "pack_delta_matrix",
-    "cov_eps_delta",
     "cov_eps_delta_matrix",
-    "pack_eps_delta",
     "pack_eps_delta_matrix",
     "pair_configs",
     "random_coupling",

@@ -186,17 +186,18 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
             all_hold = False
 
     ambient = decode_patterns(2, vertices)
+    amb = ambient.shape[0]
     for i in range(cfg["instances"]):
         gen = stream(seed, "e2", i)
-        points = _unique_configs(gen, cfg["set_size"], vertices)
+        d_points = cov.pairwise_hamming(_unique_configs(gen, cfg["set_size"], vertices))
         for delta in cfg["deltas"]:
-            c_half = cov.cov_delta(points, delta / 2, method="exact").value
-            p_full = cov.pack_delta(points, delta, method="exact").value
-            c_full = cov.cov_delta(points, delta, method="exact").value
+            c_half = cov.cov_delta_matrix(d_points, delta / 2, method="exact").value
+            p_full = cov.pack_delta_matrix(d_points, delta, method="exact").value
+            c_full = cov.cov_delta_matrix(d_points, delta, method="exact").value
             note(i, f"set-chain-left@{delta}", c_half, p_full, c_half >= p_full)
             note(i, f"set-chain-right@{delta}", p_full, c_full, p_full >= c_full)
-            g_cov = cov.cov_delta(points, delta, method="greedy").value
-            g_pack = cov.pack_delta(points, delta, method="greedy").value
+            g_cov = cov.cov_delta_matrix(d_points, delta, method="greedy").value
+            g_pack = cov.pack_delta_matrix(d_points, delta, method="greedy").value
             note(i, f"greedy-cov-ge-exact@{delta}", g_cov, c_full, g_cov >= c_full)
             note(i, f"greedy-pack-le-exact@{delta}", g_pack, p_full, g_pack <= p_full)
 
@@ -207,12 +208,15 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
         w_mu /= w_mu.sum()
         w_nu = gen.random(atoms) + 0.1
         w_nu /= w_nu.sum()
-        mu = ModelMeasure.from_support(sup_mu, w_mu)
-        nu = ModelMeasure.from_support(sup_nu, w_nu)
+        # with d_points, the instance's four distance matrices: mu's atoms among
+        # themselves, and every configuration (the centres) to each support
+        d_mu = cov.pairwise_hamming(sup_mu)
+        dx_cc = cov.pairwise_hamming(ambient, sup_mu)
+        dy_cc = cov.pairwise_hamming(ambient, sup_nu)
         for delta in cfg["deltas"]:
-            mc_half = cov.cov_eps_delta(mu, eps, delta / 2, centers=ambient).value
-            mp = cov.pack_eps_delta(mu, eps, delta).value
-            mc_full = cov.cov_eps_delta(mu, eps, delta, centers=ambient).value
+            mc_half = cov.cov_eps_delta_matrix(dx_cc, w_mu, eps, delta / 2).value
+            mp = cov.pack_eps_delta_matrix(d_mu, w_mu, eps, delta).value
+            mc_full = cov.cov_eps_delta_matrix(dx_cc, w_mu, eps, delta).value
             note(i, f"measure-chain-left@{delta}", mc_half, mp, mc_half >= mp)
             note(i, f"measure-chain-right@{delta}", mp, mc_full, mp >= mc_full)
 
@@ -221,16 +225,13 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
         plan = random_coupling(derive_seed(seed, "e2-coupling", i), w_mu, w_nu)
         li, ri = np.nonzero(plan > 0)
         lam_w = plan[li, ri]
-        dx_cc = cov.pairwise_hamming(ambient, sup_mu)
-        dy_cc = cov.pairwise_hamming(ambient, sup_nu)
         # centers: ambient x ambient would be 4096 rows; the product of the
         # factor-optimal center pools is enough for the lemma and far smaller
-        amb = ambient.shape[0]
         pair_dist = 0.5 * dx_cc[:, None, li] + 0.5 * dy_cc[None, :, ri]
         pair_dist = pair_dist.reshape(amb * amb, li.size)
         lam_cov = cov.cov_eps_delta_matrix(pair_dist, lam_w, eps, delta).value
-        mu_half = cov.cov_eps_delta(mu, eps / 2, delta, centers=ambient).value
-        nu_half = cov.cov_eps_delta(nu, eps / 2, delta, centers=ambient).value
+        mu_half = cov.cov_eps_delta_matrix(dx_cc, w_mu, eps / 2, delta).value
+        nu_half = cov.cov_eps_delta_matrix(dy_cc, w_nu, eps / 2, delta).value
         note(i, "coupling-bound", lam_cov, mu_half * nu_half, lam_cov <= mu_half * nu_half)
 
         # product lower bound at delta/4 vs sqrt(eps) factors
@@ -240,8 +241,8 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
         prod_dist = (0.5 * dx_cc[:, None, pli] + 0.5 * dy_cc[None, :, pri]).reshape(amb * amb, pw.size)
         prod_cov = cov.cov_eps_delta_matrix(prod_dist, pw, eps, delta / 4).value
         root = math.sqrt(eps)
-        mu_root = cov.cov_eps_delta(mu, root, delta, centers=ambient).value
-        nu_root = cov.cov_eps_delta(nu, root, delta, centers=ambient).value
+        mu_root = cov.cov_eps_delta_matrix(dx_cc, w_mu, root, delta).value
+        nu_root = cov.cov_eps_delta_matrix(dy_cc, w_nu, root, delta).value
         note(i, "product-lower-bound", prod_cov, mu_root * nu_root, prod_cov >= mu_root * nu_root)
 
     table = _csv("instance,check,lhs,rhs,holds", rows)
@@ -357,14 +358,11 @@ def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
 # -- E5/E6: the coset-iid example -----------------------------------------------------
 
 
-def _coind_setup(cfg: dict, seed_value: int):
+def _coind_setup(cfg: dict):
+    """The coset-iid process and the window of a run, built once for all its
+    seeds so that each marginal is computed once; only sigma is per seed."""
     group = coind_group()
-    sigma = partitioned_random(cfg["n"], seed_value)
-    nu = coset_iid(cfg["mu0"], group)
-    one_w = np.zeros(sigma.n, dtype=np.uint8)
-    one_w[sigma.partition["W"]] = 1
-    window = group.ball(cfg["radius"])
-    return sigma, nu, one_w, window
+    return coset_iid(cfg["mu0"], group), group.ball(cfg["radius"])
 
 
 def run_e5(cfg: dict, ctx: RunContext) -> ExperimentResult:
@@ -378,9 +376,12 @@ def run_e5(cfg: dict, ctx: RunContext) -> ExperimentResult:
     """
     rows = []
     pass_seeds = 0
+    nu, window = _coind_setup(cfg)
+    ident = (nu.group.identity(),)
     for s, eps in zip(cfg["seeds"], cfg["epsilons"]):
-        sigma, nu, one_w, window = _coind_setup(cfg, s)
-        ident = (sigma.group.identity(),)
+        sigma = partitioned_random(cfg["n"], s)
+        one_w = np.zeros(sigma.n, dtype=np.uint8)
+        one_w[sigma.partition["W"]] = 1
         freqs = mod.counts_over_elements(sigma, one_w, ident, nu.alphabet.size) / float(sigma.n)
         tv_e = tv_distance(freqs, nu.marginal_elems(ident))
         got = mod.enumerate_good_models(sigma, nu, window, eps, budget=ctx.budget)
@@ -406,8 +407,12 @@ def run_e6(cfg: dict, ctx: RunContext) -> ExperimentResult:
     cert_eps = 2 * pair_eps
     rows = []
     passed = True
+    nu, window = _coind_setup(cfg)
+    pair = product_process(nu, nu)
+    ident = (nu.group.identity(),)
+    target_e = pair.marginal_elems(ident)
     for s, eps in zip(cfg["seeds"], cfg["epsilons"]):
-        sigma, nu, one_w, window = _coind_setup(cfg, s)
+        sigma = partitioned_random(cfg["n"], s)
         # widest set that matters: the calibrated set union the emptiness
         # certificate set (projections of any pair-good model are 2 eps-good,
         # so a pair search over the 2 eps enumeration certifies emptiness)
@@ -415,9 +420,6 @@ def run_e6(cfg: dict, ctx: RunContext) -> ExperimentResult:
         configs = got.configs
         # the calibrated set is the part of the search set that is eps-good
         star = int(mod.good_mask(sigma, nu, window, configs, eps).sum())
-        pair = product_process(nu, nu)
-        ident = (sigma.group.identity(),)
-        target_e = pair.marginal_elems(ident)
         n = sigma.n
         k = configs.shape[0]
         pair_good = 0

@@ -6,8 +6,9 @@ Supported kinds:
   free_product  free product of free factors; same reduced-word representation
                 (it is free on the union of the generators) plus the
                 letter -> factor bookkeeping needed for coset keys
-  product       direct product G x H; elements are pairs of canonical forms,
-                with arithmetic (identity, multiply, inverse) but no balls
+  product       direct product G x H: an identity and the two factors, nothing
+                more; its elements are pairs of factor elements, and words,
+                arithmetic and balls are the factors'
 
 The integers are the rank-1 free group with generator "a".
 """
@@ -106,11 +107,6 @@ class GroupSpec:
         return self.kind == "free" and self.rank == 1
 
     def generator_labels(self) -> Tuple[str, ...]:
-        if self.kind == "product":
-            left, right = self.factors
-            return left.generator_labels() + tuple(
-                _disambiguate(lab, left.generator_labels()) for lab in right.generator_labels()
-            )
         return self.labels
 
     def letter_factor(self, letter: int) -> int:
@@ -133,21 +129,17 @@ class GroupSpec:
         return (left.identity(), right.identity())
 
     def multiply(self, a: Element, b: Element) -> Element:
-        if self.kind in ("free", "free_product"):
-            self._check_word(a)
-            self._check_word(b)
-            return reduce_word(tuple(a) + tuple(b))
-        left, right = self.factors
-        return (left.multiply(a[0], b[0]), right.multiply(a[1], b[1]))
+        self._check_word(a)
+        self._check_word(b)
+        return reduce_word(tuple(a) + tuple(b))
 
     def inverse(self, a: Element) -> Element:
-        if self.kind in ("free", "free_product"):
-            self._check_word(a)
-            return tuple(-s for s in reversed(a))
-        left, right = self.factors
-        return (left.inverse(a[0]), right.inverse(a[1]))
+        self._check_word(a)
+        return tuple(-s for s in reversed(a))
 
     def _check_word(self, w: Element) -> None:
+        if self.kind == "product":
+            raise ValueError("a direct product has no words: use the component words of its factors")
         for s in w:
             if s == 0 or abs(s) > self.rank:
                 raise ValueError(f"letter {s} is not a declared generator")
@@ -160,10 +152,8 @@ class GroupSpec:
         """The reduced word of the element, in signed 1-based generator
         indices. Not defined for direct products (use the component words).
         """
-        if self.kind in ("free", "free_product"):
-            self._check_word(a)
-            return tuple(a)
-        raise ValueError("word_of is not defined for direct products")
+        self._check_word(a)
+        return tuple(a)
 
     # -- windows -------------------------------------------------------------
 
@@ -209,12 +199,6 @@ class GroupSpec:
         return tuple(g[i:])
 
 
-def _disambiguate(label: str, taken: Tuple[str, ...]) -> str:
-    while label in taken:
-        label += "'"
-    return label
-
-
 def coind_group() -> GroupSpec:
     """The free product of two rank-2 free groups, generators a, b, a', b'."""
     return GroupSpec.free_product(
@@ -231,11 +215,8 @@ class Window:
         elems = tuple(elements)
         if not elems:
             raise ValueError("window must be nonempty")
-        ident = spec.identity()
-        if elems[0] != ident:
-            if ident not in elems:
-                raise ValueError("window must contain the identity")
-            elems = (ident,) + tuple(g for g in elems if g != ident)
+        if elems[0] != spec.identity():
+            raise ValueError("a window lists the identity first")
         if len(set(elems)) != len(elems):
             raise ValueError("window elements must be distinct")
         self.elements = elems

@@ -1,9 +1,11 @@
 """Sofic approximations sigma: G -> Sym(V) and their diagnostics.
 
 A SoficMap stores one permutation per group generator; sigma^g for a general
-element is composed on the fly along the canonical word of g. The Schreier
-graph of a chosen generator set exposes its second eigenvalue, computed by a
-dense symmetric eigensolve for each (map, vertex block) pair.
+element is composed on the fly along the canonical word of g. A product map
+sigma x tau stores only its two factors and composes sigma^(g, h) from
+sigma^g and tau^h. The Schreier graph of a chosen generator set exposes its
+second eigenvalue, computed by a dense symmetric eigensolve for each (map,
+vertex block) pair.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ def _inverse_perm(perm: np.ndarray) -> np.ndarray:
 
 
 class SoficMap:
-    """A finite vertex set with one permutation per group generator."""
+    """A finite vertex set with one permutation per group generator. A map
+    over a direct product G x H holds no permutation: it keeps the factor
+    pair (sigma, tau) as `product_of` (see `product`)."""
 
     __slots__ = ("group", "n", "perms", "inv_perms", "partition", "product_of")
 
@@ -39,6 +43,8 @@ class SoficMap:
         if set(perms) != set(labels):
             raise ValueError(f"need exactly one permutation per generator {labels}")
         sizes = {len(p) for p in perms.values()}
+        if product_of is not None:  # a direct product has no generators
+            sizes = {product_of[0].n * product_of[1].n}
         if len(sizes) != 1:
             raise ValueError("all permutations must act on the same vertex set")
         self.n = sizes.pop()
@@ -64,9 +70,7 @@ class SoficMap:
 
     def perm_of(self, g: Element) -> np.ndarray:
         """The full permutation array of sigma^g (sigma^g[v] = image of v)."""
-        if self.group.kind == "product":
-            if self.product_of is None:
-                raise ValueError("this map over a product group lacks product structure")
+        if self.product_of is not None:
             left, right = self.product_of
             pl = left.perm_of(g[0])
             pr = right.perm_of(g[1])
@@ -134,23 +138,10 @@ def quotient_map(spec: GroupSpec, n: int) -> SoficMap:
 def product(sigma: SoficMap, tau: SoficMap) -> SoficMap:
     """Product approximation on V x W: (g,h) acts as sigma^g x tau^h.
 
-    Vertices are row-major: (v, w) -> v * |W| + w.
+    Vertices are row-major: (v, w) -> v * |W| + w. The map keeps only the
+    factor pair; `perm_of` combines the factors' permutations.
     """
-    group = GroupSpec.direct_product(sigma.group, tau.group)
-    labels = group.generator_labels()
-    left_labels = sigma.group.generator_labels()
-    nw = tau.n
-    identity_w = np.arange(nw, dtype=np.int64)
-    identity_v = np.arange(sigma.n, dtype=np.int64)
-    perms = {}
-    for i, lab in enumerate(labels):
-        if i < len(left_labels):
-            pl, pr = sigma.perms[left_labels[i]], identity_w
-        else:
-            right_lab = tau.group.generator_labels()[i - len(left_labels)]
-            pl, pr = identity_v, tau.perms[right_lab]
-        perms[lab] = (pl[:, None] * nw + pr[None, :]).ravel()
-    return SoficMap(group, perms, product_of=(sigma, tau))
+    return SoficMap(GroupSpec.direct_product(sigma.group, tau.group), {}, product_of=(sigma, tau))
 
 
 # -- Schreier spectral diagnostics ------------------------------------------------

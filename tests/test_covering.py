@@ -10,10 +10,10 @@ from soficlab.covering import (
     ModelMeasure,
     _conflict_masks,
     _partial_cover_exact,
-    cov_delta,
-    cov_eps_delta,
-    pack_delta,
-    pack_eps_delta,
+    cov_delta_matrix,
+    cov_eps_delta_matrix,
+    pack_delta_matrix,
+    pack_eps_delta_matrix,
     pair_configs,
     pairwise_hamming,
     random_coupling,
@@ -21,6 +21,7 @@ from soficlab.covering import (
 from soficlab.randomness import stream
 
 CUBE2 = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+D_CUBE2 = pairwise_hamming(CUBE2)
 
 
 def _cube(vertices: int) -> np.ndarray:
@@ -51,31 +52,31 @@ def test_pairwise_hamming_matches_scalar():
 
 
 def test_cov_delta_frozen_values():
-    assert cov_delta(CUBE2[:1], 0.1, method="exact").value == 1
-    assert cov_delta(CUBE2, 0.5, method="exact").value == 2
-    assert cov_delta(CUBE2, 1.0, method="exact").value == 1
-    assert cov_delta(CUBE2, 0.1, method="exact").value == 4
+    assert cov_delta_matrix(D_CUBE2[:1, :1], 0.1, method="exact").value == 1
+    assert cov_delta_matrix(D_CUBE2, 0.5, method="exact").value == 2
+    assert cov_delta_matrix(D_CUBE2, 1.0, method="exact").value == 1
+    assert cov_delta_matrix(D_CUBE2, 0.1, method="exact").value == 4
 
 
 def test_pack_delta_strict_separation():
     # packing requires pairwise distance strictly above delta
-    assert pack_delta(CUBE2, 0.5, method="exact").value == 2
-    assert pack_delta(CUBE2, 1.0, method="exact").value == 1
-    assert pack_delta(CUBE2, 0.25, method="exact").value == 4
-    assert pack_delta(CUBE2[:1], 0.9, method="exact").value == 1
+    assert pack_delta_matrix(D_CUBE2, 0.5, method="exact").value == 2
+    assert pack_delta_matrix(D_CUBE2, 1.0, method="exact").value == 1
+    assert pack_delta_matrix(D_CUBE2, 0.25, method="exact").value == 4
+    assert pack_delta_matrix(D_CUBE2[:1, :1], 0.9, method="exact").value == 1
 
 
 def test_cov_eps_delta_frozen_values():
     three = np.array([[0], [1], [2]], dtype=np.uint8)
-    nu = ModelMeasure.from_support(three, (0.5, 0.3, 0.2))
-    assert cov_eps_delta(nu, 0.25, 0.1, centers=three).value == 2
-    assert cov_eps_delta(nu, 0.25, 1.0, centers=three).value == 1
+    dist = pairwise_hamming(three)
+    assert cov_eps_delta_matrix(dist, (0.5, 0.3, 0.2), 0.25, 0.1).value == 2
+    assert cov_eps_delta_matrix(dist, (0.5, 0.3, 0.2), 0.25, 1.0).value == 1
 
 
 def test_exact_methods_need_explicit_support():
     nu = ModelMeasure.iid(4, [0.5, 0.5])
-    with pytest.raises(ValueError):
-        cov_eps_delta(nu, 0.2, 0.3, centers=_cube(4))
+    with pytest.raises(ValueError, match="h_average needs an explicit-support measure"):
+        nu.require_explicit("h_average")
 
 
 def test_model_measure_validation():
@@ -157,12 +158,13 @@ def test_random_coupling_marginals():
 def test_set_chain_cov_pack(seed, delta):
     gen = np.random.default_rng(seed)
     pts = np.unique(gen.integers(0, 2, size=(10, 6)).astype(np.uint8), axis=0)
-    c_half = cov_delta(pts, delta / 2, method="exact").value
-    p_full = pack_delta(pts, delta, method="exact").value
-    c_full = cov_delta(pts, delta, method="exact").value
+    dist = pairwise_hamming(pts)
+    c_half = cov_delta_matrix(dist, delta / 2, method="exact").value
+    p_full = pack_delta_matrix(dist, delta, method="exact").value
+    c_full = cov_delta_matrix(dist, delta, method="exact").value
     assert c_half >= p_full >= c_full
-    assert cov_delta(pts, delta, method="greedy").value >= c_full
-    assert pack_delta(pts, delta, method="greedy").value <= p_full
+    assert cov_delta_matrix(dist, delta, method="greedy").value >= c_full
+    assert pack_delta_matrix(dist, delta, method="greedy").value <= p_full
 
 
 @given(st.integers(0, 2**31 - 1))
@@ -173,24 +175,25 @@ def test_measure_chain_cov_pack(seed):
     ambient = _cube(vertices)
     idx = gen.choice(ambient.shape[0], size=4, replace=False)
     w = gen.random(4) + 0.1
-    nu = ModelMeasure.from_support(ambient[idx], w / w.sum())
+    w /= w.sum()
+    to_atoms = pairwise_hamming(ambient, ambient[idx])
     eps, delta = 0.3, 0.4
-    c_half = cov_eps_delta(nu, eps, delta / 2, centers=ambient).value
-    p_full = pack_eps_delta(nu, eps, delta).value
-    c_full = cov_eps_delta(nu, eps, delta, centers=ambient).value
+    c_half = cov_eps_delta_matrix(to_atoms, w, eps, delta / 2).value
+    p_full = pack_eps_delta_matrix(to_atoms[idx], w, eps, delta).value
+    c_full = cov_eps_delta_matrix(to_atoms, w, eps, delta).value
     assert c_half >= p_full >= c_full
 
 
 def test_cov_result_reports_method():
-    assert cov_delta(CUBE2, 0.5, method="exact").method == "exact"
-    assert cov_delta(CUBE2, 0.5, method="greedy").method == "greedy"
+    assert cov_delta_matrix(D_CUBE2, 0.5, method="exact").method == "exact"
+    assert cov_delta_matrix(D_CUBE2, 0.5, method="greedy").method == "greedy"
 
 
 @pytest.mark.parametrize("method", ["exatc", "auto"])
 def test_unknown_method_raises(method):
     for solve in (
-        lambda: cov_delta(CUBE2, 0.5, method=method),
-        lambda: pack_delta(CUBE2, 0.5, method=method),
+        lambda: cov_delta_matrix(D_CUBE2, 0.5, method=method),
+        lambda: pack_delta_matrix(D_CUBE2, 0.5, method=method),
     ):
         with pytest.raises(ValueError, match="method"):
             solve()

@@ -13,6 +13,7 @@ from soficlab.covering import PACK_EPS_EXACT_BUDGET
 from soficlab.experiments import REGISTRY, RunContext, _coind_setup, run_experiment
 from soficlab.models import enumerate_good_models
 from soficlab.processes import product_process
+from soficlab.sofic import partitioned_random
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 RESULTS_DIR = CONFIG_DIR.parent / "results"
@@ -286,7 +287,8 @@ def test_e6_certificate_implies_no_direct_pair_good_model(seed):
     cfg = json.loads((CONFIG_DIR / "e6.json").read_text())
     hps = (RESULTS_DIR / "e6" / "e6_hps.csv").read_text().splitlines()
     assert hps[2].split(",")[3:] == [str(cfg["pair_eps"]), "-inf", "-inf", "certified-empty"]
-    sigma, nu, _, window = _coind_setup(cfg, seed)
+    nu, window = _coind_setup(cfg)
+    sigma = partitioned_random(cfg["n"], seed)
     pair = product_process(nu, nu)
     got = enumerate_good_models(sigma, pair, window, cfg["pair_eps"], budget=4**16)
     assert got.count == 0

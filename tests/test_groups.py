@@ -67,11 +67,12 @@ def test_ball_ordering_and_nesting():
 
 
 def test_window_identity_first():
-    w = Window(Z, [(1,), (), (-1,)])
-    assert w.elements[0] == ()
-    assert w.elements.index(()) == 0
+    w = Window(Z, [(), (1,), (-1,)])
+    assert w.elements == ((), (1,), (-1,))
     assert (1,) in w
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="identity first"):
+        Window(Z, [(1,), (), (-1,)])  # identity not first
+    with pytest.raises(ValueError, match="identity first"):
         Window(Z, [(1,), (-1,)])  # no identity
     with pytest.raises(ValueError):
         Window(Z, [(), (1,), (1,)])  # duplicate
@@ -117,6 +118,18 @@ def test_coset_key_constant_on_cosets(h_word):
 
 
 def test_direct_product_ball():
+    """A direct product is an identity and two factors: balls, words and
+    arithmetic are the factors'."""
     P = GroupSpec.direct_product(F2, Z)
+    assert P.identity() == ((), ())
+    assert P.factors == (F2, Z)
+    assert P.generator_labels() == ()
     with pytest.raises(ValueError):
         P.ball(1)
+    for refused in (
+        lambda: P.multiply(((1,), ()), ((), (1,))),
+        lambda: P.inverse(((1,), ())),
+        lambda: P.word_of(((1,), ())),
+    ):
+        with pytest.raises(ValueError, match="direct product"):
+            refused()

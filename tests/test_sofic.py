@@ -93,6 +93,16 @@ def test_product_map():
     # (a, a) sends (0,0) to (1,1), row-major vertex 3
     assert st_map.perm_of(((1,), (1,)))[0] == 3
     assert st_map.n == 4
+    # every (g, h) of the radius-1 balls acts as sigma^g x tau^h, row-major
+    sigma = random_uniform(F2, 5, seed=11)
+    tau = quotient_map(Z, 3)
+    st_map = product(sigma, tau)
+    assert st_map.n == 15 and st_map.perms == {}
+    for g in F2.ball(1):
+        for h in Z.ball(1):
+            pg, ph = sigma.perm_of(g), tau.perm_of(h)
+            expect = [pg[v] * tau.n + ph[w] for v in range(sigma.n) for w in range(tau.n)]
+            assert st_map.perm_of((g, h)).tolist() == expect
 
 
 def test_product_defect_union_bound():
@@ -104,7 +114,10 @@ def test_product_defect_union_bound():
         st_map = product(sig, tau)
         g, gp = (1,), (2,)
         h, hp = (2,), (1, 1)
-        d_pair = _mult_defect(st_map, (g, h), (gp, hp))
+        # the product of (g, h) and (gp, hp) is taken componentwise
+        gh = (F2.multiply(g, gp), F2.multiply(h, hp))
+        lhs = st_map.perm_of((g, h))[st_map.perm_of((gp, hp))]
+        d_pair = float(np.count_nonzero(lhs != st_map.perm_of(gh))) / st_map.n
         d_sig = _mult_defect(sig, g, gp)
         d_tau = _mult_defect(tau, h, hp)
         assert d_pair <= d_sig + d_tau + 1e-12
