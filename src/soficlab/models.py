@@ -540,52 +540,64 @@ def count_good_models_mc(
     return GoodModelCount(_exp_nats_to_int(log_est), log_est, None, se)
 
 
-def _compositions(total: int, parts: int) -> np.ndarray:
-    """Every composition of `total` into `parts` nonnegative parts, one per
-    row, in lexicographic order."""
-    rows = np.zeros((1, 0), dtype=np.int64)
-    rem = np.array([total], dtype=np.int64)
-    for _ in range(parts - 1):
-        reps = rem + 1
-        head = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+def _letter_types(n: int, target: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The letter types of n vertices within reach of eps, as count rows in
+    lexicographic order, and the flat scan's decision `_tv_rows(c / n,
+    target) < eps` on each full row, so ties decide bit for bit. A type grows
+    one letter at a time and is dropped once D reaches 2n(eps + PRUNE_SLACK):
+    D is sum_a |c_a - n t_a| over the letters placed plus |rest - n * (mass
+    of the other letters)|, at most 2n TV by the triangle inequality whatever
+    sum(t) is. D is convex in the next part, so each part runs over one
+    interval, and rows that differ only in their last two parts are consecutive."""
+    nt, cut = n * target, 2 * n * (eps + PRUNE_SLACK)
+    tail = np.append(np.cumsum(nt[::-1])[::-1], 0.0)  # tail[a]: n times the mass of letters a, a + 1, ...
+    live = int(abs(n - tail[0]) < cut)
+    rows, rem, placed = np.zeros((live, 0), dtype=np.int64), np.full(live, n), np.zeros(live)
+    for a in range(target.size - 1):
+        # the c with |c - nt[a]| + |rem - c - tail[a + 1]| < cut - placed: the open interval
+        # mid -/+ half, since every row kept so far has D < cut (the root is checked above)
+        mid, half = (rem + nt[a] - tail[a + 1]) / 2, (cut - placed) / 2
+        lo = np.maximum(np.floor(mid - half) + 1, 0).astype(np.int64)
+        reps = np.maximum(np.minimum(np.ceil(mid + half) - 1, rem) - lo + 1, 0).astype(np.int64)
+        head = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps - lo, reps)
         rows = np.column_stack([np.repeat(rows, reps, axis=0), head])
         rem = np.repeat(rem, reps) - head
-    return np.column_stack([rows, rem])
+        placed = np.repeat(placed, reps) + np.abs(head - nt[a])
+    types = np.column_stack([rows, rem])
+    return types, _tv_rows(types / float(n), target) < eps
 
 
 def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) -> GoodModelCount:
     """Exact |Omega({e}, eps, sigma)| for a product measure, by letter type.
 
     For F = {e} membership depends only on the letter counts, so the count is
-    a sum of multinomial coefficients over types with TV strictly below eps.
-    The TV test is `tv_distance`'s row-wise form, as in the exhaustive scan, so
-    the two paths make bitwise-identical decisions. The weights must pass
+    a sum of multinomial coefficients over the good types. `_letter_types`
+    walks only the types within reach of eps and decides each by
+    `tv_distance`'s row-wise form, as in the exhaustive scan, so the two
+    paths make bitwise-identical decisions. The weights must pass
     `validate_weights` and are taken as given, not renormalized.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     validate_weights(weights)
     w = np.asarray(weights, dtype=np.float64)
-    comps = _compositions(vertices, w.size)
-    good = (_tv_rows(comps / float(vertices), w) < eps).tolist()
-    if w.size == 1:
-        count = int(good[0])
-    else:
-        count = 0
-        # types that differ only in their last two parts are consecutive rows,
-        # the second-to-last part c stepping 0..rem: step comb(rem, c) along them
-        for start in np.flatnonzero(comps[:, -2] == 0).tolist():
-            *head, _, rem = comps[start].tolist()
-            inner, coeff = 0, 1
-            for c in range(rem + 1):
-                if good[start + c]:
-                    inner += coeff
-                coeff = coeff * (rem - c) // (c + 1)
-            left = vertices
-            for c in head:
-                inner *= math.comb(left, c)
-                left -= c
-            count += inner
+    types, good = _letter_types(vertices, w, eps)
+    # types that differ only in their last two parts are consecutive rows, the
+    # second-to-last part c stepping lo..hi: step comb(rem, c) along them. A
+    # zero first part gives a one-letter type a second-to-last part.
+    types = np.column_stack([np.zeros(len(types), dtype=np.int64), types])
+    starts = np.flatnonzero(np.r_[True, (types[1:, :-2] != types[:-1, :-2]).any(axis=1)][: len(types)])
+    firsts = types[starts]
+    lefts = vertices - np.cumsum(firsts, axis=1) + firsts  # the vertices left before each part
+    count, good, bounds = 0, good.tolist(), [*starts.tolist(), len(types)]
+    for start, stop, (*head, lo, last), left in zip(bounds, bounds[1:], firsts.tolist(), lefts.tolist()):
+        rem = lo + last
+        inner, coeff = 0, math.comb(rem, lo)
+        for c in range(lo, lo + stop - start):
+            if good[start + c - lo]:
+                inner += coeff
+            coeff = coeff * (rem - c) // (c + 1)
+        count += inner * math.prod(map(math.comb, left, head))
     log = math.log(count) if count > 0 else float("-inf")
     return GoodModelCount(count, log)
 

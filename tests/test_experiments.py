@@ -322,6 +322,20 @@ def test_cli_validate_and_run(tmp_path, capsys):
     assert (tmp_path / "e8" / "summary.json").exists()
 
 
+def test_e1_four_letters_at_n_1024(tmp_path, capsys):
+    """E1 walks only the letter types within reach of eps: four letters at
+    n 1024 are about 29,000 types, not the 1.8e8 compositions of 1024."""
+    cfg = json.loads((CONFIG_DIR / "e1.json").read_text())
+    cfg.update(weight_sets=[[0.1, 0.2, 0.3, 0.4]], sizes=[64, 1024], eps=0.02, out_dir=str(tmp_path / "e1"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["validate", str(cfg_path)]) == 0
+    assert main(["run", str(cfg_path)]) == 0
+    assert "E1: pass" in capsys.readouterr().out
+    rows = (tmp_path / "e1" / "e1_entropy.csv").read_text().splitlines()[2:]
+    assert [row.split(",")[1] for row in rows] == ["64", "1024"]
+
+
 def test_cli_validate_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"experiment": "E8", "schema_version": 1}))

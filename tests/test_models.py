@@ -577,34 +577,63 @@ def _compositions_loop(total, parts):
             yield (head,) + rest
 
 
-def _letter_frequency_loop(weights, vertices, eps):
-    """Reference: one `tv_distance` call and one product of binomials per
-    composition, compositions in lexicographic order."""
-    w = np.asarray(weights, dtype=np.float64)
-    count = 0
-    for comp in _compositions_loop(vertices, w.size):
-        if tv_distance(np.asarray(comp, dtype=np.float64) / float(vertices), w) < eps:
-            coeff, rem = 1, vertices
-            for c in comp[:-1]:
-                coeff *= math.comb(rem, c)
-                rem -= c
-            count += coeff
-    return count
+def _composition_table(target, n):
+    """Reference: every composition of n in lexicographic order as a row, its
+    `tv_distance` by one call each, and its multinomial coefficient by one
+    product of binomials each."""
+    comps, tvs, coeffs = [], [], []
+    for comp in _compositions_loop(n, target.size):
+        coeff, rem = 1, n
+        for c in comp[:-1]:
+            coeff *= math.comb(rem, c)
+            rem -= c
+        comps.append(comp)
+        tvs.append(tv_distance(np.asarray(comp, dtype=np.float64) / float(n), target))
+        coeffs.append(coeff)
+    return np.array(comps), np.array(tvs), coeffs
+
+
+_LOOP_WEIGHTS = [(0.5, 0.5), (0.75, 0.25), (0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4), (1.0,), (1.0, 0.0)]
 
 
 @pytest.mark.parametrize(
-    "weights", [(0.5, 0.5), (0.75, 0.25), (0.2, 0.3, 0.5), (0.1, 0.2, 0.3, 0.4), (1.0,), (1.0, 0.0)]
+    "weights, n",
+    [pytest.param(w, n, id=f"{n}-weights{i}") for n in (1, 2, 7, 24) for i, w in enumerate(_LOOP_WEIGHTS)]
+    + [
+        pytest.param(tuple(0.93 * t for t in (0.2, 0.3, 0.5)), 24, id="24-mass093"),
+        pytest.param((1 / 16,) * 16, 6, id="6-uniform16"),
+    ],
 )
-@pytest.mark.parametrize("n", [1, 2, 7, 24])
 def test_letter_frequency_matches_composition_loop(weights, n):
     """Every epsilon of a sweep, each type's exact TV (a tie, which the strict
-    test excludes) and the next float above it give the loop's count."""
+    test excludes) and the next float above it: the walk's good types are the
+    loop's, in its order, and their count is the loop's. A target of mass
+    0.93, as `_ScaledOracle` makes, tests the walk's bound where sum(t) != 1;
+    the count refuses such weights. 16 letters at n 6 span 54,264 types."""
     w = np.asarray(weights, dtype=np.float64)
-    ties = sorted({tv_distance(np.array(c, dtype=np.float64) / n, w) for c in _compositions_loop(n, w.size)} - {0.0})
+    comps, tvs, coeffs = _composition_table(w, n)
+    ties = sorted(set(tvs.tolist()) - {0.0})
     step = max(1, len(ties) // 12)
     epsilons = [0.02, 0.1, 0.3, 1.5] + [e for t in ties[::step] for e in (t, float(np.nextafter(t, 2.0)))]
     for eps in epsilons:
-        assert letter_frequency_count(weights, n, eps).count == _letter_frequency_loop(weights, n, eps), eps
+        types, good = models._letter_types(n, w, eps)
+        np.testing.assert_array_equal(types[good], comps[tvs < eps], err_msg=str(eps))
+        if abs(math.fsum(weights) - 1.0) <= 1e-9:
+            expect = sum(itertools.compress(coeffs, (tvs < eps).tolist()))
+            assert letter_frequency_count(weights, n, eps).count == expect, eps
+
+
+def test_letter_frequency_memory_follows_the_ball():
+    """Four letters at n 256 and eps 0.02 walk the 440 types within reach of
+    eps, not the 2,862,209 compositions of 256: the traced peak stays small."""
+    tracemalloc.start()
+    try:
+        got = letter_frequency_count((0.1, 0.2, 0.3, 0.4), 256, 0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.count > 0
+    assert peak < 4 << 20
 
 
 def test_letter_frequency_point_mass():
