@@ -109,17 +109,6 @@ class GroupSpec:
     def generator_labels(self) -> Tuple[str, ...]:
         return self.labels
 
-    def letter_factor(self, letter: int) -> int:
-        """Index of the free factor owning a letter of a free_product."""
-        if self.kind != "free_product":
-            raise ValueError("letter_factor applies to free products")
-        idx = abs(letter) - 1
-        for fi, r in enumerate(self.factor_ranks):
-            if idx < r:
-                return fi
-            idx -= r
-        raise ValueError(f"letter {letter} out of range")
-
     # -- element arithmetic --------------------------------------------------
 
     def identity(self) -> Element:
@@ -182,19 +171,17 @@ class GroupSpec:
 
     # -- coset keys ------------------------------------------------------------
 
-    def right_coset_key(self, g: Element, factor: int) -> FreeWord:
-        """Canonical key of the right coset H·g for the given free factor H.
+    def right_coset_key(self, g: Element) -> FreeWord:
+        """Canonical key of the right coset H·g for the first free factor H.
 
         Keys agree iff g·g'^-1 lies in H; computed by stripping the maximal
         leading H-syllable of the reduced word.
         """
         if self.kind != "free_product":
             raise ValueError("right_coset_key applies to free products")
-        if not (0 <= factor < len(self.factor_ranks)):
-            raise ValueError(f"no free factor with index {factor}")
         self._check_word(g)
         i = 0
-        while i < len(g) and self.letter_factor(g[i]) == factor:
+        while i < len(g) and abs(g[i]) <= self.factor_ranks[0]:
             i += 1
         return tuple(g[i:])
 

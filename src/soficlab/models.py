@@ -191,16 +191,6 @@ def _chunk_tables(nx: int, ny: int, n: int, width: int) -> Tuple[Tuple[np.ndarra
     return tuple(chunks)
 
 
-def _exp_nats_to_int(log_value: float) -> int:
-    """Round exp(log_value) to an integer without float overflow."""
-    if log_value <= 700.0:
-        return int(round(math.exp(log_value)))
-    bits = log_value / math.log(2.0)
-    ip = int(bits)
-    mant = 2.0 ** (bits - ip)
-    return int(mant * (1 << 62)) << (ip - 62)
-
-
 @dataclass
 class GoodModelCount:
     count: int
@@ -485,59 +475,41 @@ def count_good_models_mc(
     mu: MarginalOracle,
     window: Window,
     eps: float,
-    proposal: Sequence[float],
     samples: int,
     seed: int,
 ) -> GoodModelCount:
-    """Importance-sampling estimate of |Omega(F, eps, sigma)|.
+    """Hit-or-miss estimate of |Omega(F, eps, sigma)| from uniform draws.
 
-    Draws x ~ proposal^V and averages 1{good}/q(x); draws come in fixed-size
-    chunks with one named substream per chunk, and accumulation is in log
-    space.
+    Draws x uniformly from X^V in fixed-size chunks, one named substream per
+    chunk, and scales the fraction p of good draws by |X|^|V|. The count is
+    rounded half up in exact integers, so it stays exact past the float
+    range, where the standard error |X|^|V| sqrt(p(1 - p) / (samples - 1))
+    is inf unless p is 1.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    try:
-        q = validate_weights(proposal)
-    except ValueError as err:
-        raise ValueError(f"proposal: {err}") from None
-    base = mu.alphabet.size
-    if q.shape != (base,) or np.any(q <= 0):
-        raise ValueError("proposal must be a strictly positive distribution on X")
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    base = mu.alphabet.size
     target = mu.marginal_elems(window.elements)
     perms = sigma.window_perms(window)
     npat = pattern_count(base, len(window))
     n = sigma.n
-    log_q = np.log(q)
-
-    def run_chunk(chunk_index: int, count: int) -> Tuple[np.ndarray, int]:
-        block = categorical(stream(seed, "mc", chunk_index), q, (count, n))
-        good = _good_mask(block, perms, base, npat, target, n, eps)
-        log_w = -log_q[block].sum(axis=1)
-        return log_w[good], int(good.sum())
-
-    chunks = [(ci, min(MC_CHUNK, samples - ci * MC_CHUNK)) for ci in range((samples + MC_CHUNK - 1) // MC_CHUNK)]
-    results = [run_chunk(*a) for a in chunks]
-
-    good_logs = np.concatenate([r[0] for r in results])
-    hits = sum(r[1] for r in results)
-    log_n = math.log(samples)
+    uniform = np.full(base, 1.0 / base)
+    hits = 0
+    for ci, lo in enumerate(range(0, samples, MC_CHUNK)):
+        block = categorical(stream(seed, "mc", ci), uniform, (min(MC_CHUNK, samples - lo), n))
+        hits += int(_good_mask(block, perms, base, npat, target, n, eps).sum())
     if hits == 0:
         return GoodModelCount(0, float("-inf"), None, 0.0)
-    shift = float(good_logs.max())
-    sum_w = float(np.exp(good_logs - shift).sum())
-    sum_w2 = float(np.exp(2.0 * (good_logs - shift)).sum())
-    log_est = shift + math.log(sum_w) - log_n
-    # SE of the mean over all samples (zeros included for bad draws); it can
-    # overflow to inf for enormous weights while log_est stays finite.
-    with np.errstate(over="ignore"):
-        mean_sq = float(np.exp(2.0 * log_est))
-        second = float(np.exp(2.0 * shift)) * sum_w2 / samples
-        var = max(second - mean_sq, 0.0) / (samples - 1)
-    se = math.sqrt(var) if math.isfinite(var) and var >= 0.0 else float("inf")
-    return GoodModelCount(_exp_nats_to_int(log_est), log_est, None, se)
+    total, p = base**n, hits / samples
+    spread = math.sqrt(p * (1.0 - p) / (samples - 1))
+    try:
+        se = float(total) * spread
+    except OverflowError:  # |X|^|V| is past the float range
+        se = math.inf if spread else 0.0
+    count = (2 * total * hits + samples) // (2 * samples)  # total * p, rounded half up
+    return GoodModelCount(count, n * math.log(base) + math.log(p), None, se)
 
 
 def _letter_types(n: int, target: np.ndarray, eps: float) -> Tuple[np.ndarray, np.ndarray]:

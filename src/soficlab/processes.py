@@ -236,7 +236,7 @@ class CosetIidOracle(MarginalOracle):
         base = self.alphabet.size
         m = len(elements)
         total = pattern_count(base, m)
-        keys = [self.group.right_coset_key(g, 0) for g in elements]
+        keys = [self.group.right_coset_key(g) for g in elements]
         classes: Dict[Tuple[int, ...], List[int]] = {}
         for pos, key in enumerate(keys):
             classes.setdefault(key, []).append(pos)

@@ -72,9 +72,7 @@ def test_a2_counting_cross_checks():
         if radius == 0:
             typed = letter_frequency_count((p, 1 - p), n, 0.25)
             assert typed.count == exact.count, f"instance {i}: type count disagrees"
-        est = count_good_models_mc(
-            sigma, mu, window, 0.25, (0.5, 0.5), 4000, derive_seed(20260821, "a2-mc", i)
-        )
+        est = count_good_models_mc(sigma, mu, window, 0.25, 4000, derive_seed(20260821, "a2-mc", i))
         dev = abs(est.count - exact.count)
         assert dev <= 4 * est.standard_error, (
             f"instance {i}: |V|={n} radius={radius} MC {est.count} vs exact "

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from soficlab import models
@@ -12,7 +13,7 @@ from soficlab.config import SCHEMA, config_checksum, validate_config
 from soficlab.covering import PACK_EPS_EXACT_BUDGET
 from soficlab.experiments import REGISTRY, RunContext, _coind_setup, run_experiment
 from soficlab.models import enumerate_good_models
-from soficlab.processes import product_process
+from soficlab.processes import product_process, tv_distance
 from soficlab.sofic import partitioned_random
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -292,6 +293,36 @@ def test_e6_certificate_implies_no_direct_pair_good_model(seed):
     pair = product_process(nu, nu)
     got = enumerate_good_models(sigma, pair, window, cfg["pair_eps"], budget=4**16)
     assert got.count == 0
+
+
+def test_e6_pair_relaxation_follows_the_alphabet():
+    """E6 reads its pair alphabet from mu0: at three letters each seed's pair
+    counts, largest (1, 0) frequency and smallest TV equal a per-pair loop,
+    and the target is mu0(1) mu0(0)."""
+    cfg = json.loads((CONFIG_DIR / "e6.json").read_text())
+    cfg.update(mu0=[0.8, 0.1, 0.1], seeds=cfg["seeds"][:2], epsilons=[0.5, 0.5], pair_eps=0.2)
+    assert validate_config(cfg) == []
+    result = REGISTRY["E6"](cfg, RunContext())
+    nu, window = _coind_setup(cfg)
+    target = product_process(nu, nu).marginal_elems((nu.group.identity(),))
+    rows = [line.split(",") for line in result.tables["e6_pair_search.csv"][1:]]
+    for seed, row in zip(cfg["seeds"], rows):
+        sigma = partitioned_random(cfg["n"], seed)
+        configs = enumerate_good_models(sigma, nu, window, 0.5).configs
+        freqs = [np.bincount(3 * x + y, minlength=9) / sigma.n for x in configs for y in configs]
+        tvs = [tv_distance(f, target) for f in freqs]
+        good = sum(tv < cfg["pair_eps"] for tv in tvs)
+        assert 0 < good < len(tvs)
+        assert row[3:] == [str(len(tvs)), str(good), repr(float(max(f[3] for f in freqs))), repr(min(tvs))]
+    assert result.summary["target_pair_freq"] == target[3] == pytest.approx(0.1 * 0.8)
+
+
+@pytest.mark.parametrize("name", ["e5.json", "e6.json"])
+def test_validate_refuses_one_letter_mu0(name):
+    """E5's 1_W and E6's (1, 0) pair letter both need the letter 1."""
+    cfg = json.loads((CONFIG_DIR / name).read_text())
+    (problem,) = validate_config({**cfg, "mu0": [1.0]})
+    assert problem.startswith("mu0: ")
 
 
 def test_e3_empty_pair_set_has_no_violations():

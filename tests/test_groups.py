@@ -86,26 +86,19 @@ def test_window_translate():
 def test_coind_group_structure():
     G = coind_group()
     assert G.generator_labels() == ("a", "b", "a'", "b'")
-    assert G.letter_factor(1) == 0 and G.letter_factor(2) == 0
-    assert G.letter_factor(3) == 1 and G.letter_factor(4) == 1
 
 
 def test_right_coset_keys():
     G = coind_group()
     # e and ab lie in H = <a,b>: same (empty) key
-    assert G.right_coset_key((), 0) == ()
-    assert G.right_coset_key((1, 2), 0) == ()
+    assert G.right_coset_key(()) == ()
+    assert G.right_coset_key((1, 2)) == ()
     # a*a' and b*a' differ by an H element on the left: same key
-    assert G.right_coset_key((1, 3), 0) == G.right_coset_key((2, 3), 0) == (3,)
+    assert G.right_coset_key((1, 3)) == G.right_coset_key((2, 3)) == (3,)
     # distinct coset representatives get distinct keys
     reps = [(), (3,), (4,), (3, 2), (3, 1, 4)]
-    keys = {G.right_coset_key(g, 0) for g in reps}
+    keys = {G.right_coset_key(g) for g in reps}
     assert len(keys) == len(reps)
-    # for the second factor H' = <a',b'>, e and a' share a coset, e and a do not
-    assert G.right_coset_key((3,), 1) == G.right_coset_key((), 1) == ()
-    assert G.right_coset_key((1,), 1) == (1,)
-    with pytest.raises(ValueError):
-        G.right_coset_key((), 2)
 
 
 @given(st.lists(st.sampled_from([1, -1, 2, -2]), max_size=8))
@@ -114,7 +107,7 @@ def test_coset_key_constant_on_cosets(h_word):
     G = coind_group()
     g = (3, 2, 4)
     h = reduce_word(h_word)
-    assert G.right_coset_key(G.multiply(h, g), 0) == G.right_coset_key(g, 0)
+    assert G.right_coset_key(G.multiply(h, g)) == G.right_coset_key(g)
 
 
 def test_direct_product_ball():

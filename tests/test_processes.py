@@ -12,7 +12,7 @@ from soficlab.config import validate_config
 from soficlab.covering import ModelMeasure
 from soficlab.entropy import shannon_entropy
 from soficlab.groups import GroupSpec, Window, coind_group
-from soficlab.models import count_good_models_mc, letter_frequency_count
+from soficlab.models import letter_frequency_count
 from soficlab.processes import (
     BernoulliOracle,
     CosetIidOracle,
@@ -30,7 +30,6 @@ from soficlab.processes import (
     tv_distance,
     validate_weights,
 )
-from soficlab.sofic import quotient_map
 
 F2 = GroupSpec.free(2)
 Z = GroupSpec.integers()
@@ -94,10 +93,6 @@ LAW_ENTRY_POINTS = {
     # row 0 carries no initial mass, so any row is stationary and in balance
     "tree_markov transition": (lambda w: tree_markov([w, [0.0, 1.0]], [0.0, 1.0], F2), "transition row 0"),
     "shannon_entropy": (shannon_entropy, "weights"),
-    "count_good_models_mc": (
-        lambda w: count_good_models_mc(quotient_map(Z, 4), bernoulli((0.5, 0.5), Z), Window(Z, [()]), 0.3, w, 2, 0),
-        "proposal",
-    ),
     "letter_frequency_count": (lambda w: letter_frequency_count(w, 4, 0.3), "weights"),
 }
 
@@ -478,7 +473,7 @@ def _coset_iid_loop(mu0, group, elements):
     pattern at a time."""
     classes = {}
     for pos, g in enumerate(elements):
-        classes.setdefault(group.right_coset_key(g, 0), []).append(pos)
+        classes.setdefault(group.right_coset_key(g), []).append(pos)
     patterns = decode_patterns(mu0.size, len(elements))
     probs = np.zeros(len(patterns))
     for idx, pat in enumerate(patterns):
