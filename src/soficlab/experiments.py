@@ -7,6 +7,7 @@ pass/fail verdict, and is byte-deterministic for a fixed config.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -41,7 +42,7 @@ from .processes import (
     tree_markov,
     tv_distance,
 )
-from .randomness import categorical, derive_seed, stream
+from .randomness import categorical, derive_seed, pool_map, stream
 from .sofic import (
     partitioned_random,
     product as product_map,
@@ -302,48 +303,51 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
 
 
 def run_e4(cfg: dict, ctx: RunContext) -> ExperimentResult:
+    """Defects of the iid model measure against the Bernoulli process: one
+    row per (size, radius), and at the largest size the radius-1 quenched and
+    F = {e} pair defects across independent approximation seeds. Each row and
+    each stability seed is a unit that builds its own sigma and oracle (an
+    oracle's marginal cache is the one mutable object units could share) and
+    draws from its own streams, so the units run side by side on the worker
+    pool; the rows keep config order."""
     seed = cfg["seed"]
     eps = cfg["eps"]
     samples = cfg["samples"]
     group = GroupSpec.free(2)
-    mu = bernoulli(cfg["weights"], group)
-    rows = []
-    series: Dict[str, List[Tuple[float, float]]] = {"q_r1": [], "dq_r0": []}
-    final: Dict[str, float] = {}
-    for n in cfg["sizes"]:
-        sigma = random_uniform(group, n, derive_seed(seed, "sigma", n))
-        nu = ModelMeasure.iid(n, mu.weights)
-        for radius in (0, 1):
-            window = group.ball(radius)
-            lw = lw_defect(sigma, nu, mu, window, eps)
-            q = quenched_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "q", n, radius))
-            dq = dq_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "dq", n, radius))
-            disp = dispersion(
-                sigma, nu, mu, window, cfg["dispersion_samples"], derive_seed(seed, "disp", n, radius)
-            )
-            rows.append((n, sigma.n, radius, eps, lw, q, dq, disp.cluster_count))
-            if n == cfg["sizes"][-1]:
-                final[f"lw_r{radius}"] = lw
-                final[f"q_r{radius}"] = q
-                final[f"dq_r{radius}"] = dq
-        series["q_r1"].append((n, rows[-1][5]))
-        series["dq_r0"].append((n, rows[-2][6]))
+    sizes = cfg["sizes"]
+
+    def setup(s: int, n: int) -> tuple:
+        mu = bernoulli(cfg["weights"], group)
+        return random_uniform(group, n, derive_seed(s, "sigma", n)), mu, ModelMeasure.iid(n, mu.weights)
+
+    def row(n: int, radius: int) -> tuple:
+        sigma, mu, nu = setup(seed, n)
+        window = group.ball(radius)
+        lw = lw_defect(sigma, nu, mu, window, eps)
+        q = quenched_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "q", n, radius))
+        dq = dq_defect(sigma, nu, mu, window, eps, samples, derive_seed(seed, "dq", n, radius))
+        disp = dispersion(sigma, nu, mu, window, cfg["dispersion_samples"], derive_seed(seed, "disp", n, radius))
+        return (n, sigma.n, radius, eps, lw, q, dq, disp.cluster_count)
 
     # stability: the quenched (radius 1) and pair (F = {e}) defects at the
     # largest size across independent approximation seeds
-    n = cfg["sizes"][-1]
-    stab_rows = []
-    stab_ok = True
-    for s in cfg["stability_seeds"]:
-        sigma = random_uniform(group, n, derive_seed(s, "sigma", n))
-        nu = ModelMeasure.iid(n, mu.weights)
-        w1 = group.ball(1)
-        w0 = Window(group, [group.identity()])
-        q1 = quenched_defect(sigma, nu, mu, w1, eps, samples, derive_seed(s, "q", n, 1))
-        dq0 = dq_defect(sigma, nu, mu, w0, eps, samples, derive_seed(s, "dq", n, 0))
+    def stability(s: int) -> tuple:
+        n = sizes[-1]
+        sigma, mu, nu = setup(s, n)
+        q1 = quenched_defect(sigma, nu, mu, group.ball(1), eps, samples, derive_seed(s, "q", n, 1))
+        dq0 = dq_defect(sigma, nu, mu, Window(group, [group.identity()]), eps, samples, derive_seed(s, "dq", n, 0))
         ok = q1 < cfg["q_threshold"] and dq0 < cfg["dq_threshold"]
-        stab_ok = stab_ok and ok
-        stab_rows.append((s, n, q1, dq0, int(ok)))
+        return (s, n, q1, dq0, int(ok))
+
+    units = [functools.partial(row, n, radius) for n in sizes for radius in (0, 1)]
+    units += [functools.partial(stability, s) for s in cfg["stability_seeds"]]
+    done = pool_map(lambda unit: unit(), units)
+    rows, stab_rows = done[: 2 * len(sizes)], done[2 * len(sizes) :]
+    final: Dict[str, float] = {}
+    for _, _, radius, _, lw, q, dq, _ in rows[-2:]:
+        final.update({f"lw_r{radius}": lw, f"q_r{radius}": q, f"dq_r{radius}": dq})
+    series = {"q_r1": [(r[0], r[5]) for r in rows[1::2]], "dq_r0": [(r[0], r[6]) for r in rows[0::2]]}
+    stab_ok = all(r[4] for r in stab_rows)
     passed = final["q_r1"] < cfg["q_threshold"] and final["dq_r0"] < cfg["dq_threshold"] and stab_ok
     tables = {
         "e4_convergence.csv": _csv(CONV_HEADER, rows),

@@ -216,15 +216,27 @@ def _sub_slices(block: np.ndarray, npat: int) -> List[np.ndarray]:
 
 def _block_counts(rows: np.ndarray, perms: np.ndarray, base: int, npat: int) -> np.ndarray:
     """Pattern counts of the rows of a (rows, |V|) letter block as one
-    C-contiguous (rows, npat) int64 array. The rows are transposed to
-    vertex-major in the code dtype, so that each window image gathers whole
-    contiguous rows, coded by `processes._pattern_codes` and histogrammed by
-    one bincount with a row offset of npat; any integer letter dtype is
+    C-contiguous (rows, npat) int64 array; any integer letter dtype is
     accepted. Callers pass one `_sub_slices` piece at a time and map the
-    pieces over the worker pool of `randomness`."""
-    sub = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(npat - 1))
-    codes = _pattern_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
-    return np.bincount(codes.ravel(), minlength=sub.shape[1] * npat).reshape(-1, npat)
+    pieces over the worker pool of `randomness`.
+
+    A one-element window {g} has the letter counts of each row as its pattern
+    counts, since sigma^g is a bijection of V: they are counted on the
+    row-major block, with no gather, by one count of the nonzero letters of a
+    binary block, else by one bincount with a row offset of |X|. Any other
+    window transposes the rows to vertex-major in the code dtype, so that
+    each window image gathers whole contiguous rows, codes them by
+    `processes._pattern_codes` and histograms them by one bincount with a row
+    offset of npat."""
+    if len(perms) == 1:
+        if base == 2:
+            ones = np.count_nonzero(rows, axis=1)
+            return np.stack([rows.shape[1] - ones, ones], axis=1)
+        codes = rows + np.arange(0, rows.shape[0] * base, base)[:, None]
+    else:
+        sub = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(npat - 1))
+        codes = _pattern_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
+    return np.bincount(codes.ravel(), minlength=len(rows) * npat).reshape(-1, npat)
 
 
 def _good_mask(
@@ -237,9 +249,9 @@ def _good_mask(
     eps: float,
 ) -> np.ndarray:
     """Strict TV test per row, `tv_distance(counts / n, target) < eps` through
-    its array form (this runs in pool tasks). Each row's TV is a 1-D call's,
-    so the decisions at float ties (the E5/E6 epsilons) do not depend on the
-    code layout, the dtype or the sub-slice a row falls in."""
+    its array form, one `_sub_slices` piece per map item. Each row's TV is a
+    1-D call's, so the decisions at float ties (the E5/E6 epsilons) do not
+    depend on the code layout, the dtype or the sub-slice a row falls in."""
 
     def decide(rows: np.ndarray) -> np.ndarray:
         return _tv_rows(_block_counts(rows, perms, base, npat) / float(n), target) < eps

@@ -91,8 +91,8 @@ def tv_distance(p, q):
 def _tv_rows(p, q) -> np.ndarray:
     """The package's one TV expression, half the l1 distance, summed along the
     rows of a C-contiguous |p - q| so that no row depends on the layout of p
-    and q. Pool tasks, which call no public function (see `randomness`),
-    call it directly."""
+    and q. The kernels' pool tasks call it directly, since the benchmark's
+    tracer wraps the public functions (see `randomness.pool_map`)."""
     return 0.5 * np.abs(np.subtract(p, q, order="C")).sum(axis=-1)
 
 

@@ -12,17 +12,23 @@ counter c + 1 + j // 4. So a large `categorical` draw is split into pieces
 of DRAW_CHUNK words, each drawn by a copy of the generator whose counter is
 advanced to the piece's first block, and the pieces run on a thread pool with
 one worker per usable core. The symbols, and the generator state the caller
-is left with, are those of one serial draw whatever the number of cores. The
-same pool maps the sub-slices of the good-model kernel (`models`). Pool tasks
-call only private helpers: the benchmark's tracer wraps every public function
-with one span stack per process.
+is left with, are those of one serial draw whatever the number of cores. A
+draw decides its symbols on the raw 64-bit words: numpy's random() is
+(x >> 11) * 2^-53, so u >= c exactly when x >= ceil(c * 2^53) * 2^11, an
+integer cut-off per cdf entry. The same pool maps the sub-slices of the
+good-model kernel (`models`) and, through `pool_map`, E4's independent
+defect units, each of which draws from streams of its own. A map called from
+a pool task runs inline on that task's thread, so a unit's draws and kernel
+calls never wait for a worker it occupies.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import os
+import threading
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -50,13 +56,30 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_pool.cache_clear)  # a forked child has no pool threads
 
 
+_task = threading.local()  # `running` is True on a pool thread once it runs a task
+
+
 def _map(fn: Callable, items: Sequence) -> list:
     """[fn(x) for x in items] in order, on the pool when there are two items
-    or more. fn must call no public function of the package (see above)."""
-    pool = _pool() if len(items) > 1 else None
+    or more and the caller is not itself a pool task; on a pool thread the
+    map runs inline, so nested maps cannot deadlock."""
+    pool = None if len(items) < 2 or getattr(_task, "running", False) else _pool()
     if pool is None:
         return [fn(x) for x in items]
-    return list(pool.map(fn, items))
+    return list(pool.map(_run_task, itertools.repeat(fn), items))
+
+
+def _run_task(fn: Callable, item):
+    _task.running = True  # pool threads run nothing but tasks
+    return fn(item)
+
+
+def pool_map(fn: Callable, items: Sequence) -> list:
+    """`_map` for independent units of work outside the kernels, such as
+    E4's rows: each unit may call any public function, and its own draws and
+    kernel maps run inline on its thread. The kernels keep calling `_map`
+    itself, which the benchmark's tracer does not wrap."""
+    return _map(fn, items)
 
 
 def stream(seed: int, *labels: Label) -> np.random.Generator:
@@ -110,26 +133,33 @@ def partitioned_permutation(gen: np.random.Generator, blocks: list[np.ndarray], 
 def categorical(gen: np.random.Generator, weights: np.ndarray, size: Union[int, Tuple[int, ...]]) -> np.ndarray:
     """Draw an array of shape `size` of iid symbols from the weights by
     inverse CDF: the symbol of u is searchsorted(cdf, u, side="right"), the
-    number of j < |X| - 1 with cdf[j] <= u (the last cdf entry is set to
-    1.0 > u). For at most 256 weights that number is counted in uint8 without
-    a search; more weights are searched and give intp symbols. Draws from a
-    Philox stream are split by counter (see the module docstring); the result
-    and the generator's final state are those of gen.random(size).
+    number of j < |X| - 1 with cdf[j] <= u (the last cdf entry is never
+    compared, as if it were 1.0 > u). It is decided on the raw words x of the bit generator, which
+    must be one whose random() is (x >> 11) * 2^-53 (Philox, PCG64, SFC64):
+    cdf[j] <= u exactly when x >= ceil(cdf[j] * 2^53) * 2^11, and a cut-off
+    of 2^64 or more is never reached and drops out. For at most 256 weights
+    the number is counted in uint8 without a search; more weights are
+    searched and give intp symbols. Draws from a Philox stream are split by
+    counter (see the module docstring); the result and the generator's final
+    state are those of gen.random(size).
     """
+    if isinstance(gen.bit_generator, np.random.MT19937):
+        raise TypeError("MT19937 raw words are 32-bit; categorical needs a 64-bit bit generator")
     cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
-    cdf[-1] = 1.0  # guard against round-off in the last bin
+    steps = np.ceil(np.maximum(cdf[:-1], 0.0) * 2.0**53)  # exact: a power-of-two scale
+    cuts = steps[steps < 2.0**53].astype(np.uint64) << np.uint64(11)
     out = np.zeros(size, dtype=np.uint8 if cdf.size <= 256 else np.intp)
     flat = out.reshape(-1)
 
     def fill(piece: Tuple[np.random.Generator, int, int]) -> None:
         piece_gen, lo, hi = piece
-        u = piece_gen.random(hi - lo)
+        x = piece_gen.bit_generator.random_raw(hi - lo)
         if cdf.size > 256:
-            flat[lo:hi] = np.searchsorted(cdf, u, side="right")
+            flat[lo:hi] = np.searchsorted(cuts, x, side="right")
             return
         symbols = flat[lo:hi]
-        for c in cdf[:-1]:
-            symbols += u >= c
+        for c in cuts:
+            symbols += x >= c
 
     pieces = _pieces(gen, flat.size)
     _map(fill, pieces)
@@ -175,4 +205,4 @@ def derive_seed(seed: int, *labels: Label) -> int:
     return int.from_bytes(h.digest(), "big") >> 1
 
 
-__all__ = ["stream", "fisher_yates", "partitioned_permutation", "categorical", "derive_seed"]
+__all__ = ["stream", "fisher_yates", "partitioned_permutation", "categorical", "derive_seed", "pool_map"]

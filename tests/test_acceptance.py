@@ -60,19 +60,23 @@ def test_a1_bernoulli_entropy_matches_shannon():
 def test_a2_counting_cross_checks():
     t0 = time.perf_counter()
     gen = np.random.default_rng(20260821)
+    # 20 drawn instances at eps 0.25 (their radius-1 good sets are empty),
+    # then 4 radius-1 instances of fair bits at eps 0.7 whose good sets are
+    # not, so the MC counter is checked where the window is not {e}
+    instances = [(int(gen.integers(4, 13)), float(gen.integers(3, 8)) / 10.0, i % 2, 0.25) for i in range(20)]
+    instances += [(10 + 2 * (i % 2), 0.5, 1, 0.7) for i in range(20, 24)]
     worst_ratio = 0.0
-    for i in range(20):
-        n = int(gen.integers(4, 13))
-        p = float(gen.integers(3, 8)) / 10.0
-        radius = i % 2
+    for i, (n, p, radius, eps) in enumerate(instances):
         sigma = random_uniform(F2, n, derive_seed(20260821, "a2", i))
         mu = bernoulli((p, 1 - p), F2)
         window = Window(F2, F2.ball(radius))
-        exact = enumerate_good_models(sigma, mu, window, 0.25)
+        exact = enumerate_good_models(sigma, mu, window, eps)
         if radius == 0:
-            typed = letter_frequency_count((p, 1 - p), n, 0.25)
+            typed = letter_frequency_count((p, 1 - p), n, eps)
             assert typed.count == exact.count, f"instance {i}: type count disagrees"
-        est = count_good_models_mc(sigma, mu, window, 0.25, 4000, derive_seed(20260821, "a2-mc", i))
+        if eps == 0.7:
+            assert exact.count > 0, f"instance {i}: empty good set"
+        est = count_good_models_mc(sigma, mu, window, eps, 4000, derive_seed(20260821, "a2-mc", i))
         dev = abs(est.count - exact.count)
         assert dev <= 4 * est.standard_error, (
             f"instance {i}: |V|={n} radius={radius} MC {est.count} vs exact "
@@ -84,8 +88,8 @@ def test_a2_counting_cross_checks():
     _verdict(
         "A2",
         True,
-        f"20 instances: letter==enumerate at F={{e}}, MC within 4 SE "
-        f"(worst {worst_ratio:.2f} SE); runtime {elapsed:.1f}s < 60s",
+        f"24 instances: letter==enumerate at F={{e}}, MC within 4 SE, 4 of them at radius 1 "
+        f"with nonempty good sets (worst {worst_ratio:.2f} SE); runtime {elapsed:.1f}s < 60s",
     )
     assert elapsed < 60.0
 

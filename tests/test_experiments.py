@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from soficlab import models
+from soficlab import models, randomness
 from soficlab.cli import main
 from soficlab.config import SCHEMA, config_checksum, validate_config
 from soficlab.covering import PACK_EPS_EXACT_BUDGET
@@ -555,6 +556,34 @@ def test_cli_report_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "E8" in out and "pass" in out
     assert main(["report", str(tmp_path / "nowhere")]) == 1
+
+
+def test_e4_units_give_the_same_tables_on_any_pool():
+    """E4's rows and stability seeds run as pool tasks: with no pool, and
+    with 2 or 3 workers while each draw is cut into many pieces that run
+    inline in its unit, the tables are byte for byte the same. Only the one
+    map of the units reaches the pool; units share no mutable object, so
+    frequent thread switches change nothing."""
+    cfg = {
+        **json.loads((CONFIG_DIR / "e4.json").read_text()),
+        "sizes": [64, 128], "samples": 300, "dispersion_samples": 40, "stability_seeds": [1, 2, 3],
+    }
+    assert validate_config(cfg) == []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randomness, "_pool", lambda: None)
+        expect = REGISTRY["E4"](cfg, RunContext()).tables
+    interval = sys.getswitchinterval()
+    try:
+        for workers in (2, 3):
+            calls = []
+            with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as mp:
+                mp.setattr(randomness, "_pool", lambda: calls.append(workers) or pool)
+                mp.setattr(randomness, "DRAW_CHUNK", 4096)
+                assert REGISTRY["E4"](cfg, RunContext()).tables == expect
+            assert calls == [workers]
+            sys.setswitchinterval(1e-5)  # 3 workers on fewer cores, switching threads often
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("exp", ["e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"])

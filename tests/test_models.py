@@ -23,6 +23,7 @@ from soficlab.models import (
     enumerate_good_models,
     good_mask,
     letter_frequency_count,
+    _block_counts,
     _good_mask,
 )
 from soficlab.processes import _pattern_codes, bernoulli, coset_iid, decode_patterns, product_process, tree_markov, tv_distance
@@ -534,6 +535,29 @@ def test_kernel_matches_int64_row_major(m, base, n, extra, uniform, seed):
         for dtype in (np.uint8, np.int64):
             got = _good_mask(block.astype(dtype), perms, base, npat, target, n, eps)
             np.testing.assert_array_equal(got, expect)
+
+
+@given(
+    st.sampled_from([2, 4, 16, 256]),
+    st.integers(1, 40),
+    st.integers(1, 30),
+    st.sampled_from([np.uint8, np.int64]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_letter_counts_match_the_gather_path(base, rows, n, dtype, seed):
+    """The counts of a one-element window {g}, taken on the row-major block,
+    equal the gather path's: the window (g, e) coded by `_pattern_codes` with
+    its second letter summed out, and a bincount of each row read through
+    sigma^g."""
+    gen = np.random.default_rng(seed)
+    perm = gen.permutation(n)
+    block = gen.integers(0, base, size=(rows, n)).astype(dtype)
+    got = _block_counts(block, perm[None, :], base, base)
+    pairs = _block_counts(block, np.stack([perm, np.arange(n)]), base, base * base)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, pairs.reshape(rows, base, base).sum(axis=2))
+    np.testing.assert_array_equal(got, [np.bincount(row[perm], minlength=base) for row in block])
 
 
 @pytest.mark.parametrize("index", [0, 2])

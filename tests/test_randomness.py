@@ -1,9 +1,10 @@
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soficlab import randomness
@@ -100,21 +101,6 @@ def test_categorical_frequencies_and_range():
     np.testing.assert_allclose(freq, [0.5, 0.3, 0.2], atol=0.02)
     point = categorical(stream(11, "cat2"), np.array([1.0, 0.0]), 100)
     assert np.all(point == 0)
-
-
-@given(
-    st.lists(st.sampled_from([0.0, 0.1, 0.2, 1.0 / 3.0, 0.7, 1.0]), min_size=1, max_size=12),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=60, deadline=None)
-def test_categorical_equals_searchsorted(weights, seed):
-    w = np.asarray(weights)
-    if w.sum() > 0:
-        w = w / w.sum()  # cumsums that round below (or above) 1 before the last bin
-    cdf = np.cumsum(w)
-    cdf[-1] = 1.0
-    expect = np.searchsorted(cdf, stream(seed, "cat-eq").random((50, 40)), side="right").astype(np.uint8)
-    np.testing.assert_array_equal(categorical(stream(seed, "cat-eq"), w, (50, 40)), expect)
 
 
 def test_categorical_on_rounding_and_zero_weights():
@@ -215,3 +201,95 @@ def test_split_draws_under_fast_thread_switching(pools):
                 np.testing.assert_array_equal(got, expect)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _set_buffer_pos(gen: np.random.Generator, pos: int) -> np.random.Generator:
+    """gen with its current Philox block filled and `pos` of its 4 words drawn
+    (pos 4: the block is spent, as in a fresh generator)."""
+    gen.random(4 - gen.bit_generator.state["buffer_pos"] % 4)  # fill and spend a block
+    state = gen.bit_generator.state
+    state["buffer_pos"] = pos
+    gen.bit_generator.state = state
+    return gen
+
+
+@given(
+    st.one_of(
+        st.lists(st.sampled_from([0.0, 0.1, 0.2, 1.0 / 3.0, 0.7, 1.0]), min_size=1, max_size=12),
+        # 257 weights with one atom: the cdf reaches exactly 1.0 at the atom
+        st.integers(0, 256).map(lambda atom: [0.0] * atom + [1.0] + [0.0] * (256 - atom)),
+        st.just([1.0 / 257] * 257),
+    ),
+    st.integers(0, 4),
+    st.integers(0, 5 * 8 + 3),
+    st.integers(0, 2**32 - 1),
+)
+@example([1.0, 0.0], 4, 20, 0)  # cdf[0] = 1.0 before the end: its cut-off 2^64 drops out
+@example([0.5, 0.5, 0.0], 1, 33, 1)
+@example([0.0, 0.0, 1.0], 0, 9, 2)
+@example([0.1] * 10, 3, 40, 3)  # a cdf that rounds below 1 before the end
+@example([0.2, 0.7, 1.0 / 3.0], 2, (5, 9), 4)
+@settings(max_examples=120, deadline=None)
+def test_categorical_equals_searchsorted(weights, pos, size, seed):
+    """The symbols decided on raw words with integer cut-offs are those of
+    searchsorted(cdf, gen.random(size), side="right") for 1 to 257 weights,
+    zeros included, from every position in the current Philox block and
+    across 8-word pieces, and the generator is left where random() leaves
+    it."""
+    w = np.asarray(weights)
+    if w.sum() > 0:
+        w = w / w.sum()  # cumsums that round below (or above) 1 before the last bin
+    cdf = np.cumsum(w)
+    cdf[-1] = 1.0
+    gen, ref = (_set_buffer_pos(stream(seed, "raw"), pos) for _ in range(2))
+    expect = np.searchsorted(cdf, ref.random(size), side="right")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randomness, "DRAW_CHUNK", 8)
+        got = categorical(gen, w, size)
+    assert got.dtype == (np.uint8 if w.size <= 256 else np.intp)
+    np.testing.assert_array_equal(got, expect)
+    assert _state(gen) == _state(ref)
+    assert gen.random() == ref.random()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_raw_word_cutoffs_at_drawn_words(seed):
+    """A cdf entry equal to a drawn u, or one float either side of it, puts
+    that word on its cut-off, where ceil(c * 2^53) * 2^11 must decide as
+    u >= c does; draws are random, so no other test lands there."""
+    drawn = stream(seed, "cut").random(64)
+    for c in {*drawn, *np.nextafter(drawn, 0.0), *np.nextafter(drawn, 1.0)}:
+        w = np.array([c, 1.0 - c])
+        expect = np.searchsorted([c, 1.0], drawn, side="right")
+        np.testing.assert_array_equal(categorical(stream(seed, "cut"), w, 64), expect)
+
+
+def test_categorical_refuses_32_bit_raw_words():
+    with pytest.raises(TypeError, match="64-bit"):
+        categorical(np.random.Generator(np.random.MT19937(1)), [0.5, 0.5], 4)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_nested_map_runs_inline_on_pool_threads(workers):
+    """A map called from a pool task runs inline on the task's thread, so
+    with 1, 2 or 3 workers a nested map returns in order, where waiting on
+    the pool would deadlock once every worker holds an outer task."""
+    outer = {}
+
+    def task(i):
+        outer[i] = threading.get_ident()
+        return randomness._map(lambda j: (i, j, threading.get_ident()), list(range(4)))
+
+    got = []
+    pool = ThreadPoolExecutor(workers)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(randomness, "_pool", lambda: pool)
+            runner = threading.Thread(target=lambda: got.append(randomness.pool_map(task, list(range(5)))), daemon=True)
+            runner.start()
+            runner.join(timeout=10)
+    finally:
+        pool.shutdown(cancel_futures=True)  # a deadlock ends when its queued tasks are cancelled
+    assert not runner.is_alive(), "a nested map waited for the pool"
+    assert got == [[[(i, j, outer[i]) for j in range(4)] for i in range(5)]]
+    assert runner.ident not in outer.values()  # the outer tasks ran on the pool
