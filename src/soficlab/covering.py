@@ -148,6 +148,15 @@ def _greedy_cover_masks(masks: List[int], universe: int) -> int:
     return picks
 
 
+def _undominated(masks: List[int]) -> List[int]:
+    """The masks in order, less each one contained in an earlier kept mask."""
+    kept: List[int] = []
+    for m in masks:
+        if not any(m | k == k for k in kept):
+            kept.append(m)
+    return kept
+
+
 def _min_cover_masks(masks: List[int], universe: int) -> int:
     """Exact minimum set cover by branch and bound on an uncovered point."""
     if universe == 0:
@@ -155,11 +164,7 @@ def _min_cover_masks(masks: List[int], universe: int) -> int:
     live = [m & universe for m in masks if m & universe]
     if len(live) <= 1024:  # dominated-candidate removal is quadratic
         live.sort(key=lambda m: -m.bit_count())
-        kept: List[int] = []
-        for m in live:
-            if not any(m | k == k for k in kept):
-                kept.append(m)
-        live = kept
+        live = _undominated(live)
     if not live:
         raise ValueError("points exist that no candidate ball covers")
     best = _greedy_cover_masks(live, universe)
@@ -287,12 +292,7 @@ def _partial_cover_exact(cover: np.ndarray, weights: np.ndarray, need: float) ->
     rows = ordered.view(np.dtype((np.void, k))).ravel()
     _, first = np.unique(rows, return_index=True)
     masks = _row_masks(ordered[np.sort(first)])
-    # dominated removal: keep only masks not contained in an earlier (heavier) one
-    kept: List[int] = []
-    for m in masks:
-        if not any(m | other == other for other in kept):
-            kept.append(m)
-    masks = kept
+    masks = _undominated(masks)  # earlier masks are heavier
     if not masks:
         raise ValueError("no candidate center covers any atom")
 

@@ -7,19 +7,16 @@ into the Philox key. Two streams with different labels are independent for all
 practical purposes, and the derivation is stable across platforms and runs, so
 equal seeds give bit-identical experiment tables.
 
-Philox is counter-based: word j of a stream is word j % 4 of the block at
-counter c + 1 + j // 4. So a large `categorical` draw is split into pieces
-of DRAW_CHUNK words, each drawn by a copy of the generator whose counter is
-advanced to the piece's first block, and the pieces run on a thread pool with
-one worker per usable core. The symbols, and the generator state the caller
-is left with, are those of one serial draw whatever the number of cores. A
-draw decides its symbols on the raw 64-bit words: numpy's random() is
-(x >> 11) * 2^-53, so u >= c exactly when x >= ceil(c * 2^53) * 2^11, an
-integer cut-off per cdf entry. The same pool maps the sub-slices of the
-good-model kernel (`models`) and, through `pool_map`, E4's independent
-defect units, each of which draws from streams of its own. A map called from
-a pool task runs inline on that task's thread, so a unit's draws and kernel
-calls never wait for a worker it occupies.
+A `categorical` draw runs serially on the caller's thread, in consecutive
+chunks of DRAW_CHUNK raw words from the generator itself, and decides its
+symbols on those raw 64-bit words: numpy's random() is (x >> 11) * 2^-53, so
+u >= c exactly when x >= ceil(c * 2^53) * 2^11, an integer cut-off per cdf
+entry. The symbols, and the generator state the caller is left with, are
+those of one gen.random(size). A thread pool with one worker per usable core
+maps the sub-slices of the good-model kernel (`models`) and, through
+`pool_map`, E4's independent defect units, each of which draws from streams
+of its own. A map called from a pool task runs inline on that task's thread,
+so a unit's kernel calls never wait for a worker it occupies.
 """
 
 from __future__ import annotations
@@ -29,13 +26,13 @@ import hashlib
 import itertools
 import os
 import threading
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Sequence, Tuple, Union
 
 import numpy as np
 
 Label = Union[str, int]
 
-DRAW_CHUNK = 1 << 18  # words per piece of a split draw; a multiple of the 4-word Philox block
+DRAW_CHUNK = 1 << 18  # raw words per chunk of a draw: bounds the word buffer at 2 MiB
 
 
 @functools.lru_cache(maxsize=None)
@@ -62,7 +59,9 @@ _task = threading.local()  # `running` is True on a pool thread once it runs a t
 def _map(fn: Callable, items: Sequence) -> list:
     """[fn(x) for x in items] in order, on the pool when there are two items
     or more and the caller is not itself a pool task; on a pool thread the
-    map runs inline, so nested maps cannot deadlock."""
+    map runs inline, so nested maps cannot deadlock. It maps the good-model
+    kernel's sub-slices and, through `pool_map`, E4's units; draws never use
+    it."""
     pool = None if len(items) < 2 or getattr(_task, "running", False) else _pool()
     if pool is None:
         return [fn(x) for x in items]
@@ -76,9 +75,10 @@ def _run_task(fn: Callable, item):
 
 def pool_map(fn: Callable, items: Sequence) -> list:
     """`_map` for independent units of work outside the kernels, such as
-    E4's rows: each unit may call any public function, and its own draws and
-    kernel maps run inline on its thread. The kernels keep calling `_map`
-    itself, which the benchmark's tracer does not wrap."""
+    E4's rows: each unit may call any public function; its kernel maps run
+    inline on its thread, and its draws are serial there like any draw. The
+    kernels keep calling `_map` itself, which the benchmark's tracer does not
+    wrap."""
     return _map(fn, items)
 
 
@@ -89,15 +89,21 @@ def stream(seed: int, *labels: Label) -> np.random.Generator:
     strings or ints; they name the consumer (e.g. ("sofic", "a", 3) for the
     third permutation of generator a).
     """
-    h = hashlib.blake2b(digest_size=16)
+    key = int.from_bytes(_digest(16, seed, labels), "little")
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+def _digest(size: int, seed: int, labels: Tuple[Label, ...]) -> bytes:
+    """blake2b of repr(int(seed)) and the labels, each after a zero byte; the
+    one hashing rule of stream() and derive_seed()."""
+    h = hashlib.blake2b(digest_size=size)
     h.update(repr(int(seed)).encode())
     for label in labels:
         if not isinstance(label, (str, int)):
-            raise TypeError(f"stream labels must be str or int, got {type(label).__name__}")
+            raise TypeError(f"labels must be str or int, got {type(label).__name__}")
         h.update(b"\x00")
         h.update(repr(label).encode())
-    key = int.from_bytes(h.digest(), "little")
-    return np.random.Generator(np.random.Philox(key=key))
+    return h.digest()
 
 
 def fisher_yates(gen: np.random.Generator, n: int) -> np.ndarray:
@@ -139,9 +145,9 @@ def categorical(gen: np.random.Generator, weights: np.ndarray, size: Union[int, 
     cdf[j] <= u exactly when x >= ceil(cdf[j] * 2^53) * 2^11, and a cut-off
     of 2^64 or more is never reached and drops out. For at most 256 weights
     the number is counted in uint8 without a search; more weights are
-    searched and give intp symbols. Draws from a Philox stream are split by
-    counter (see the module docstring); the result and the generator's final
-    state are those of gen.random(size).
+    searched and give intp symbols. The words are drawn serially on the
+    caller's thread in chunks of DRAW_CHUNK; consecutive random_raw calls
+    give the words, and leave the state, of one gen.random(size).
     """
     if isinstance(gen.bit_generator, np.random.MT19937):
         raise TypeError("MT19937 raw words are 32-bit; categorical needs a 64-bit bit generator")
@@ -150,59 +156,21 @@ def categorical(gen: np.random.Generator, weights: np.ndarray, size: Union[int, 
     cuts = steps[steps < 2.0**53].astype(np.uint64) << np.uint64(11)
     out = np.zeros(size, dtype=np.uint8 if cdf.size <= 256 else np.intp)
     flat = out.reshape(-1)
-
-    def fill(piece: Tuple[np.random.Generator, int, int]) -> None:
-        piece_gen, lo, hi = piece
-        x = piece_gen.bit_generator.random_raw(hi - lo)
+    for lo in range(0, flat.size, DRAW_CHUNK):
+        x = gen.bit_generator.random_raw(min(DRAW_CHUNK, flat.size - lo))
+        symbols = flat[lo : lo + x.size]
         if cdf.size > 256:
-            flat[lo:hi] = np.searchsorted(cuts, x, side="right")
-            return
-        symbols = flat[lo:hi]
-        for c in cuts:
-            symbols += x >= c
-
-    pieces = _pieces(gen, flat.size)
-    _map(fill, pieces)
-    if len(pieces) > 1:
-        # the last copy made the last blocks of the serial draw; random()
-        # leaves gen's 32-bit half-word alone
-        final = pieces[-1][0].bit_generator.state
-        kept = gen.bit_generator.state
-        final["has_uint32"], final["uinteger"] = kept["has_uint32"], kept["uinteger"]
-        gen.bit_generator.state = final
+            symbols[:] = np.searchsorted(cuts, x, side="right")
+        else:
+            for c in cuts:
+                symbols += x >= c
     return out
-
-
-def _pieces(gen: np.random.Generator, total: int) -> List[Tuple[np.random.Generator, int, int]]:
-    """(generator, lo, hi) for words lo..hi of a draw of `total` words from gen.
-
-    The first piece is drawn by gen itself: the words left in its current
-    block and DRAW_CHUNK more. Each later piece starts at a block boundary,
-    `offset` words past those left-over words, and is drawn by a fresh Philox
-    generator at gen's counter advanced by offset // 4 blocks. Any other bit
-    generator draws in one piece.
-    """
-    if not isinstance(gen.bit_generator, np.random.Philox):
-        return [(gen, 0, total)]
-    state = gen.bit_generator.state
-    left = 4 - state["buffer_pos"]  # words of the current block not drawn yet
-    pieces = [(gen, 0, min(total, left + DRAW_CHUNK))]
-    for lo in range(left + DRAW_CHUNK, total, DRAW_CHUNK):
-        copy = np.random.Philox(counter=state["state"]["counter"], key=state["state"]["key"])
-        copy.advance((lo - left) // 4)
-        pieces.append((np.random.Generator(copy), lo, min(total, lo + DRAW_CHUNK)))
-    return pieces
 
 
 def derive_seed(seed: int, *labels: Label) -> int:
     """A 63-bit sub-seed for APIs that take an integer seed; same labeling
     scheme as stream(), so derived seeds never collide across labels."""
-    h = hashlib.blake2b(digest_size=8)
-    h.update(repr(seed).encode())
-    for label in labels:
-        h.update(b"\x00")
-        h.update(repr(label).encode())
-    return int.from_bytes(h.digest(), "big") >> 1
+    return int.from_bytes(_digest(8, seed, labels), "big") >> 1
 
 
 __all__ = ["stream", "fisher_yates", "partitioned_permutation", "categorical", "derive_seed", "pool_map"]

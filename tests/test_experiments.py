@@ -560,9 +560,9 @@ def test_cli_report_table(tmp_path, capsys):
 
 def test_e4_units_give_the_same_tables_on_any_pool():
     """E4's rows and stability seeds run as pool tasks: with no pool, and
-    with 2 or 3 workers while each draw is cut into many pieces that run
-    inline in its unit, the tables are byte for byte the same. Only the one
-    map of the units reaches the pool; units share no mutable object, so
+    with 2 or 3 workers while each draw is cut into many chunks drawn
+    serially in its unit, the tables are byte for byte the same. Only the
+    one map of the units reaches the pool; units share no mutable object, so
     frequent thread switches change nothing."""
     cfg = {
         **json.loads((CONFIG_DIR / "e4.json").read_text()),
