@@ -221,25 +221,25 @@ def run_e2(cfg: dict, ctx: RunContext) -> ExperimentResult:
             note(i, f"measure-chain-left@{delta}", mc_half, mp, mc_half >= mp)
             note(i, f"measure-chain-right@{delta}", mp, mc_full, mp >= mc_full)
 
-        # coupling bound: pair metric is the half-sum of the factor metrics
+        # pair metric: the half-sum of the factor metrics, from every pair of
+        # centres to every pair of atoms, atom pair (l, r) in column l * atoms + r
         delta = cfg["deltas"][0]
+        pw = np.outer(w_mu, w_nu).ravel()
+        pli = np.repeat(np.arange(atoms), atoms)
+        pri = np.tile(np.arange(atoms), atoms)
+        prod_dist = (0.5 * dx_cc[:, None, pli] + 0.5 * dy_cc[None, :, pri]).reshape(amb * amb, pw.size)
+
+        # coupling bound: the coupling's atoms are columns of prod_dist
         plan = random_coupling(derive_seed(seed, "e2-coupling", i), w_mu, w_nu)
         li, ri = np.nonzero(plan > 0)
         lam_w = plan[li, ri]
-        # centers: ambient x ambient would be 4096 rows; the product of the
-        # factor-optimal center pools is enough for the lemma and far smaller
-        pair_dist = 0.5 * dx_cc[:, None, li] + 0.5 * dy_cc[None, :, ri]
-        pair_dist = pair_dist.reshape(amb * amb, li.size)
+        pair_dist = prod_dist[:, li * atoms + ri]
         lam_cov = cov.cov_eps_delta_matrix(pair_dist, lam_w, eps, delta).value
         mu_half = cov.cov_eps_delta_matrix(dx_cc, w_mu, eps / 2, delta).value
         nu_half = cov.cov_eps_delta_matrix(dy_cc, w_nu, eps / 2, delta).value
         note(i, "coupling-bound", lam_cov, mu_half * nu_half, lam_cov <= mu_half * nu_half)
 
         # product lower bound at delta/4 vs sqrt(eps) factors
-        pw = np.outer(w_mu, w_nu).ravel()
-        pli = np.repeat(np.arange(atoms), atoms)
-        pri = np.tile(np.arange(atoms), atoms)
-        prod_dist = (0.5 * dx_cc[:, None, pli] + 0.5 * dy_cc[None, :, pri]).reshape(amb * amb, pw.size)
         prod_cov = cov.cov_eps_delta_matrix(prod_dist, pw, eps, delta / 4).value
         root = math.sqrt(eps)
         mu_root = cov.cov_eps_delta_matrix(dx_cc, w_mu, root, delta).value
@@ -521,6 +521,10 @@ def run_e8(cfg: dict, ctx: RunContext) -> ExperimentResult:
 
 
 def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
+    """Defects of a plain approximation, then their shifts under H-averaging
+    on a product approximation: one unit per (window, defect), each with its
+    own co-induced oracle (a marginal cache is the one mutable object units
+    could share) and streams, so the six units run on the worker pool."""
     seed = cfg["seed"]
     group = GroupSpec.free(2)
     mu = bernoulli([0.5, 0.5], group)
@@ -548,7 +552,6 @@ def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
 
     # phase 2: product approximation, co-induced Bernoulli, H-averaging
     h_spec = GroupSpec.integers()
-    mu_co = coinduced(bernoulli([0.5, 0.5], group), h_spec)
     sig_g = random_uniform(group, cfg["product_v"], derive_seed(seed, "e9-left"))
     tau = quotient_map(h_spec, cfg["product_w"])
     st = product_map(sig_g, tau)
@@ -564,20 +567,22 @@ def run_e9(cfg: dict, ctx: RunContext) -> ExperimentResult:
     ident_p = Window(pg, [pg.identity()])
     eps_p = cfg["preserve_eps"]
     pair_draws = cfg["dq_pair_samples"]
-    deltas: Dict[str, float] = {}
-    for name, window in (("e", ident_p), ("cross", cross)):
-        for kind, fn in (("lw", lw_defect), ("q", quenched_defect), ("dq", dq_defect)):
-            before = fn(st, theta, mu_co, window, eps_p)
-            if kind == "dq":
-                # the averaged support is too large for exact pair
-                # enumeration, so draw independent pairs instead
-                after = fn(
-                    st, averaged, mu_co, window, eps_p,
-                    samples=pair_draws, seed=derive_seed(seed, "e9-avg-dq", name),
-                )
-            else:
-                after = fn(st, averaged, mu_co, window, eps_p)
-            deltas[f"{kind}_{name}"] = abs(after - before)
+
+    def shift(name: str, window: Window, kind: str, fn: Callable) -> Tuple[str, float]:
+        mu_co = coinduced(bernoulli([0.5, 0.5], group), h_spec)
+        before = fn(st, theta, mu_co, window, eps_p)
+        # lw and q read the averaged support exactly and ignore the draw
+        # arguments; only dq's atom pairs are past pair_cap, so only dq draws
+        draw_seed = derive_seed(seed, f"e9-avg-{kind}", name)
+        after = fn(st, averaged, mu_co, window, eps_p, samples=pair_draws, seed=draw_seed)
+        return f"{kind}_{name}", abs(after - before)
+
+    units = [
+        functools.partial(shift, name, window, kind, fn)
+        for name, window in (("e", ident_p), ("cross", cross))
+        for kind, fn in (("lw", lw_defect), ("q", quenched_defect), ("dq", dq_defect))
+    ]
+    deltas = dict(pool_map(lambda unit: unit(), units))
     preserve_ok = all(d <= cfg["preserve_tol"] for d in deltas.values())
 
     checks = {

@@ -70,13 +70,13 @@ from .processes import (
     pattern_count,
     validate_weights,
 )
-from .randomness import _map, categorical, stream
+from .randomness import categorical, stream
 from .sofic import SoficMap
 
 ENUM_BUDGET = 1 << 26
 ENUM_ROWS = 1 << 13  # frontier slice cap of the branch and bound
 PRUNE_SLACK = 1e-9
-KERNEL_CELLS = 1 << 19  # rows x max(npat, |V|) of one `_block_counts` sub-slice
+KERNEL_CELLS = 1 << 19  # rows x max(npat, |V|) of one slice of `_block_counts` and `_good_mask`
 CODE_LIMIT = (1 << 63) - 1  # the largest int64: no configuration code may exceed it
 CHUNK_PATTERNS = 1 << 16  # the most pair patterns of one `projections_outside` chunk table
 
@@ -100,8 +100,7 @@ def counts_over_elements(sigma: SoficMap, x, elements: Sequence[Element], base: 
     vals = np.asarray(x)
     npat = pattern_count(base, len(elements))
     perms = np.stack([sigma.perm_of(g) for g in elements])
-    slices = _sub_slices(vals.reshape(-1, sigma.n), npat)
-    counts = np.concatenate(_map(lambda rows: _block_counts(rows, perms, base, npat), slices))
+    counts = _block_counts(vals.reshape(-1, sigma.n), perms, base, npat)
     return counts.reshape(vals.shape[:-1] + (npat,))
 
 
@@ -137,9 +136,8 @@ def projections_outside(codes, x_codes, y_codes, nx: int, ny: int, n: int) -> in
     chunk: the decode of `processes._decode_codes` in radix (nx * ny)^c, one
     division per chunk. For each chunk, two tables over its pair patterns
     (`_chunk_tables`) give the x and y codes that the chunk adds to the
-    projections. The codes are taken in slices of KERNEL_CELLS / n, which
-    keep each slice's chunks and projections in cache, and the slices are
-    mapped over the worker pool of `randomness`.
+    projections. The codes are taken serially in slices of KERNEL_CELLS / n,
+    which keep each slice's chunks and projections in cache.
     """
     inside = []
     for factor, base in ((x_codes, nx), (y_codes, ny)):
@@ -165,7 +163,7 @@ def projections_outside(codes, x_codes, y_codes, nx: int, ny: int, n: int) -> in
 
     pairs = np.asarray(codes, dtype=np.int64)
     step = max(1, KERNEL_CELLS // n)
-    return sum(_map(outside, [pairs[lo : lo + step] for lo in range(0, pairs.size, step)]))
+    return sum(outside(pairs[lo : lo + step]) for lo in range(0, pairs.size, step))
 
 
 @functools.lru_cache(maxsize=1)
@@ -207,36 +205,36 @@ class GoodModelCount:
         return None if self.codes is None else _decode_codes(self.codes, *self._layout)
 
 
-def _sub_slices(block: np.ndarray, npat: int) -> List[np.ndarray]:
-    """The rows of a (rows, |V|) block in sub-slices of KERNEL_CELLS cells,
-    which keep the code and histogram arrays of `_block_counts` in cache."""
-    step = max(1, KERNEL_CELLS // max(npat, block.shape[1]))
-    return [block[lo : lo + step] for lo in range(0, block.shape[0], step)]
-
-
-def _block_counts(rows: np.ndarray, perms: np.ndarray, base: int, npat: int) -> np.ndarray:
+def _block_counts(block: np.ndarray, perms: np.ndarray, base: int, npat: int) -> np.ndarray:
     """Pattern counts of the rows of a (rows, |V|) letter block as one
-    C-contiguous (rows, npat) int64 array; any integer letter dtype is
-    accepted. Callers pass one `_sub_slices` piece at a time and map the
-    pieces over the worker pool of `randomness`.
+    C-contiguous (rows, npat) int64 array, (0, npat) for an empty block; any
+    integer letter dtype is accepted. The rows are counted serially in slices
+    of KERNEL_CELLS cells, which keep each slice's code and histogram arrays
+    in cache, into one preallocated array.
 
     A one-element window {g} has the letter counts of each row as its pattern
     counts, since sigma^g is a bijection of V: they are counted on the
-    row-major block, with no gather, by one count of the nonzero letters of a
-    binary block, else by one bincount with a row offset of |X|. Any other
-    window transposes the rows to vertex-major in the code dtype, so that
+    row-major slice, with no gather, by one count of the nonzero letters of a
+    binary slice, else by one bincount with a row offset of |X|. Any other
+    window transposes the slice to vertex-major in the code dtype, so that
     each window image gathers whole contiguous rows, codes them by
     `processes._pattern_codes` and histograms them by one bincount with a row
     offset of npat."""
-    if len(perms) == 1:
-        if base == 2:
-            ones = np.count_nonzero(rows, axis=1)
-            return np.stack([rows.shape[1] - ones, ones], axis=1)
-        codes = rows + np.arange(0, rows.shape[0] * base, base)[:, None]
-    else:
-        sub = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(npat - 1))
-        codes = _pattern_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
-    return np.bincount(codes.ravel(), minlength=len(rows) * npat).reshape(-1, npat)
+    counts = np.empty((block.shape[0], npat), dtype=np.int64)
+    step = max(1, KERNEL_CELLS // max(npat, block.shape[1]))
+    for lo in range(0, block.shape[0], step):
+        rows, out = block[lo : lo + step], counts[lo : lo + step]
+        if len(perms) == 1 and base == 2:
+            out[:, 1] = np.count_nonzero(rows, axis=1)
+            out[:, 0] = rows.shape[1] - out[:, 1]
+            continue
+        if len(perms) == 1:
+            codes = rows + np.arange(0, rows.shape[0] * base, base)[:, None]
+        else:
+            sub = np.ascontiguousarray(rows.T, dtype=np.min_scalar_type(npat - 1))
+            codes = _pattern_codes(sub, perms, base) + np.arange(0, sub.shape[1] * npat, npat)
+        out[:] = np.bincount(codes.ravel(), minlength=out.size).reshape(-1, npat)
+    return counts
 
 
 def _good_mask(
@@ -249,15 +247,16 @@ def _good_mask(
     eps: float,
 ) -> np.ndarray:
     """Strict TV test per row, `tv_distance(counts / n, target) < eps` through
-    its array form, one `_sub_slices` piece per map item. Each row's TV is a
-    1-D call's, so the decisions at float ties (the E5/E6 epsilons) do not
-    depend on the code layout, the dtype or the sub-slice a row falls in."""
-
-    def decide(rows: np.ndarray) -> np.ndarray:
-        return _tv_rows(_block_counts(rows, perms, base, npat) / float(n), target) < eps
-
-    good = _map(decide, _sub_slices(block, npat))
-    return np.concatenate(good) if good else np.zeros(0, dtype=bool)
+    its array form, one `_block_counts` slice at a time, so that the counts
+    and their float temporaries stay slice-sized. Each row's TV is a 1-D
+    call's, so the decisions at float ties (the E5/E6 epsilons) do not depend
+    on the code layout, the dtype or the slice a row falls in."""
+    good = np.empty(block.shape[0], dtype=bool)
+    step = max(1, KERNEL_CELLS // max(npat, block.shape[1]))
+    for lo in range(0, block.shape[0], step):
+        counts = _block_counts(block[lo : lo + step], perms, base, npat)
+        good[lo : lo + step] = _tv_rows(counts / float(n), target) < eps
+    return good
 
 
 def _vertex_order(perms: np.ndarray) -> List[int]:

@@ -91,8 +91,8 @@ def tv_distance(p, q):
 def _tv_rows(p, q) -> np.ndarray:
     """The package's one TV expression, half the l1 distance, summed along the
     rows of a C-contiguous |p - q| so that no row depends on the layout of p
-    and q. The kernels' pool tasks call it directly, since the benchmark's
-    tracer wraps the public functions (see `randomness.pool_map`)."""
+    and q. The kernels call it directly, not `tv_distance`, which the
+    benchmark's tracer wraps as a public function."""
     return 0.5 * np.abs(np.subtract(p, q, order="C")).sum(axis=-1)
 
 

@@ -13,10 +13,9 @@ symbols on those raw 64-bit words: numpy's random() is (x >> 11) * 2^-53, so
 u >= c exactly when x >= ceil(c * 2^53) * 2^11, an integer cut-off per cdf
 entry. The symbols, and the generator state the caller is left with, are
 those of one gen.random(size). A thread pool with one worker per usable core
-maps the sub-slices of the good-model kernel (`models`) and, through
-`pool_map`, E4's independent defect units, each of which draws from streams
-of its own. A map called from a pool task runs inline on that task's thread,
-so a unit's kernel calls never wait for a worker it occupies.
+runs, through `pool_map`, the independent units of E4 and E9, each of which
+draws from streams of its own; every kernel and every draw runs serially on
+its caller's thread.
 """
 
 from __future__ import annotations
@@ -56,12 +55,13 @@ if hasattr(os, "register_at_fork"):
 _task = threading.local()  # `running` is True on a pool thread once it runs a task
 
 
-def _map(fn: Callable, items: Sequence) -> list:
+def pool_map(fn: Callable, items: Sequence) -> list:
     """[fn(x) for x in items] in order, on the pool when there are two items
-    or more and the caller is not itself a pool task; on a pool thread the
-    map runs inline, so nested maps cannot deadlock. It maps the good-model
-    kernel's sub-slices and, through `pool_map`, E4's units; draws never use
-    it."""
+    or more and the caller is not itself a pool task. It runs the independent
+    units of E4 and E9, each of which builds what it mutates and draws from
+    streams of its own; kernels and draws never use it. A map called from a
+    pool task runs inline on that task's thread, so a nested map cannot
+    deadlock."""
     pool = None if len(items) < 2 or getattr(_task, "running", False) else _pool()
     if pool is None:
         return [fn(x) for x in items]
@@ -71,15 +71,6 @@ def _map(fn: Callable, items: Sequence) -> list:
 def _run_task(fn: Callable, item):
     _task.running = True  # pool threads run nothing but tasks
     return fn(item)
-
-
-def pool_map(fn: Callable, items: Sequence) -> list:
-    """`_map` for independent units of work outside the kernels, such as
-    E4's rows: each unit may call any public function; its kernel maps run
-    inline on its thread, and its draws are serial there like any draw. The
-    kernels keep calling `_map` itself, which the benchmark's tracer does not
-    wrap."""
-    return _map(fn, items)
 
 
 def stream(seed: int, *labels: Label) -> np.random.Generator:

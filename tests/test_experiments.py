@@ -558,20 +558,27 @@ def test_cli_report_table(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nowhere")]) == 1
 
 
-def test_e4_units_give_the_same_tables_on_any_pool():
-    """E4's rows and stability seeds run as pool tasks: with no pool, and
-    with 2 or 3 workers while each draw is cut into many chunks drawn
-    serially in its unit, the tables are byte for byte the same. Only the
-    one map of the units reaches the pool; units share no mutable object, so
-    frequent thread switches change nothing."""
-    cfg = {
-        **json.loads((CONFIG_DIR / "e4.json").read_text()),
-        "sizes": [64, 128], "samples": 300, "dispersion_samples": 40, "stability_seeds": [1, 2, 3],
-    }
+# reduced configs whose units run as pool tasks: E4's rows and stability
+# seeds, and E9's six (window, defect) averaging shifts, whose dq pairs are
+# past pair_cap and drawn
+UNIT_CONFIGS = {
+    "E4": {"sizes": [64, 128], "samples": 300, "dispersion_samples": 40, "stability_seeds": [1, 2, 3]},
+    "E9": {"vertices": 256, "k": 32, "product_v": 32, "product_w": 4, "averaging_window": 4, "dq_pair_samples": 1024},
+}
+
+
+@pytest.mark.parametrize("exp", sorted(UNIT_CONFIGS))
+def test_units_give_the_same_tables_on_any_pool(exp):
+    """E4's and E9's units run as pool tasks: with no pool, and with 2 or 3
+    workers while each draw is cut into many chunks drawn serially in its
+    unit, the tables are byte for byte the same. Only the one map of the
+    units reaches the pool; units share no mutable object, so frequent
+    thread switches change nothing."""
+    cfg = {**json.loads((CONFIG_DIR / f"{exp.lower()}.json").read_text()), **UNIT_CONFIGS[exp]}
     assert validate_config(cfg) == []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(randomness, "_pool", lambda: None)
-        expect = REGISTRY["E4"](cfg, RunContext()).tables
+        expect = REGISTRY[exp](cfg, RunContext()).tables
     interval = sys.getswitchinterval()
     try:
         for workers in (2, 3):
@@ -579,7 +586,7 @@ def test_e4_units_give_the_same_tables_on_any_pool():
             with ThreadPoolExecutor(workers) as pool, pytest.MonkeyPatch.context() as mp:
                 mp.setattr(randomness, "_pool", lambda: calls.append(workers) or pool)
                 mp.setattr(randomness, "DRAW_CHUNK", 4096)
-                assert REGISTRY["E4"](cfg, RunContext()).tables == expect
+                assert REGISTRY[exp](cfg, RunContext()).tables == expect
             assert calls == [workers]
             sys.setswitchinterval(1e-5)  # 3 workers on fewer cores, switching threads often
     finally:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from soficlab import models
+from soficlab import models, randomness
 from soficlab.groups import GroupSpec, Window, coind_group
 from soficlab.models import (
     KERNEL_CELLS,
@@ -515,7 +515,7 @@ def test_kernel_matches_int64_row_major(m, base, n, extra, uniform, seed):
     npat = base**m  # up to 4^5 = 1024
     gen = np.random.default_rng(seed)
     perms = np.stack([gen.permutation(n) for _ in range(m)])
-    rows = KERNEL_CELLS // max(npat, n) + extra  # one sub-slice, or just past its boundary
+    rows = KERNEL_CELLS // max(npat, n) + extra  # one slice, or just past its boundary
     block = gen.integers(0, base, size=(rows, n))
     target = np.full(npat, 1.0 / npat) if uniform else gen.dirichlet(np.ones(npat))
 
@@ -562,9 +562,9 @@ def test_letter_counts_match_the_gather_path(base, rows, n, dtype, seed):
 
 @pytest.mark.parametrize("index", [0, 2])
 def test_good_mask_over_sub_slices_matches_is_good_model(index):
-    """A block several kernel sub-slices tall, whose rows include the E5/E6
-    tie rows (TV exactly eps) at sub-slice boundaries, gets the decision of
-    testing each row alone."""
+    """A block several kernel slices tall, whose rows include the E5/E6 tie
+    rows (TV exactly eps) at slice boundaries, gets the decision of testing
+    each row alone."""
     cfg = json.loads((Path(__file__).resolve().parents[1] / "configs" / "e5.json").read_text())
     seed, eps = cfg["seeds"][index], cfg["epsilons"][index]
     group = coind_group()
@@ -584,6 +584,40 @@ def test_good_mask_over_sub_slices_matches_is_good_model(index):
     assert got.tolist() == [good_mask(sigma, mu, window, row[None, :], eps)[0] for row in block]
     assert not got[edges].any() and got[[1, step + 1, 3 * step]].all()
     assert good_mask(sigma, mu, window, block[edges], float(np.nextafter(eps, 2.0))).all()
+
+
+def test_kernels_never_ask_for_the_pool(monkeypatch):
+    """The kernels count serially on the caller's thread: with the worker
+    pool patched to raise, a block three KERNEL_CELLS slices and 7 rows tall,
+    E3's inclusion check over many code slices and an MC count over two
+    chunks all run, and an empty block gives (0, npat) counts and a (0,)
+    mask."""
+
+    def no_pool():
+        raise AssertionError("a kernel asked for the worker pool")
+
+    monkeypatch.setattr(randomness, "_pool", no_pool)
+    sigma, mu = random_uniform(F2, 12, 5), bernoulli((0.5, 0.5), F2)
+    window = Window(F2, [(), (1,)])
+    perms = sigma.window_perms(window)
+    step = KERNEL_CELLS // max(4, sigma.n)
+    block = np.random.default_rng(5).integers(0, 2, size=(3 * step + 7, sigma.n), dtype=np.uint8)
+    counts = counts_over_elements(sigma, block, window.elements, 2)
+    codes = 2 * block[:, perms[0]] + block[:, perms[1]]
+    np.testing.assert_array_equal(counts, np.stack([(codes == p).sum(axis=1) for p in range(4)], axis=1))
+    good = good_mask(sigma, mu, window, block, 0.2)
+    target = mu.marginal_elems(window.elements)
+    np.testing.assert_array_equal(good, 0.5 * np.abs(counts / float(sigma.n) - target).sum(axis=1) < 0.2)
+    assert good.any() and not good.all()
+    assert counts_over_elements(sigma, block[:0], window.elements, 2).shape == (0, 4)
+    assert good_mask(sigma, mu, window, block[:0], 0.2).shape == (0,)
+    # every pair code of 10 vertices: exactly |X| x |Y| of them project inside both sets
+    n = 10
+    assert 4**n > KERNEL_CELLS // n
+    xs, ys = np.arange(0, 2**n, 3), np.arange(0, 2**n, 5)
+    assert models.projections_outside(np.arange(4**n), xs, ys, 2, 2, n) == 4**n - xs.size * ys.size
+    got = count_good_models_mc(quotient_map(Z, 8), bernoulli((0.5, 0.5), Z), Window(Z, [()]), 0.25, MC_CHUNK + 3000, 5)
+    assert 0 < got.count < 2**8
 
 
 def test_letter_frequency_matches_enumeration():

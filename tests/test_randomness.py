@@ -261,7 +261,7 @@ def test_nested_map_runs_inline_on_pool_threads(workers):
 
     def task(i):
         outer[i] = threading.get_ident()
-        return randomness._map(lambda j: (i, j, threading.get_ident()), list(range(4)))
+        return randomness.pool_map(lambda j: (i, j, threading.get_ident()), list(range(4)))
 
     got = []
     pool = ThreadPoolExecutor(workers)
