@@ -292,3 +292,47 @@ def test_conflict_masks_match_loop(k, levels, step, hamming, seed):
         dist = gen.integers(0, levels + 1, size=(k, k)) / levels  # not symmetric
     delta = min(step, levels) / levels  # a grid value, so some distances tie with delta
     assert _conflict_masks(dist, delta) == _conflict_loop(dist, delta)
+
+
+def _max_separated_loop(dist, delta):
+    """Reference: the largest strictly delta-separated subset, by a loop over all subsets."""
+    k = dist.shape[0]
+    for size in range(k, 0, -1):
+        for subset in itertools.combinations(range(k), size):
+            if all(dist[i, j] > delta for i, j in itertools.combinations(subset, 2)):
+                return size
+    return 0
+
+
+def _min_cover_loop(dist, delta):
+    """Reference: the fewest centres whose closed delta-balls cover every point,
+    by a loop over all centre sets."""
+    for size in range(1, dist.shape[0] + 1):
+        for centres in itertools.combinations(range(dist.shape[0]), size):
+            if (dist[list(centres)] <= delta).any(axis=0).all():
+                return size
+    raise AssertionError("every point covers itself")
+
+
+@given(st.integers(1, 10), st.sampled_from(["no edge", "matching", "any"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_exact_set_solvers_match_subset_loop(k, shape, seed):
+    """The exact pack and cover of at most 10 points are the subset loops'.
+    Distances sit on a grid of eighths, so some tie with delta. Under "no edge"
+    and "matching" the <=delta conflict graph has no edge or maximum degree
+    at most 1; under "any" delta is drawn from the grid."""
+    gen = np.random.default_rng(seed)
+    levels, delta = 8, 3 / 8
+    dist = gen.integers(4, levels + 1, size=(k, k)) / levels
+    if shape == "matching":
+        pairs = gen.permutation(k)[: 2 * gen.integers(0, k // 2 + 1)].reshape(-1, 2)
+        dist[pairs[:, 0], pairs[:, 1]] = dist[pairs[:, 1], pairs[:, 0]] = gen.integers(0, 4, size=len(pairs)) / levels
+    elif shape == "any":
+        dist = gen.integers(0, levels + 1, size=(k, k)) / levels
+        delta = gen.integers(1, levels + 1) / levels
+    dist = np.triu(dist, 1)
+    dist += dist.T
+    degree = max(mask.bit_count() for mask in _conflict_masks(dist, delta))
+    assert degree <= {"no edge": 0, "matching": 1, "any": k - 1}[shape]
+    assert pack_delta_matrix(dist, delta, "exact").value == _max_separated_loop(dist, delta)
+    assert cov_delta_matrix(dist, delta, "exact").value == _min_cover_loop(dist, delta)

@@ -432,6 +432,22 @@ def test_search_without_the_floor_table_matches_flat_scan(monkeypatch, shape):
         np.testing.assert_array_equal(got.configs, expect)
 
 
+@pytest.mark.parametrize("base, m", [(base, m) for base in (2, 3) for m in (1, 2, 3, 4)])
+def test_open_floor_is_the_least_rise_of_the_agreeing_patterns(base, m):
+    """floor[c], for a window c coded in radix base + 1 whose digit base marks
+    an unassigned vertex, is the least rise0[p] over the patterns p that agree
+    with the assigned letters of c: a loop over windows and patterns, with
+    some rises 0 as at the targets above 1/n."""
+    gen = np.random.default_rng(10 * base + m)
+    rise0 = np.where(gen.random(base**m) < 0.3, 0.0, gen.random(base**m))
+    floor, _ = models._open_floor(rise0.tobytes(), base, m)
+    assert floor.shape == ((base + 1) ** m,) and not floor.flags.writeable
+    patterns = list(itertools.product(range(base), repeat=m))
+    for c, window in enumerate(itertools.product(range(base + 1), repeat=m)):
+        agree = [p for p, pattern in enumerate(patterns) if all(w in (base, a) for w, a in zip(window, pattern))]
+        assert floor[c] == min(rise0[p] for p in agree)
+
+
 def test_e5_setup_at_n6_within_the_default_budget():
     """E5's coset window at n = 6 (|V| = 24, 2^24 configurations, inside
     ENUM_BUDGET): the open-vertex floors keep the search small, and every kept
