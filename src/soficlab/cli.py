@@ -116,6 +116,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
         try:
             data = json.loads(path.read_text())
         except ValueError:
+            data = None
+        if not isinstance(data, dict) or not isinstance(data.get("experiment", "?"), str):
             rows.append((str(path.parent), "?", "unreadable"))
             continue
         verdict = "pass" if data.get("passed") else "FAIL"

@@ -178,12 +178,9 @@ def _min_cover_masks(masks: List[int], universe: int) -> int:
         if used + -(-uncovered.bit_count() // max_ball) >= best:
             return
         point = uncovered & -uncovered
-        options = sorted(
-            (m for m in live if m & point),
-            key=lambda m: -(m & uncovered).bit_count(),
-        )
-        for m in options:
-            dfs(uncovered & ~m, used + 1)
+        for m in live:
+            if m & point:
+                dfs(uncovered & ~m, used + 1)
 
     dfs(universe, 0)
     return best
@@ -191,9 +188,6 @@ def _min_cover_masks(masks: List[int], universe: int) -> int:
 
 def _mis_branch(adj: List[int], pool: int, current: int, best: List[int]) -> None:
     if current + pool.bit_count() <= best[0]:
-        return
-    if pool == 0:
-        best[0] = max(best[0], current)
         return
     # branch on a maximum-degree vertex: taking it removes its neighbourhood
     v = -1
@@ -207,21 +201,17 @@ def _mis_branch(adj: List[int], pool: int, current: int, best: List[int]) -> Non
             vdeg = deg
             v = i
         p ^= bit
-    if vdeg <= 1:
-        # pool is a union of isolated vertices and disjoint edges
-        edges = 0
-        p = pool
-        while p:
-            bit = p & -p
-            i = bit.bit_length() - 1
-            if adj[i] & pool:
-                edges += 1
-            p ^= bit
-        best[0] = max(best[0], current + pool.bit_count() - edges // 2)
+    if vdeg <= 0:
+        # no edge is left in pool (or pool is empty): all of it is independent
+        best[0] = current + pool.bit_count()
         return
     take = pool & ~(1 << v) & ~adj[v]
     _mis_branch(adj, take, current + 1, best)
-    _mis_branch(adj, pool & ~(1 << v), current, best)
+    # a vertex of degree 1 lies in some maximum independent set (swap it for
+    # its neighbour), so leaving it out cannot do better; without this, n
+    # disjoint edges take 2^n calls
+    if vdeg > 1:
+        _mis_branch(adj, pool & ~(1 << v), current, best)
 
 
 def _row_masks(rows: np.ndarray) -> List[int]:

@@ -361,31 +361,24 @@ def _type_class_models(base: int, n: int, target: np.ndarray, eps: float) -> np.
 
 
 @functools.lru_cache(maxsize=1)
-def _open_floor(rise0: bytes, base: int, m: int) -> Tuple[np.ndarray, np.ndarray]:
+def _open_floor(rise0: bytes, base: int, m: int) -> np.ndarray:
     """The floors of the open-vertex bound (module docstring), built by one
-    min and one max per window position from the float64 bytes of rise0.
+    min per window position from the float64 bytes of rise0.
 
     floor[c] is the least rise0[p] over the patterns p that agree with c, a
     window coded in radix base + 1 whose digit `base` marks an unassigned
-    vertex. reach[s] is the largest floor[c] over the windows c whose markers
-    are the one bits of s (position 0 the highest bit): a window whose reach
-    is 0 adds nothing to the bound and is not coded.
+    vertex. Every open, touched window is coded: one that agrees with a
+    pattern whose rise0 is 0 has floor exactly 0.0 and adds nothing.
 
     E5 and E6 each search ten approximations of one size with one target, so
-    the tables of the most recent call are kept, read-only: one pair, at most
-    PATTERN_CAP floors, which that call holds anyway."""
+    the table of the most recent call is kept, read-only: at most PATTERN_CAP
+    floors, which that call holds anyway."""
     floor = np.frombuffer(rise0).reshape((base,) * m)
     for axis in range(m):
         floor = np.concatenate([floor, floor.min(axis=axis, keepdims=True)], axis=axis)
-    reach = floor
-    for axis in range(m):
-        head = (slice(None),) * axis
-        letter = reach[head + (slice(base),)].max(axis=axis, keepdims=True)
-        reach = np.concatenate([letter, reach[head + (slice(base, None),)]], axis=axis)
-    floor, reach = floor.ravel(), reach.ravel()
+    floor = floor.ravel()
     floor.setflags(write=False)
-    reach.setflags(write=False)
-    return floor, reach
+    return floor
 
 
 def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, eps: float) -> np.ndarray:
@@ -418,12 +411,10 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
     first, last, depths = span.min(axis=0), span.max(axis=0), np.arange(n)[:, None]
     # the pattern of v is final at the depth `last` that assigns the last vertex
     # of its image; from the depth `first` that assigns the first one until
-    # then it is open and touched, and it is coded when its floor can be positive
-    touched = np.zeros((n, n), dtype=bool)
+    # then it is open and touched, and it is coded when the floors are built
+    touched = (first <= depths) & (last > depths) & bounded
     if bounded:
-        floor, reach = _open_floor(rise[:, 0].tobytes(), base, m)
-        unassigned = _pattern_codes(span[:, None, :] > depths, range(m), 2)
-        touched = (first <= depths) & (last > depths) & (reach[unassigned] > 0)
+        floor = _open_floor(rise[:, 0].tobytes(), base, m)
     role = np.where(last == depths, 0, np.where(touched, 1, 2))
     # per depth, the windows to code: closing vertices first, then touched ones
     windows = perms[:, np.argsort(role, axis=1, kind="stable")]
@@ -473,8 +464,7 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
     if not kept:
         return np.zeros(0, dtype=np.int64)
     found = config_codes(np.concatenate(kept), base).astype(np.int64)
-    if order != list(range(n)):
-        found.sort()  # the depth-first search meets the rows in code order only in vertex order
+    found.sort()  # depth first meets the rows in the lexicographic order of `order`
     return found
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soficlab import covering
 from soficlab.covering import (
     HAMMING_BLOCK,
     ModelMeasure,
@@ -336,3 +337,19 @@ def test_exact_set_solvers_match_subset_loop(k, shape, seed):
     assert degree <= {"no edge": 0, "matching": 1, "any": k - 1}[shape]
     assert pack_delta_matrix(dist, delta, "exact").value == _max_separated_loop(dist, delta)
     assert cov_delta_matrix(dist, delta, "exact").value == _min_cover_loop(dist, delta)
+
+
+def test_exact_pack_of_disjoint_edges_takes_a_call_per_edge(monkeypatch):
+    """40 points in 20 close pairs: the <=delta conflict graph is 20 disjoint
+    edges, and the exact pack takes one point of each pair in at most one
+    branch call per point, where branching on both sides of every edge would
+    take 2^20 calls."""
+    calls = []
+    branch = covering._mis_branch
+    monkeypatch.setattr(covering, "_mis_branch", lambda *args: calls.append(args) or branch(*args))
+    dist = np.ones((40, 40))
+    np.fill_diagonal(dist, 0.0)
+    left, right = np.arange(0, 40, 2), np.arange(1, 40, 2)
+    dist[left, right] = dist[right, left] = 0.25
+    assert pack_delta_matrix(dist, 0.3, "exact").value == 20
+    assert len(calls) <= 41

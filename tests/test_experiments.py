@@ -558,6 +558,19 @@ def test_cli_report_table(tmp_path, capsys):
     assert main(["report", str(tmp_path / "nowhere")]) == 1
 
 
+def test_cli_report_marks_unreadable_summaries(tmp_path, capsys):
+    """A summary.json that is not JSON, not a JSON object, or names its
+    experiment by a non-string is an unreadable row, beside a readable one."""
+    bodies = {"bad": "{", "list": "[1, 2]", "string": '"str"', "number": '{"experiment": 3, "passed": true}'}
+    summaries = {**bodies, "good": json.dumps({"experiment": "E8", "passed": True, "config_checksum": "abc"})}
+    for name, body in summaries.items():
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "summary.json").write_text(body)
+    assert main(["report", str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert sorted(rows) == sorted([[str(tmp_path / name), "?", "unreadable"] for name in bodies] + [["E8", "pass", "abc"]])
+
+
 # reduced configs whose units run as pool tasks: E4's rows and stability
 # seeds, and E9's six (window, defect) averaging shifts, whose dq pairs are
 # past pair_cap and drawn

@@ -437,10 +437,10 @@ def test_open_floor_is_the_least_rise_of_the_agreeing_patterns(base, m):
     """floor[c], for a window c coded in radix base + 1 whose digit base marks
     an unassigned vertex, is the least rise0[p] over the patterns p that agree
     with the assigned letters of c: a loop over windows and patterns, with
-    some rises 0 as at the targets above 1/n."""
+    some rises 0, as for patterns whose target is at least 1/n."""
     gen = np.random.default_rng(10 * base + m)
     rise0 = np.where(gen.random(base**m) < 0.3, 0.0, gen.random(base**m))
-    floor, _ = models._open_floor(rise0.tobytes(), base, m)
+    floor = models._open_floor(rise0.tobytes(), base, m)
     assert floor.shape == ((base + 1) ** m,) and not floor.flags.writeable
     patterns = list(itertools.product(range(base), repeat=m))
     for c, window in enumerate(itertools.product(range(base + 1), repeat=m)):
