@@ -8,12 +8,14 @@ within TV distance strictly less than eps of the process marginal.
 
 Exact enumeration keeps every good configuration as one integer, its
 `config_codes` code, and returns the codes sorted: `GoodModelCount.codes`.
-Rows are decoded only when `GoodModelCount.configs` is read, and E3's
-inclusion check (`projections_outside`) works on the codes alone, so |X|^|V|
-must fit in int64. A one-element window {g} is decided by letter
-type: sigma^g is a bijection, so the pattern counts are the letter counts, and
-the good set is built from the types of two halves of the vertex set, which
-meet in the middle. Any other window goes through a depth-first branch and
+Rows are decoded only when `GoodModelCount.configs` is read, and the
+inclusion check of E3's Z instances (`projections_outside`) works on the codes
+alone, so |X|^|V| must fit in int64; at E3's one-element windows the same
+check is a sum over letter types (`letter_projections_outside`), with no
+codes. A one-element window {g} is decided by letter type: sigma^g is a
+bijection, so the pattern counts are the letter counts, and the good set is
+built from the types of two halves of the vertex set, which meet in the
+middle. Any other window goes through a depth-first branch and
 bound over X^V. Vertices are assigned one at a time; the pattern of a vertex
 is final once its whole window image is assigned. With t = mu_F, the final TV
 of a complete configuration with pattern counts c is P - (1 - sum(t)) / 2,
@@ -555,24 +557,68 @@ def letter_frequency_count(weights: Sequence[float], vertices: int, eps: float) 
     validate_weights(weights)
     w = np.asarray(weights, dtype=np.float64)
     types, good = _letter_types(vertices, w, eps)
-    # types that differ only in their last two parts are consecutive rows, the
-    # second-to-last part c stepping lo..hi: step comb(rem, c) along them. A
-    # zero first part gives a one-letter type a second-to-last part.
+    count = _multinomial_sum(vertices, types, good)
+    log = math.log(count) if count > 0 else float("-inf")
+    return GoodModelCount(count, log)
+
+
+def letter_projections_outside(
+    pair_weights: Sequence[float],
+    x_weights: Sequence[float],
+    y_weights: Sequence[float],
+    vertices: int,
+    eps: float,
+    factor_eps: float,
+) -> int:
+    """`projections_outside` at a one-element window, by letter type: the
+    number of eps-good pair configurations over `vertices` vertices (letter
+    x * |Y| + y, target `pair_weights`) whose x projection is not
+    factor_eps-good for `x_weights` or whose y projection is not
+    factor_eps-good for `y_weights`.
+
+    The projections of a configuration of pair type c have the margins of c
+    as their letter types, so a pair type is decided whole. `_letter_types`
+    walks the eps-good pair types; each margin is decided by the row of the
+    factor's enumeration, `_tv_rows(margin / n, weights) < factor_eps`, so
+    ties decide bit for bit; every good pair type with a margin outside adds
+    its n! / prod(c!) configurations. The weights must pass
+    `validate_weights` and are taken as given, as in `letter_frequency_count`.
+    """
+    if eps <= 0 or factor_eps <= 0:
+        raise ValueError("eps and factor_eps must be positive")
+    for weights in (pair_weights, x_weights, y_weights):
+        validate_weights(weights)
+    pair, x, y = (np.asarray(w, dtype=np.float64) for w in (pair_weights, x_weights, y_weights))
+    if pair.size != x.size * y.size:
+        raise ValueError("pair_weights needs one weight per letter pair")
+    types, good = _letter_types(vertices, pair, eps)
+    grid = types.reshape(-1, x.size, y.size)
+    inside = (_tv_rows(grid.sum(axis=2) / float(vertices), x) < factor_eps) & (
+        _tv_rows(grid.sum(axis=1) / float(vertices), y) < factor_eps
+    )
+    return _multinomial_sum(vertices, types, good & ~inside)
+
+
+def _multinomial_sum(n: int, types: np.ndarray, keep: np.ndarray) -> int:
+    """The exact sum of n! / prod(c!) over the rows c of a `_letter_types`
+    walk that `keep` marks. Rows that differ only in their last two parts are
+    consecutive, the second-to-last part c stepping lo..hi: step comb(rem, c)
+    along them. A zero first part gives a one-letter type a second-to-last
+    part."""
     types = np.column_stack([np.zeros(len(types), dtype=np.int64), types])
     starts = np.flatnonzero(np.r_[True, (types[1:, :-2] != types[:-1, :-2]).any(axis=1)][: len(types)])
     firsts = types[starts]
-    lefts = vertices - np.cumsum(firsts, axis=1) + firsts  # the vertices left before each part
-    count, good, bounds = 0, good.tolist(), [*starts.tolist(), len(types)]
+    lefts = n - np.cumsum(firsts, axis=1) + firsts  # the vertices left before each part
+    count, keep, bounds = 0, keep.tolist(), [*starts.tolist(), len(types)]
     for start, stop, (*head, lo, last), left in zip(bounds, bounds[1:], firsts.tolist(), lefts.tolist()):
         rem = lo + last
         inner, coeff = 0, math.comb(rem, lo)
         for c in range(lo, lo + stop - start):
-            if good[start + c - lo]:
+            if keep[start + c - lo]:
                 inner += coeff
             coeff = coeff * (rem - c) // (c + 1)
         count += inner * math.prod(map(math.comb, left, head))
-    log = math.log(count) if count > 0 else float("-inf")
-    return GoodModelCount(count, log)
+    return count
 
 
 def adjoint_shift(st: SoficMap, h: Element, x) -> np.ndarray:
@@ -596,6 +642,7 @@ __all__ = [
     "good_mask",
     "config_codes",
     "projections_outside",
+    "letter_projections_outside",
     "enumerate_good_models",
     "count_good_models_mc",
     "letter_frequency_count",

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soficlab import models, randomness
+from soficlab import experiments, models, randomness
 from soficlab.cli import main
 from soficlab.config import SCHEMA, config_checksum, validate_config
 from soficlab.covering import PACK_EPS_EXACT_BUDGET
@@ -448,9 +448,9 @@ def test_cli_refuses_spaces_codes_cannot_hold(tmp_path, capsys):
 
 
 def test_e3_never_decodes_a_configuration(tmp_path, monkeypatch):
-    """The committed E3 run checks inclusion on the codes of its good sets
-    alone: no configuration is decoded to a row, and the artifacts are the
-    committed ones."""
+    """The committed E3 run checks inclusion on the codes of its Z instances'
+    good sets and on the letter types of its F2 instances: no configuration
+    is decoded to a row, and the artifacts are the committed ones."""
     decoded = []
 
     def spy(codes, base, length):
@@ -461,6 +461,28 @@ def test_e3_never_decodes_a_configuration(tmp_path, monkeypatch):
     out = tmp_path / "e3"
     assert main(["run", str(CONFIG_DIR / "e3.json"), "--out", str(out)]) == 0
     assert decoded == []
+    _assert_same_as_results(out, "e3")
+
+
+def test_e3_counts_one_element_windows_by_type(tmp_path, monkeypatch):
+    """The committed E3 run counts and checks its F2 instances (window {e})
+    by letter type: no one-element window reaches the enumeration, no random
+    sigma is built, and the artifacts are the committed ones."""
+    sizes = []
+    enumerate_models = models.enumerate_good_models
+
+    def spy(sigma, mu, window, eps, budget=models.ENUM_BUDGET):
+        sizes.append(len(window))
+        return enumerate_models(sigma, mu, window, eps, budget)
+
+    def refuse(*args):
+        raise AssertionError("E3 built a random sigma")
+
+    monkeypatch.setattr(models, "enumerate_good_models", spy)
+    monkeypatch.setattr(experiments, "random_uniform", refuse)
+    out = tmp_path / "e3"
+    assert main(["run", str(CONFIG_DIR / "e3.json"), "--out", str(out)]) == 0
+    assert sizes and 1 not in sizes
     _assert_same_as_results(out, "e3")
 
 

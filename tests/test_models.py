@@ -260,9 +260,10 @@ def test_type_path_matches_flat_scan(g, base, n, seed, scale):
 
 
 def test_type_path_at_e3_pair_shape(monkeypatch):
-    """E3's F2 radius-0 pair call at n = 10 on the 4-letter pair alphabet,
-    against `_good_mask` over every point of X^V, at E3's eps, at a tie and the
-    next float above it; the branch and bound is not reached."""
+    """A one-element window on F2 at n = 10 on the 4-letter pair alphabet, the
+    shape of E3's F2 pair instances (which E3 counts by letter type), against
+    `_good_mask` over every point of X^V, at E3's eps, at a tie and the next
+    float above it; the branch and bound is not reached."""
 
     def refuse(*args):
         raise AssertionError("a one-element window reached the branch and bound")
@@ -282,10 +283,11 @@ def test_type_path_at_e3_pair_shape(monkeypatch):
 
 
 def test_type_path_makes_no_rows(monkeypatch):
-    """E3's largest letter-type call, the pair process at |V| = 12 (4^12
-    configurations, over two million good), holds its good set as int64
-    codes: its peak traced memory stays below the count * |V| bytes that the
-    uint8 rows alone would take, and no row is decoded."""
+    """A one-element window at the size of E3's largest F2 pair instance
+    (|V| = 12, 4^12 configurations, over two million good; E3 counts it by
+    letter type) holds its good set as int64 codes: its peak traced memory
+    stays below the count * |V| bytes that the uint8 rows alone would take,
+    and no row is decoded."""
 
     def refuse(*args):
         raise AssertionError("a configuration was decoded")
@@ -717,6 +719,49 @@ def test_letter_frequency_point_mass():
     assert letter_frequency_count((1.0, 0.0), 6, 1 / 12).count == 1
     with pytest.raises(ValueError):
         letter_frequency_count((0.5, 0.5), 4, 0.0)
+
+
+def _two_state_factor(gen):
+    """A Bernoulli or a tree-Markov process on F2 with two letters, each half
+    the time, both marginals drawn away from 0 and 1."""
+    p, q = 0.15 + 0.7 * gen.random(2)
+    if gen.random() < 0.5:
+        return bernoulli((p, 1 - p), F2)
+    return tree_markov([[1 - p, p], [q, 1 - q]], [q / (p + q), p / (p + q)], F2)
+
+
+@given(st.integers(4, 10), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_letter_projections_outside_is_the_enumeration(n, seed):
+    """At E3's one-element window on F2, `letter_projections_outside` is
+    `projections_outside` on the enumerated codes, and `letter_frequency_count`
+    the enumerated counts. eps is a drawn pair configuration's float TV, at
+    which it is not good, and the next float above it, at which it is.
+    factor_eps is 2 eps and the float TVs of the drawn configuration's x and
+    y projections: at each of those that projection ties, so it is outside,
+    while the other may be inside."""
+    gen = np.random.default_rng(seed)
+    sigma = random_uniform(F2, n, seed)
+    window = Window(F2, F2.ball(0))
+    mu, nu = _two_state_factor(gen), _two_state_factor(gen)
+    pair = product_process(mu, nu)
+    x = gen.integers(0, 4, size=n, dtype=np.uint8)
+    tv = _float_tv(sigma, pair, window, x)
+    ties = [_float_tv(sigma, factor, window, part) for factor, part in ((mu, x // 2), (nu, x % 2))]
+    for eps in (tv, float(np.nextafter(tv, 2.0))):
+        if eps <= 0:
+            continue
+        got = enumerate_good_models(sigma, pair, window, eps)
+        assert letter_frequency_count(pair.one_dim(), n, eps).count == got.count
+        for factor_eps in (2 * eps, *ties):
+            if factor_eps <= 0:
+                continue
+            good_x, good_y = (enumerate_good_models(sigma, factor, window, factor_eps) for factor in (mu, nu))
+            assert letter_frequency_count(mu.one_dim(), n, factor_eps).count == good_x.count
+            assert letter_frequency_count(nu.one_dim(), n, factor_eps).count == good_y.count
+            expect = models.projections_outside(got.codes, good_x.codes, good_y.codes, 2, 2, n)
+            outside = models.letter_projections_outside(pair.one_dim(), mu.one_dim(), nu.one_dim(), n, eps, factor_eps)
+            assert outside == expect
 
 
 @given(
