@@ -12,16 +12,13 @@ Rows are decoded only when `GoodModelCount.configs` is read, and the
 inclusion check of E3's Z instances (`projections_outside`) works on the codes
 alone, so |X|^|V| must fit in int64; at E3's one-element windows the same
 check is a sum over letter types (`letter_projections_outside`), with no
-codes. A one-element window {g} is decided by letter type: sigma^g is a
-bijection, so the pattern counts are the letter counts, and the good set is
-built from the types of two halves of the vertex set, which meet in the
-middle. Any other window goes through a depth-first branch and
-bound over X^V. Vertices are assigned one at a time; the pattern of a vertex
-is final once its whole window image is assigned. With t = mu_F, the final TV
-of a complete configuration with pattern counts c is P - (1 - sum(t)) / 2,
-where P is sum_p max(0, c_p/n - t_p), since every vertex ends with exactly one
-pattern. Counts only grow as vertices close, so P is at least the running
-excess
+codes. Every window, one-element windows included, goes through one
+depth-first branch and bound over X^V. Vertices are assigned one at a time;
+the pattern of a vertex is final once its whole window image is assigned.
+With t = mu_F, the final TV of a complete configuration with pattern counts
+c is P - (1 - sum(t)) / 2, where P is sum_p max(0, c_p/n - t_p), since every
+vertex ends with exactly one pattern. Counts only grow as vertices close, so
+P is at least the running excess
 
     A = sum_p max(0, c_p/n - t_p)
 
@@ -68,7 +65,6 @@ from .processes import (
     _decode_codes,
     _pattern_codes,
     _tv_rows,
-    decode_patterns,
     pattern_count,
     validate_weights,
 )
@@ -294,11 +290,11 @@ def enumerate_good_models(
 
     |X|^|V| is checked before any work: against CODE_LIMIT, which no budget
     lifts, since every configuration of X^V must have an int64 code, and
-    against the budget. A one-element
-    window is decided by letter type (`_type_class_models`); any other goes
-    through the branch and bound of the module docstring. Either way each
-    decision is the strict TV test of the flat scan, so the set is the one
-    that testing every point of X^V gives.
+    against the budget. Every window goes through the branch and bound of
+    the module docstring, whose decisions are the strict TV test of the flat
+    scan, so the set is the one that testing every point of X^V gives.
+    A large good set decided by letter type alone (a one-element window) is
+    counted without codes by `letter_frequency_count`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -312,54 +308,11 @@ def enumerate_good_models(
     if total > budget:
         raise BudgetExceededError(total, budget)
     target = mu.marginal_elems(window.elements)
-    if len(window) == 1:
-        codes = _type_class_models(base, sigma.n, target, eps)
-    else:
-        codes = _branch_and_bound(sigma.window_perms(window), base, target, sigma.n, eps)
+    codes = _branch_and_bound(sigma.window_perms(window), base, target, sigma.n, eps)
     log = math.log(codes.size) if codes.size else float("-inf")
     got = GoodModelCount(codes.size, log, codes)
     got._layout = (base, sigma.n)
     return got
-
-
-def _type_class_models(base: int, n: int, target: np.ndarray, eps: float) -> np.ndarray:
-    """The sorted codes of the good configurations of a one-element window
-    {g}, by letter type.
-
-    sigma^g is a bijection of V, so the pattern counts of x are its letter
-    counts, and membership depends on the letter type alone. The vertices are
-    split into a prefix of h = n // 2 and a suffix, each decoded in full and
-    grouped by letter type. Each sum of a prefix type and a suffix type is
-    decided by the row `_good_mask` computes for it, `_tv_rows(counts / n,
-    target) < eps`, so the decisions at float ties are the flat scan's.
-    Prefix i and suffix j make the code i * |X|^(n - h) + j, so the codes
-    come out prefix-major, each prefix followed by its good suffixes in
-    ascending order: sorted. Beside the output, this holds the half rows and
-    one block of good suffix codes per prefix type, no longer than the output
-    of any prefix of that type; no output row is made.
-    """
-    h = n // 2
-    prefix, suffix = decode_patterns(base, h), decode_patterns(base, n - h)
-
-    def types(half: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-        # the letter types of a half, by one integer each: the counts in radix size + 1
-        counts = _block_counts(half, np.arange(size)[None, :], base, base)
-        key = _pattern_codes(np.ascontiguousarray(counts.T, dtype=np.min_scalar_type(size)), range(base), size + 1)
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        return counts[first], inverse
-
-    (ptypes, pinv), (stypes, sinv) = types(prefix, h), types(suffix, n - h)
-    step = max(1, KERNEL_CELLS // (len(stypes) * base))
-    good = np.concatenate([
-        _tv_rows((ptypes[lo : lo + step, None, :] + stypes).reshape(-1, base) / float(n), target) < eps
-        for lo in range(0, len(ptypes), step)
-    ]).reshape(len(ptypes), len(stypes))
-    suffix_type = np.min_scalar_type(len(suffix) - 1)
-    blocks = [np.flatnonzero(good[t, sinv]).astype(suffix_type) for t in range(len(ptypes))]
-    sizes = np.array([len(block) for block in blocks])[pinv]
-    codes = np.repeat(np.arange(len(prefix), dtype=np.int64) * len(suffix), sizes)
-    codes += np.concatenate([blocks[t] for t in pinv.tolist()])
-    return codes
 
 
 @functools.lru_cache(maxsize=1)

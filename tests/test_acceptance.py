@@ -62,7 +62,9 @@ def test_a2_counting_cross_checks():
     gen = np.random.default_rng(20260821)
     # 20 drawn instances at eps 0.25 (their radius-1 good sets are empty),
     # then 4 radius-1 instances of fair bits at eps 0.7 whose good sets are
-    # not, so the MC counter is checked where the window is not {e}
+    # not, so the MC counter is checked where the window is not {e}; at
+    # radius 0 the letter-type counter is checked against the branch and
+    # bound, an independent search that does not group by type
     instances = [(int(gen.integers(4, 13)), float(gen.integers(3, 8)) / 10.0, i % 2, 0.25) for i in range(20)]
     instances += [(10 + 2 * (i % 2), 0.5, 1, 0.7) for i in range(20, 24)]
     worst_ratio = 0.0

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,7 @@ from soficlab.cli import main
 from soficlab.config import SCHEMA, config_checksum, validate_config
 from soficlab.covering import PACK_EPS_EXACT_BUDGET
 from soficlab.experiments import REGISTRY, RunContext, _coind_setup, run_experiment
-from soficlab.models import enumerate_good_models
+from soficlab.models import enumerate_good_models, letter_frequency_count
 from soficlab.processes import product_process, tv_distance
 from soficlab.sofic import partitioned_random
 
@@ -636,3 +638,32 @@ def test_config_regenerates_results(exp, tmp_path):
     passed = json.loads((golden / "summary.json").read_text())["passed"]
     assert code == (0 if passed else 2)
     _assert_same_as_results(out, exp)
+
+
+def test_e4_radius0_defects_are_within_4_se_of_the_exact_tails():
+    """At F = {e} the pattern counts are the letter counts under every sigma,
+    so E4's radius-0 defects of fair bits are exact binomial and multinomial
+    tails: q = 1 - |Omega_eps(mu)| / 2^n and dq = 1 - |Omega_eps(mu x mu)| / 4^n,
+    with mu x mu uniform on four letters. Each committed value is within 4
+    standard errors of its exact value, the SE sqrt(p(1 - p) / samples) taken
+    from the exact p. dq is checked at n <= 1024, where the exact count takes
+    under a second."""
+    cfg = json.loads((CONFIG_DIR / "e4.json").read_text())
+    assert cfg["weights"] == [0.5, 0.5]
+    lines = (RESULTS_DIR / "e4" / "e4_convergence.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    checked = []
+    for row in rows:
+        if row["F_radius"] != "0":
+            continue
+        n = int(row["n"])
+        exact = {"q_defect": (cfg["weights"], 2**n)}
+        if n <= 1024:
+            exact["dq_defect"] = ([0.25] * 4, 4**n)
+        for column, (weights, total) in exact.items():
+            p = 1 - Fraction(letter_frequency_count(weights, n, cfg["eps"]).count, total)
+            se = math.sqrt(p * (1 - p) / cfg["samples"])
+            assert abs(float(row[column]) - p) <= 4 * se, (column, n, row[column], float(p), se)
+            checked.append((column, n))
+    assert sorted(checked) == sorted([("q_defect", n) for n in cfg["sizes"]] + [("dq_defect", 512), ("dq_defect", 1024)])

@@ -105,7 +105,7 @@ def test_enumerate_refuses_spaces_codes_cannot_hold(monkeypatch, n):
     def refuse(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(models, "_type_class_models", refuse)
+    monkeypatch.setattr(models, "_branch_and_bound", refuse)
     sigma, mu = quotient_map(Z, n), bernoulli((0.5, 0.5), Z)
     with pytest.raises(ValueError, match=r"2\^63 - 1") as exc:
         enumerate_good_models(sigma, mu, Window(Z, [()]), 0.3, budget=1 << 80)
@@ -215,8 +215,8 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
 
 def _single_window(g):
     """The one-element window {g}. `Window` puts the identity first, so it
-    builds no such window for g other than e; the letter-type path of
-    `enumerate_good_models` holds for any g, since sigma^g is a bijection."""
+    builds no such window for g other than e; the branch and bound takes it
+    like any other window."""
     window = object.__new__(Window)
     window.elements = (g,)
     return window
@@ -230,13 +230,11 @@ def _single_window(g):
     st.sampled_from([1.0, 0.93]),
 )
 @settings(max_examples=60, deadline=None)
-def test_type_path_matches_flat_scan(g, base, n, seed, scale):
-    """One-element windows are decided by letter type, meeting in the middle:
-    the identity and two other elements of F2, n = 1, odd n (halves of
-    unequal length) and bases 2-4, at the float TV of drawn rows, the next
-    float above it and an eps (the least TV of X^V) that leaves the set empty.
-    The codes are built from prefix and suffix codes, rows and codes both
-    checked."""
+def test_one_element_window_matches_flat_scan(g, base, n, seed, scale):
+    """One-element windows, where membership depends on the letter type alone:
+    the identity and two other elements of F2, n = 1, odd n and bases 2-4, at
+    the float TV of drawn rows, the next float above it and an eps (the least
+    TV of X^V) that leaves the set empty; rows and codes both checked."""
     n = min(n, {2: 12, 3: 7, 4: 6}[base])  # at most 4096 rows for the flat reference
     gen = np.random.default_rng(seed)
     sigma = random_uniform(F2, n, seed)
@@ -259,16 +257,16 @@ def test_type_path_matches_flat_scan(g, base, n, seed, scale):
             assert got.count == 0 and got.log_count_nats == float("-inf")
 
 
-def test_type_path_at_e3_pair_shape(monkeypatch):
+def test_one_element_window_at_e3_pair_shape(monkeypatch):
     """A one-element window on F2 at n = 10 on the 4-letter pair alphabet, the
     shape of E3's F2 pair instances (which E3 counts by letter type), against
     `_good_mask` over every point of X^V, at E3's eps, at a tie and the next
-    float above it; the branch and bound is not reached."""
+    float above it. The search holds the good set as strictly rising int64
+    codes and decodes no configuration; rows are decoded only when read."""
 
     def refuse(*args):
-        raise AssertionError("a one-element window reached the branch and bound")
+        raise AssertionError("a configuration was decoded")
 
-    monkeypatch.setattr(models, "_branch_and_bound", refuse)
     sigma = random_uniform(F2, 10, 20260821)
     chain = tree_markov([[0.7, 0.3], [0.45, 0.55]], [0.6, 0.4], F2)
     mu = product_process(bernoulli((0.35, 0.65), F2), chain)
@@ -277,36 +275,27 @@ def test_type_path_at_e3_pair_shape(monkeypatch):
     tie = _float_tv(sigma, mu, window, flat[123456])
     for eps in (0.12, 0.24, tie, float(np.nextafter(tie, 2.0))):
         expect = flat[good_mask(sigma, mu, window, flat, eps)]
-        got = enumerate_good_models(sigma, mu, window, eps)
+        with monkeypatch.context() as patch:
+            patch.setattr(models, "_decode_codes", refuse)
+            got = enumerate_good_models(sigma, mu, window, eps)
         assert got.count > 0
+        assert (np.diff(got.codes) > 0).all()
         _assert_same_set(got, expect, 4)
 
 
-def test_type_path_makes_no_rows(monkeypatch):
-    """A one-element window at the size of E3's largest F2 pair instance
-    (|V| = 12, 4^12 configurations, over two million good; E3 counts it by
-    letter type) holds its good set as int64 codes: its peak traced memory
-    stays below the count * |V| bytes that the uint8 rows alone would take,
-    and no row is decoded."""
-
-    def refuse(*args):
-        raise AssertionError("a configuration was decoded")
-
-    monkeypatch.setattr(models, "_decode_codes", refuse)
-    sigma = random_uniform(F2, 12, 20260821)
-    mu = product_process(bernoulli((0.45, 0.55), F2), bernoulli((0.6, 0.4), F2))
-    window = Window(F2, F2.ball(0))
-    enumerate_good_models(sigma, mu, window, 0.12)  # the marginal oracle's cache, before tracing
-    tracemalloc.start()
-    try:
-        got = enumerate_good_models(sigma, mu, window, 0.12)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert got.count > 2_000_000
-    assert got.codes.nbytes == 8 * got.count
-    assert peak < got.count * sigma.n
-    assert (np.diff(got.codes) > 0).all()
+@pytest.mark.parametrize("eps, count", [(0.5, 446_010), ("least", 0)])
+def test_one_element_window_on_sixteen_letters_is_the_type_count(eps, count):
+    """A one-element window on 16 letters at n = 6 (16^6 configurations, of
+    C(21, 6) = 54,264 letter types): the branch and bound finds the good set
+    that `letter_frequency_count` counts by type, and at the least TV of any
+    letter type, which the strict test leaves out, finds it empty."""
+    mu, window, n = bernoulli(np.random.default_rng(1).dirichlet(np.ones(16)), F2), Window(F2, F2.ball(0)), 6
+    weights = mu.marginal_elems(window.elements)  # the oracle's renormalized target, given as is to both counters
+    if eps == "least":
+        types = np.array([np.bincount(c, minlength=16) for c in itertools.combinations_with_replacement(range(16), n)])
+        eps = float(np.min(0.5 * np.abs(types / float(n) - weights).sum(axis=1)))
+    got = enumerate_good_models(random_uniform(F2, n, 20260821), mu, window, eps)
+    assert got.count == letter_frequency_count(weights, n, eps).count == count
 
 
 @given(st.sampled_from(["Z-r1", "F2-r0", "F2-r1"]), st.integers(2, 3), st.integers(3, 8), st.integers(0, 2**32 - 1))
