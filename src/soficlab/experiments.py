@@ -275,7 +275,8 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
     violations `letter_projections_outside`'s, exact sums over types, and no
     sigma is built. They are the numbers that enumerating the three sets at
     any sigma gives, decided by the same float rows. The Z instances enumerate
-    and check the projections on the codes."""
+    the three sets and decide the projections of the pair rows by the
+    good-model test."""
     seed = cfg["seed"]
     eps = cfg["eps"]
     rows = []
@@ -304,9 +305,7 @@ def run_e3(cfg: dict, ctx: RunContext) -> ExperimentResult:
             )
             counts = [got.count, good_x.count, good_y.count]
             # a pair model violates inclusion when a projection is outside its 2eps set
-            violations = mod.projections_outside(
-                got.codes, good_x.codes, good_y.codes, mu.alphabet.size, nu.alphabet.size, sigma.n
-            )
+            violations = mod.projections_outside(sigma, mu, nu, window, got.configs, 2 * eps)
         subadd = counts[0] <= counts[1] * counts[2]
         passed = passed and violations == 0 and subadd
         rows.append((i, vertices, radius, eps, *counts, violations, int(subadd)))

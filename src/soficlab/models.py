@@ -6,15 +6,15 @@ at the index that `processes._pattern_codes` gives it; a configuration is an
 (F, eps)-good model when its empirical F-marginal, the counts over n, is
 within TV distance strictly less than eps of the process marginal.
 
-Exact enumeration keeps every good configuration as one integer, its
-`config_codes` code, and returns the codes sorted: `GoodModelCount.codes`.
-Rows are decoded only when `GoodModelCount.configs` is read, and the
-inclusion check of E3's Z instances (`projections_outside`) works on the codes
-alone, so |X|^|V| must fit in int64; at E3's one-element windows the same
-check is a sum over letter types (`letter_projections_outside`), with no
-codes. Every window, one-element windows included, goes through one
-depth-first branch and bound over X^V. Vertices are assigned one at a time;
-the pattern of a vertex is final once its whole window image is assigned.
+Exact enumeration returns the good set as (count, |V|) uint8 rows in
+lexicographic order, vertex 0 most significant: `GoodModelCount.configs`.
+The inclusion check of E3's Z instances (`projections_outside`) splits pair
+rows into their projections and decides them by the good-model test itself;
+at E3's one-element windows the same check is a sum over letter types
+(`letter_projections_outside`), with no rows. Every window, one-element
+windows included, goes through one depth-first branch and bound over X^V.
+Vertices are assigned one at a time; the pattern of a vertex is final once
+its whole window image is assigned.
 With t = mu_F, the final TV of a complete configuration with pattern counts
 c is P - (1 - sum(t)) / 2, where P is sum_p max(0, c_p/n - t_p), since every
 vertex ends with exactly one pattern. Counts only grow as vertices close, so
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,7 +62,6 @@ from .groups import Element, Window
 from .processes import (
     PATTERN_CAP,
     MarginalOracle,
-    _decode_codes,
     _pattern_codes,
     _tv_rows,
     pattern_count,
@@ -75,8 +74,6 @@ ENUM_BUDGET = 1 << 26
 ENUM_ROWS = 1 << 13  # frontier slice cap of the branch and bound
 PRUNE_SLACK = 1e-9
 KERNEL_CELLS = 1 << 19  # rows x max(npat, |V|) of one slice of `_block_counts` and `_good_mask`
-CODE_LIMIT = (1 << 63) - 1  # the largest int64: no configuration code may exceed it
-CHUNK_PATTERNS = 1 << 16  # the most pair patterns of one `projections_outside` chunk table
 
 
 class BudgetExceededError(RuntimeError):
@@ -115,92 +112,32 @@ def good_mask(sigma: SoficMap, mu: MarginalOracle, window: Window, configs, eps:
     )
 
 
-def config_codes(configs: np.ndarray, base: int) -> np.ndarray:
-    """Each row of a (rows, |V|) configuration block as one integer, vertex 0
-    most significant, by `processes._pattern_codes`: equal rows share a code,
-    so membership in an enumerated set is a lookup in a table over codes."""
-    return _pattern_codes(configs.T, range(configs.shape[1]), base)
-
-
-def projections_outside(codes, x_codes, y_codes, nx: int, ny: int, n: int) -> int:
-    """The number of pair configurations over n vertices, letter x * ny + y
-    at each vertex, whose x projection is not among `x_codes` or whose y
-    projection is not among `y_codes`. All three hold `config_codes` codes,
-    as `GoodModelCount.codes` does; no row is decoded.
-
-    Each factor's codes become a boolean table over its |X|^n codes, no larger
-    than the pair space. A pair code is split into chunks of c digits, with
-    (nx * ny)^c <= CHUNK_PATTERNS and the leftover high digits in the first
-    chunk: the decode of `processes._decode_codes` in radix (nx * ny)^c, one
-    division per chunk. For each chunk, two tables over its pair patterns
-    (`_chunk_tables`) give the x and y codes that the chunk adds to the
-    projections. The codes are taken serially in slices of KERNEL_CELLS / n,
-    which keep each slice's chunks and projections in cache.
-    """
-    inside = []
-    for factor, base in ((x_codes, nx), (y_codes, ny)):
-        table = np.zeros(base**n, dtype=bool)
-        table[factor] = True
-        inside.append(table)
-    width = 1
-    while width < n and (nx * ny) ** (width + 1) <= CHUNK_PATTERNS:
-        width += 1
-    radix = (nx * ny) ** width
-    chunks = _chunk_tables(nx, ny, n, width)
-
-    def outside(part: np.ndarray) -> int:
-        rows, x, y = part.size, 0, 0
-        for j, (x_of, y_of) in enumerate(chunks):
-            chunk = part
-            if j < len(chunks) - 1:
-                part = part // radix
-                chunk = chunk - part * radix  # the remainder by subtraction: cheaper than divmod
-            x = x + x_of[chunk]
-            y = y + y_of[chunk]
-        return rows - int(np.count_nonzero(inside[0][x] & inside[1][y]))
-
-    pairs = np.asarray(codes, dtype=np.int64)
-    step = max(1, KERNEL_CELLS // n)
-    return sum(outside(pairs[lo : lo + step]) for lo in range(0, pairs.size, step))
-
-
-@functools.lru_cache(maxsize=1)
-def _chunk_tables(nx: int, ny: int, n: int, width: int) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-    """For each chunk of `width` pair digits of an n-digit pair code, least
-    significant first and the leftover high digits last, the x and y codes
-    that the chunk adds to the projections, over its (nx * ny)^length
-    patterns: in C order over the axes (x_0, y_0, x_1, y_1, ...) a pair
-    pattern's index is its code, and the x part of that index is the code of
-    its x projection. E3 checks instances of one size and alphabet in a row,
-    so the tables of the most recent call are kept, read-only."""
-    chunks = []
-    for lo in range(0, n, width):
-        length = min(width, n - lo)
-        tables = []
-        for base, axes in ((nx, (nx, 1)), (ny, (1, ny))):
-            codes = np.arange(base**length).reshape(axes * length)
-            table = np.broadcast_to(codes, (nx, ny) * length).reshape(-1) * base**lo
-            table = table.astype(np.min_scalar_type(base**n - 1))
-            table.setflags(write=False)
-            tables.append(table)
-        chunks.append((tables[0], tables[1]))
-    return tuple(chunks)
+def projections_outside(
+    sigma: SoficMap,
+    mu: MarginalOracle,
+    nu: MarginalOracle,
+    window: Window,
+    pairs: np.ndarray,
+    factor_eps: float,
+) -> int:
+    """The number of rows of a (rows, |V|) block of pair configurations,
+    letter x * |Y| + y at each vertex, whose x projection is not
+    factor_eps-good for mu or whose y projection is not factor_eps-good for
+    nu on `window`. Both projections come from one divmod and are decided by
+    `good_mask`, so bit for bit as the enumeration of each factor's good set
+    decides them. The divisor is uint16, since |Y| is 256 when |X| is 1."""
+    x, y = np.divmod(pairs, np.uint16(nu.alphabet.size))
+    inside = good_mask(sigma, mu, window, x, factor_eps) & good_mask(sigma, nu, window, y, factor_eps)
+    return inside.size - int(np.count_nonzero(inside))
 
 
 @dataclass
 class GoodModelCount:
     count: int
     log_count_nats: float
-    codes: Optional[np.ndarray] = None  # sorted int64 `config_codes` of the exact enumeration
+    # (count, |V|) uint8 rows of the exact enumeration, in lexicographic order
+    configs: Optional[np.ndarray] = None
     standard_error: Optional[float] = None
-    # (|X|, |V|) of `codes`, set by `enumerate_good_models`
-    _layout: Tuple[int, int] = field(default=(0, 0), init=False, repr=False)
-
-    @property
-    def configs(self) -> Optional[np.ndarray]:
-        """The (count, |V|) uint8 rows of `codes`, in lexicographic order with
-        vertex 0 most significant, decoded on each read."""
-        return None if self.codes is None else _decode_codes(self.codes, *self._layout)
 
 
 def _block_counts(block: np.ndarray, perms: np.ndarray, base: int, npat: int) -> np.ndarray:
@@ -284,35 +221,26 @@ def enumerate_good_models(
     eps: float,
     budget: int = ENUM_BUDGET,
 ) -> GoodModelCount:
-    """Omega(F, eps, sigma): its configurations as sorted int64 codes (the
-    codes of `config_codes`, so code order is lexicographic order with vertex
-    0 most significant), and their count.
+    """Omega(F, eps, sigma): its configurations as (count, |V|) uint8 rows
+    in lexicographic order, vertex 0 most significant, and their count.
 
-    |X|^|V| is checked before any work: against CODE_LIMIT, which no budget
-    lifts, since every configuration of X^V must have an int64 code, and
-    against the budget. Every window goes through the branch and bound of
-    the module docstring, whose decisions are the strict TV test of the flat
-    scan, so the set is the one that testing every point of X^V gives.
-    A large good set decided by letter type alone (a one-element window) is
-    counted without codes by `letter_frequency_count`.
+    |X|^|V| is checked against the budget before any work. Every window goes
+    through the branch and bound of the module docstring, whose decisions are
+    the strict TV test of the flat scan, so the set is the one that testing
+    every point of X^V gives. A large good set decided by letter type alone
+    (a one-element window) is counted without rows by
+    `letter_frequency_count`.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     base = mu.alphabet.size
     total = base**sigma.n
-    if total > CODE_LIMIT:
-        raise ValueError(
-            f"exact enumeration spans {base}^{sigma.n} configurations, over the {CODE_LIMIT} (2^63 - 1) "
-            "that int64 configuration codes hold; no budget lifts this limit"
-        )
     if total > budget:
         raise BudgetExceededError(total, budget)
     target = mu.marginal_elems(window.elements)
-    codes = _branch_and_bound(sigma.window_perms(window), base, target, sigma.n, eps)
-    log = math.log(codes.size) if codes.size else float("-inf")
-    got = GoodModelCount(codes.size, log, codes)
-    got._layout = (base, sigma.n)
-    return got
+    configs = _branch_and_bound(sigma.window_perms(window), base, target, sigma.n, eps)
+    count = configs.shape[0]
+    return GoodModelCount(count, math.log(count) if count else float("-inf"), configs)
 
 
 @functools.lru_cache(maxsize=1)
@@ -337,7 +265,7 @@ def _open_floor(rise0: bytes, base: int, m: int) -> np.ndarray:
 
 
 def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, eps: float) -> np.ndarray:
-    """The sorted codes of the good configurations of the window whose
+    """The good configurations, as sorted rows, of the window whose
     (|F|, |V|) permutations are `perms`, by the branch and bound of the module
     docstring. Configurations are pruned at `cut`; complete ones are accepted below
     cut - 2 * PRUNE_SLACK, and only those in the band between get the strict
@@ -416,11 +344,9 @@ def _branch_and_bound(perms: np.ndarray, base: int, target: np.ndarray, n: int, 
         if band.any():
             good[band] = _good_mask(np.compress(band, rows, axis=0), perms, base, npat, target, n, eps)
         kept.append(np.compress(good, rows, axis=0))
-    if not kept:
-        return np.zeros(0, dtype=np.int64)
-    found = config_codes(np.concatenate(kept), base).astype(np.int64)
-    found.sort()  # depth first meets the rows in the lexicographic order of `order`
-    return found
+    found = np.concatenate(kept) if kept else np.zeros((0, n), dtype=np.uint8)
+    # depth first meets the rows in the lexicographic order of `order`
+    return found[np.lexsort(found.T[::-1])]
 
 
 MC_CHUNK = 1 << 14
@@ -523,19 +449,21 @@ def letter_projections_outside(
     eps: float,
     factor_eps: float,
 ) -> int:
-    """`projections_outside` at a one-element window, by letter type: the
-    number of eps-good pair configurations over `vertices` vertices (letter
+    """`projections_outside` of the enumerated eps-good pair rows at a
+    one-element window, by letter type and with no rows: the number of
+    eps-good pair configurations over `vertices` vertices (letter
     x * |Y| + y, target `pair_weights`) whose x projection is not
     factor_eps-good for `x_weights` or whose y projection is not
     factor_eps-good for `y_weights`.
 
     The projections of a configuration of pair type c have the margins of c
     as their letter types, so a pair type is decided whole. `_letter_types`
-    walks the eps-good pair types; each margin is decided by the row of the
-    factor's enumeration, `_tv_rows(margin / n, weights) < factor_eps`, so
-    ties decide bit for bit; every good pair type with a margin outside adds
-    its n! / prod(c!) configurations. The weights must pass
-    `validate_weights` and are taken as given, as in `letter_frequency_count`.
+    walks the eps-good pair types; each margin is decided by the TV row that
+    `good_mask` gives a projection, `_tv_rows(margin / n, weights) <
+    factor_eps`, so ties decide bit for bit; every good pair type with a
+    margin outside adds its n! / prod(c!) configurations. The weights must
+    pass `validate_weights` and are taken as given, as in
+    `letter_frequency_count`.
     """
     if eps <= 0 or factor_eps <= 0:
         raise ValueError("eps and factor_eps must be positive")
@@ -593,7 +521,6 @@ __all__ = [
     "BudgetExceededError",
     "counts_over_elements",
     "good_mask",
-    "config_codes",
     "projections_outside",
     "letter_projections_outside",
     "enumerate_good_models",

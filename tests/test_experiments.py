@@ -430,42 +430,6 @@ def test_cli_budget_refusal_writes_diagnostic(tmp_path, capsys):
     assert not (tmp_path / "e5").exists()
 
 
-def test_cli_refuses_spaces_codes_cannot_hold(tmp_path, capsys):
-    """E5 at n = 16 spans 2^64 configurations, more than int64 codes hold: a
-    raised --budget does not lift the limit, and the refusal writes its
-    diagnostic under --out."""
-    cfg = json.loads((CONFIG_DIR / "e5.json").read_text())
-    cfg["n"] = 16
-    cfg["out_dir"] = str(tmp_path / "e5")
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg))
-    out = tmp_path / "out"
-    assert main(["run", str(cfg_path), "--budget", str(1 << 80), "--out", str(out)]) == 1
-    assert "2^63 - 1" in capsys.readouterr().err
-    diag = json.loads((out / "diagnostic.json").read_text())
-    assert diag["type"] == "ValueError"
-    assert "2^64 configurations" in diag["error"] and "no budget lifts" in diag["error"]
-    assert diag["experiment"] == "E5"
-    assert not (tmp_path / "e5").exists()
-
-
-def test_e3_never_decodes_a_configuration(tmp_path, monkeypatch):
-    """The committed E3 run checks inclusion on the codes of its Z instances'
-    good sets and on the letter types of its F2 instances: no configuration
-    is decoded to a row, and the artifacts are the committed ones."""
-    decoded = []
-
-    def spy(codes, base, length):
-        decoded.append(len(codes))
-        raise AssertionError("E3 decoded a configuration")
-
-    monkeypatch.setattr(models, "_decode_codes", spy)
-    out = tmp_path / "e3"
-    assert main(["run", str(CONFIG_DIR / "e3.json"), "--out", str(out)]) == 0
-    assert decoded == []
-    _assert_same_as_results(out, "e3")
-
-
 def test_e3_counts_one_element_windows_by_type(tmp_path, monkeypatch):
     """The committed E3 run counts and checks its F2 instances (window {e})
     by letter type: no one-element window reaches the enumeration, no random

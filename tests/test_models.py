@@ -17,7 +17,6 @@ from soficlab.models import (
     PRUNE_SLACK,
     BudgetExceededError,
     adjoint_shift,
-    config_codes,
     count_good_models_mc,
     counts_over_elements,
     enumerate_good_models,
@@ -96,26 +95,10 @@ def test_enumerate_large_eps_is_everything():
     np.testing.assert_array_equal(got.configs, expect)
 
 
-@pytest.mark.parametrize("n", [63, 64])
-def test_enumerate_refuses_spaces_codes_cannot_hold(monkeypatch, n):
-    """|X|^|V| over 2^63 - 1 has no int64 code for every configuration: it is
-    refused before any search, under any budget, with its own message; just
-    below the limit the budget decides."""
-
-    def refuse(*args):
-        raise AssertionError("the search started")
-
-    monkeypatch.setattr(models, "_branch_and_bound", refuse)
-    sigma, mu = quotient_map(Z, n), bernoulli((0.5, 0.5), Z)
-    with pytest.raises(ValueError, match=r"2\^63 - 1") as exc:
-        enumerate_good_models(sigma, mu, Window(Z, [()]), 0.3, budget=1 << 80)
-    assert not isinstance(exc.value, BudgetExceededError)
-    assert f"2^{n} configurations" in str(exc.value) and "no budget" in str(exc.value)
-    with pytest.raises(BudgetExceededError):
-        enumerate_good_models(quotient_map(Z, 62), mu, Window(Z, [()]), 0.3)
-
-
-def test_enumerate_budget_refusal():
+def test_enumerate_budget_refusal(monkeypatch):
+    """|X|^|V| over the budget is refused before any search, with the size in
+    the message: 2^5 under a budget of 16, and 2^62-2^64 under the default
+    budget."""
     sigma = quotient_map(Z, 5)
     mu = bernoulli((0.5, 0.5), Z)
     with pytest.raises(BudgetExceededError) as exc:
@@ -123,6 +106,14 @@ def test_enumerate_budget_refusal():
     assert "spans 32 configurations" in str(exc.value)
     assert "budget" in str(exc.value)
     assert "count_good_models_mc" not in str(exc.value)
+
+    def refuse(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(models, "_branch_and_bound", refuse)
+    for n in (62, 63, 64):
+        with pytest.raises(BudgetExceededError, match=f"spans {2**n} configurations"):
+            enumerate_good_models(quotient_map(Z, n), mu, Window(Z, [()]), 0.3)
 
 
 class _ScaledOracle:
@@ -138,13 +129,19 @@ class _ScaledOracle:
         return self._mu.marginal_elems(elements) * self._scale
 
 
-def _assert_same_set(got, expect, base):
-    """An enumerated set against the flat scan's rows: its codes are the
-    sorted int64 `config_codes` of those rows, and its rows decode to them."""
+def _rising(rows):
+    """Each row of a (rows, |V|) block lexicographically above the one before it."""
+    step = rows[1:].astype(np.int16) - rows[:-1]
+    first = np.argmax(step != 0, axis=1)
+    return bool((step[np.arange(len(step)), first] > 0).all())
+
+
+def _assert_same_set(got, expect):
+    """An enumerated set against the flat scan's rows: uint8 rows, strictly
+    increasing in lexicographic order, equal to them."""
     assert got.count == expect.shape[0]
-    assert got.codes.dtype == np.int64
-    np.testing.assert_array_equal(got.codes, np.sort(config_codes(expect, base).astype(np.int64)))
     assert got.configs.dtype == np.uint8 and got.configs.shape == expect.shape
+    assert _rising(got.configs)
     np.testing.assert_array_equal(got.configs, expect)
 
 
@@ -173,7 +170,7 @@ def _float_tv(sigma, mu, window, x):
 )
 @settings(max_examples=80, deadline=None)
 def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
-    """The branch and bound against every point of X^V, rows and codes. The
+    """The branch and bound against every point of X^V. The
     coset-iid shape (E5/E6's window, |V| = 4, 8 or 12) has a marginal of
     sparse support, where the floors of the open vertices prune most rows."""
     n = min(n, {2: 8, 3: 7, 4: 6}[base])  # at most 4096 rows for the flat reference
@@ -207,7 +204,7 @@ def test_enumerate_matches_flat_scan(shape, base, n, seed, scale):
             continue
         expect = _flat_scan(sigma, mu, window, eps)
         got = enumerate_good_models(sigma, mu, window, eps)
-        _assert_same_set(got, expect, base)
+        _assert_same_set(got, expect)
         members = {tuple(row) for row in expect.tolist()}
         for x in drawn:
             assert good_mask(sigma, mu, window, x[None, :], eps)[0] == (tuple(x.tolist()) in members)
@@ -234,7 +231,7 @@ def test_one_element_window_matches_flat_scan(g, base, n, seed, scale):
     """One-element windows, where membership depends on the letter type alone:
     the identity and two other elements of F2, n = 1, odd n and bases 2-4, at
     the float TV of drawn rows, the next float above it and an eps (the least
-    TV of X^V) that leaves the set empty; rows and codes both checked."""
+    TV of X^V) that leaves the set empty."""
     n = min(n, {2: 12, 3: 7, 4: 6}[base])  # at most 4096 rows for the flat reference
     gen = np.random.default_rng(seed)
     sigma = random_uniform(F2, n, seed)
@@ -252,21 +249,17 @@ def test_one_element_window_matches_flat_scan(g, base, n, seed, scale):
             continue
         expect = _flat_scan(sigma, mu, window, eps)
         got = enumerate_good_models(sigma, mu, window, eps)
-        _assert_same_set(got, expect, base)
+        _assert_same_set(got, expect)
         if eps == least:
             assert got.count == 0 and got.log_count_nats == float("-inf")
 
 
-def test_one_element_window_at_e3_pair_shape(monkeypatch):
+def test_one_element_window_at_e3_pair_shape():
     """A one-element window on F2 at n = 10 on the 4-letter pair alphabet, the
     shape of E3's F2 pair instances (which E3 counts by letter type), against
     `_good_mask` over every point of X^V, at E3's eps, at a tie and the next
-    float above it. The search holds the good set as strictly rising int64
-    codes and decodes no configuration; rows are decoded only when read."""
-
-    def refuse(*args):
-        raise AssertionError("a configuration was decoded")
-
+    float above it: the good set as uint8 rows, strictly rising in
+    lexicographic order."""
     sigma = random_uniform(F2, 10, 20260821)
     chain = tree_markov([[0.7, 0.3], [0.45, 0.55]], [0.6, 0.4], F2)
     mu = product_process(bernoulli((0.35, 0.65), F2), chain)
@@ -275,12 +268,9 @@ def test_one_element_window_at_e3_pair_shape(monkeypatch):
     tie = _float_tv(sigma, mu, window, flat[123456])
     for eps in (0.12, 0.24, tie, float(np.nextafter(tie, 2.0))):
         expect = flat[good_mask(sigma, mu, window, flat, eps)]
-        with monkeypatch.context() as patch:
-            patch.setattr(models, "_decode_codes", refuse)
-            got = enumerate_good_models(sigma, mu, window, eps)
+        got = enumerate_good_models(sigma, mu, window, eps)
         assert got.count > 0
-        assert (np.diff(got.codes) > 0).all()
-        _assert_same_set(got, expect, 4)
+        _assert_same_set(got, expect)
 
 
 @pytest.mark.parametrize("eps, count", [(0.5, 446_010), ("least", 0)])
@@ -301,13 +291,13 @@ def test_one_element_window_on_sixteen_letters_is_the_type_count(eps, count):
 @given(st.sampled_from(["Z-r1", "F2-r0", "F2-r1"]), st.integers(2, 3), st.integers(3, 8), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_code_membership_is_good_mask(shape, base, n, seed):
-    """Membership of config codes in the codes of an enumerated set decides
-    each row as `good_mask` does: drawn rows and kept rows, at the float TV of
-    the drawn rows, the next float above it and the edges of the strict-test
-    band. The Z-cycle at radius 1 and F2 at radius 0 (E3's shapes) keep the
-    vertex order of the identity; F2 at radius 1 is drawn until its order is
-    another, so its kept codes are the sorted ones. Kept codes rise strictly
-    and decode to the kept rows, whose codes they are."""
+    """Membership of a row among the rows of an enumerated set decides it as
+    `good_mask` does: drawn rows and kept rows, at the float TV of the drawn
+    rows, the next float above it and the edges of the strict-test band. The
+    Z-cycle at radius 1 and F2 at radius 0 (E3's shapes) keep the vertex
+    order of the identity; F2 at radius 1 is drawn until its order is
+    another, so its kept rows are the sorted ones. Kept rows are uint8 and
+    rise strictly."""
     n = min(n, {2: 8, 3: 6}[base])
     gen = np.random.default_rng(seed)
     group, radius = (Z, 1) if shape == "Z-r1" else (F2, int(shape[-1]))
@@ -324,12 +314,11 @@ def test_code_membership_is_good_mask(shape, base, n, seed):
     for eps in sorted({*tvs, *(np.nextafter(t, 2.0) for t in tvs), *edges}):
         if eps <= 0:
             continue
-        got = enumerate_good_models(sigma, mu, window, eps)
-        codes, kept = got.codes, got.configs
-        assert codes.dtype == np.int64 and (np.diff(codes) > 0).all()
-        np.testing.assert_array_equal(config_codes(kept, base), codes)
+        kept = enumerate_good_models(sigma, mu, window, eps).configs
+        assert kept.dtype == np.uint8 and _rising(kept)
         block = np.concatenate([drawn, kept[gen.integers(0, len(kept), size=min(len(kept), 4))]])
-        member = np.isin(config_codes(block, base), codes)
+        rows = {tuple(row) for row in kept.tolist()}
+        member = np.array([tuple(row) in rows for row in block.tolist()])
         np.testing.assert_array_equal(member, good_mask(sigma, mu, window, block, eps))
         outcomes.update(member[: len(drawn)].tolist())
     # the float TV of a drawn row is an eps at which it is not a member, its
@@ -337,36 +326,93 @@ def test_code_membership_is_good_mask(shape, base, n, seed):
     assert outcomes == {False, True}
 
 
+def _outside_loop(pairs, xs, ys, ny):
+    """Reference: the pair rows whose x projection (letter // ny) is not a row
+    of xs or whose y projection (letter % ny) is not a row of ys, counted by a
+    loop over Python sets of rows."""
+    x_set, y_set = ({tuple(row) for row in rows.tolist()} for rows in (xs, ys))
+    return sum(
+        tuple(v // ny for v in row) not in x_set or tuple(v % ny for v in row) not in y_set for row in pairs.tolist()
+    )
+
+
 @pytest.mark.parametrize(
     "nx, ny, n", [(2, 2, 6), (2, 3, 5), (3, 2, 4), (2, 2, 10), (2, 3, 8), (3, 2, 7), (2, 3, 13), (2, 2, 1)]
 )
-def test_projections_outside_matches_set_loop(monkeypatch, nx, ny, n):
-    """Pair codes with a projection outside its factor codes are counted as a
-    loop over Python sets of rows counts them, over many small slices: rows
-    inside both, outside one and outside both, and empty pair and factor
-    sets. The pair codes are split into chunks of 8 digits (2 x 2 letters),
-    6 (2 x 3 and 3 x 2) or, under a smaller chunk table, 1 or 2; so n is one
-    chunk, a multiple of the chunk width, or not."""
-    monkeypatch.setattr(models, "KERNEL_CELLS", 8 * n)
+def test_projections_outside_matches_set_loop(nx, ny, n):
+    """Drawn pair rows on the Z-cycle of n vertices at radius 1, Bernoulli
+    factors on nx and ny letters: the rows with a projection outside its
+    factor's enumerated good set are counted as a loop over Python sets of
+    those rows counts them. factor_eps is the greater of the tenth-smallest
+    float TVs of the drawn x and y projections, a tie, and the next float
+    above it, at which both factor sets hold ten drawn projections or more;
+    and 1e-6, at which both are empty. 20 rows are built from good
+    projections, and an empty block has none outside."""
+    sigma, window = quotient_map(Z, n), Window(Z, Z.ball(1))
     gen = np.random.default_rng(nx * 1000 + ny * 100 + n)
+    mu, nu = (bernoulli(gen.dirichlet(np.ones(k)), Z) for k in (nx, ny))
     pairs = gen.integers(0, nx * ny, size=(300, n), dtype=np.uint8)
-    # the last x row left out, so that at n = 1 some projections are outside
-    xs = np.unique(gen.integers(0, nx, size=(40, n), dtype=np.uint8), axis=0)[:-1]
-    ys = np.unique(gen.integers(0, ny, size=(40, n), dtype=np.uint8), axis=0)
-    # some pair rows whose projections are both inside
-    pairs[:20] = xs[gen.integers(0, len(xs), 20)] * ny + ys[gen.integers(0, len(ys), 20)]
-    for rows, x_block, y_block in ((pairs, xs, ys), (pairs, xs, ys[:0]), (pairs, xs[:0], ys), (pairs[:0], xs, ys)):
-        x_set = {tuple(row) for row in x_block.tolist()}
-        y_set = {tuple(row) for row in y_block.tolist()}
-        expect = sum(
-            tuple(v // ny for v in row) not in x_set or tuple(v % ny for v in row) not in y_set
-            for row in rows.tolist()
-        )
-        codes = [config_codes(block, base).astype(np.int64) for block, base in ((rows, nx * ny), (x_block, nx), (y_block, ny))]
-        for chunk_patterns in (1 << 16, 1, 40):
-            monkeypatch.setattr(models, "CHUNK_PATTERNS", chunk_patterns)
-            assert models.projections_outside(*codes, nx, ny, n) == expect
-        assert 0 < expect < len(rows) or not (len(x_block) and len(y_block) and len(rows))
+    tie = max(sorted(_float_tv(sigma, f, window, row) for row in rows)[9] for f, rows in ((mu, pairs // ny), (nu, pairs % ny)))
+    above = float(np.nextafter(tie, 2.0))
+    for factor_eps in (tie, above, 1e-6):
+        xs, ys = (enumerate_good_models(sigma, f, window, factor_eps).configs for f in (mu, nu))
+        if len(xs) and len(ys):
+            pairs[:20] = xs[gen.integers(0, len(xs), 20)] * ny + ys[gen.integers(0, len(ys), 20)]
+        expect = _outside_loop(pairs, xs, ys, ny)
+        assert models.projections_outside(sigma, mu, nu, window, pairs, factor_eps) == expect
+        assert models.projections_outside(sigma, mu, nu, window, pairs[:0], factor_eps) == 0
+        assert 0 < expect < len(pairs) or not (len(xs) and len(ys))
+        if factor_eps == above:
+            assert len(xs) and len(ys)
+        if factor_eps == 1e-6:
+            assert len(xs) == len(ys) == 0
+
+
+@given(st.integers(2, 3), st.integers(2, 3), st.integers(6, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_projections_outside_on_enumerated_pair_sets(nx, ny, n, seed):
+    """E3's Z shape, the radius-1 window on the cycle of n vertices, for a
+    product of factors on nx and ny letters (a two-letter factor is Bernoulli
+    or Markov). eps is the next float above the least float TV of 64 pair
+    rows drawn from the product of the one-vertex laws, so the pair set holds
+    that row. factor_eps is 2 eps, the float TVs of the row's x and y
+    projections (ties, at which that projection is outside) and the next
+    float above each: `projections_outside` on the enumerated pair rows is
+    the count of a loop over Python sets of the enumerated factor rows, and
+    not 0 at a tie."""
+    sigma, window = quotient_map(Z, n), Window(Z, Z.ball(1))
+    gen = np.random.default_rng(seed)
+    mu, nu = (_two_state_factor(gen, Z) if k == 2 else bernoulli(gen.dirichlet(np.ones(k)), Z) for k in (nx, ny))
+    pair = product_process(mu, nu)
+    drawn = gen.choice(nx * ny, size=(64, n), p=pair.one_dim()).astype(np.uint8)
+    tvs = [_float_tv(sigma, pair, window, row) for row in drawn]
+    row, eps = drawn[int(np.argmin(tvs))], float(np.nextafter(min(tvs), 2.0))
+    pairs = enumerate_good_models(sigma, pair, window, eps).configs
+    assert (pairs == row).all(axis=1).any()
+    ties = [_float_tv(sigma, f, window, part) for f, part in ((mu, row // ny), (nu, row % ny))]
+    for factor_eps in (2 * eps, *ties, *(float(np.nextafter(t, 2.0)) for t in ties)):
+        xs, ys = (enumerate_good_models(sigma, f, window, factor_eps).configs for f in (mu, nu))
+        outside = models.projections_outside(sigma, mu, nu, window, pairs, factor_eps)
+        assert outside == _outside_loop(pairs, xs, ys, ny)
+        assert outside > 0 or factor_eps not in ties
+
+
+def test_projections_outside_on_256_letters():
+    """|X| = 1 and |Y| = 256, so a pair letter is its y letter and the uint8
+    pair rows are split by 256, which uint8 does not hold: drawn rows on the
+    cycle of 2 vertices, window {e, 1}, against the set loop at the float TV
+    of a drawn row and the next float above it."""
+    sigma, window = quotient_map(Z, 2), Window(Z, [(), (1,)])
+    gen = np.random.default_rng(256)
+    mu, nu = bernoulli((1.0,), Z), bernoulli(gen.dirichlet(np.ones(256)), Z)
+    pairs = gen.integers(0, 256, size=(300, 2), dtype=np.uint8)
+    tie = _float_tv(sigma, nu, window, pairs[0])
+    for factor_eps in (tie, float(np.nextafter(tie, 2.0))):
+        xs, ys = (enumerate_good_models(sigma, f, window, factor_eps).configs for f in (mu, nu))
+        assert len(xs) == 1 and 0 < len(ys) < 256**2
+        expect = _outside_loop(pairs, xs, ys, 256)
+        assert 0 < expect < len(pairs)
+        assert models.projections_outside(sigma, mu, nu, window, pairs, factor_eps) == expect
 
 
 def test_enumerate_sends_only_the_band_to_the_strict_test(monkeypatch):
@@ -450,7 +496,7 @@ def test_e5_setup_at_n6_within_the_default_budget():
     got = enumerate_good_models(sigma, mu, window, 0.43)
     assert got.count == 56 and got.configs.shape == (56, 24)
     assert good_mask(sigma, mu, window, got.configs, 0.43).all()
-    assert (np.diff(got.codes) > 0).all()
+    assert _rising(got.configs)
 
 
 def _vertex_order_loop(perms):
@@ -596,7 +642,7 @@ def test_good_mask_over_sub_slices_matches_is_good_model(index):
 def test_kernels_never_ask_for_the_pool(monkeypatch):
     """The kernels count serially on the caller's thread: with the worker
     pool patched to raise, a block three KERNEL_CELLS slices and 7 rows tall,
-    E3's inclusion check over many code slices and an MC count over two
+    E3's inclusion check over many kernel slices and an MC count over two
     chunks all run, and an empty block gives (0, npat) counts and a (0,)
     mask."""
 
@@ -618,11 +664,13 @@ def test_kernels_never_ask_for_the_pool(monkeypatch):
     assert good.any() and not good.all()
     assert counts_over_elements(sigma, block[:0], window.elements, 2).shape == (0, 4)
     assert good_mask(sigma, mu, window, block[:0], 0.2).shape == (0,)
-    # every pair code of 10 vertices: exactly |X| x |Y| of them project inside both sets
-    n = 10
-    assert 4**n > KERNEL_CELLS // n
-    xs, ys = np.arange(0, 2**n, 3), np.arange(0, 2**n, 5)
-    assert models.projections_outside(np.arange(4**n), xs, ys, 2, 2, n) == 4**n - xs.size * ys.size
+    # every pair row of 10 vertices: exactly |good x| x |good y| of them project inside both sets
+    nu = bernoulli((0.3, 0.7), F2)
+    sigma = random_uniform(F2, 10, 5)
+    assert 4**sigma.n > 3 * KERNEL_CELLS // sigma.n
+    inside = [int(good_mask(sigma, f, window, decode_patterns(2, sigma.n), 0.3).sum()) for f in (mu, nu)]
+    outside = models.projections_outside(sigma, mu, nu, window, decode_patterns(4, sigma.n), 0.3)
+    assert 0 < outside == 4**sigma.n - inside[0] * inside[1] < 4**sigma.n
     got = count_good_models_mc(quotient_map(Z, 8), bernoulli((0.5, 0.5), Z), Window(Z, [()]), 0.25, MC_CHUNK + 3000, 5)
     assert 0 < got.count < 2**8
 
@@ -710,20 +758,20 @@ def test_letter_frequency_point_mass():
         letter_frequency_count((0.5, 0.5), 4, 0.0)
 
 
-def _two_state_factor(gen):
-    """A Bernoulli or a tree-Markov process on F2 with two letters, each half
-    the time, both marginals drawn away from 0 and 1."""
+def _two_state_factor(gen, group):
+    """A Bernoulli or a tree-Markov process on a free group with two letters,
+    each half the time, both marginals drawn away from 0 and 1."""
     p, q = 0.15 + 0.7 * gen.random(2)
     if gen.random() < 0.5:
-        return bernoulli((p, 1 - p), F2)
-    return tree_markov([[1 - p, p], [q, 1 - q]], [q / (p + q), p / (p + q)], F2)
+        return bernoulli((p, 1 - p), group)
+    return tree_markov([[1 - p, p], [q, 1 - q]], [q / (p + q), p / (p + q)], group)
 
 
 @given(st.integers(4, 10), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_letter_projections_outside_is_the_enumeration(n, seed):
     """At E3's one-element window on F2, `letter_projections_outside` is
-    `projections_outside` on the enumerated codes, and `letter_frequency_count`
+    `projections_outside` on the enumerated rows, and `letter_frequency_count`
     the enumerated counts. eps is a drawn pair configuration's float TV, at
     which it is not good, and the next float above it, at which it is.
     factor_eps is 2 eps and the float TVs of the drawn configuration's x and
@@ -732,7 +780,7 @@ def test_letter_projections_outside_is_the_enumeration(n, seed):
     gen = np.random.default_rng(seed)
     sigma = random_uniform(F2, n, seed)
     window = Window(F2, F2.ball(0))
-    mu, nu = _two_state_factor(gen), _two_state_factor(gen)
+    mu, nu = _two_state_factor(gen, F2), _two_state_factor(gen, F2)
     pair = product_process(mu, nu)
     x = gen.integers(0, 4, size=n, dtype=np.uint8)
     tv = _float_tv(sigma, pair, window, x)
@@ -748,7 +796,7 @@ def test_letter_projections_outside_is_the_enumeration(n, seed):
             good_x, good_y = (enumerate_good_models(sigma, factor, window, factor_eps) for factor in (mu, nu))
             assert letter_frequency_count(mu.one_dim(), n, factor_eps).count == good_x.count
             assert letter_frequency_count(nu.one_dim(), n, factor_eps).count == good_y.count
-            expect = models.projections_outside(got.codes, good_x.codes, good_y.codes, 2, 2, n)
+            expect = models.projections_outside(sigma, mu, nu, window, got.configs, factor_eps)
             outside = models.letter_projections_outside(pair.one_dim(), mu.one_dim(), nu.one_dim(), n, eps, factor_eps)
             assert outside == expect
 

@@ -340,7 +340,7 @@ def test_no_parameter_takes_one_literal():
 
 def test_one_pattern_encoder():
     """The mixed-radix pattern index is built only by `processes._pattern_codes`
-    and decoded only by its inverse `processes._decode_codes`: no module
+    and decoded only by its inverse `processes.decode_patterns`: no module
     computes place values (`base ** arange(...)`), enumerates patterns with
     `indices` or peels digits off a code with `//=` outside `processes`."""
     found = []
@@ -359,3 +359,21 @@ def test_one_pattern_encoder():
             if "_window_codes" in {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}:
                 found.append(f"{where} `_window_codes`")
     assert not found, found
+
+
+def test_no_unused_imports():
+    """Every name a module of `src/soficlab` imports is used in it: read as a
+    name (an attribute's base included) or listed in its `__all__`. So a
+    deletion that leaves its imports behind fails here."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(_module_tables(path.stem)[3])
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.stem}:{node.lineno} {name}")
+    assert not found, f"imported and never used: {found}"
